@@ -438,10 +438,23 @@ class BatchExtractionEngine:
     # ------------------------------------------------------------------
     # public entry points
     # ------------------------------------------------------------------
-    def extract_batch(self, pairs: "Sequence[Pair]", mode: str) -> np.ndarray:
-        """Feature matrix ``(len(pairs), dim)`` for one entry mode."""
+    def extract_batch(
+        self,
+        pairs: "Sequence[Pair]",
+        mode: str,
+        footprints: "list[np.ndarray] | None" = None,
+    ) -> np.ndarray:
+        """Feature matrix ``(len(pairs), dim)`` for one entry mode.
+
+        ``footprints``, when given, is extended with one sorted node-id
+        array per pair: the pair's final grown Def. 3 ball, the only
+        nodes its row depends on (empty for a pair with a missing end
+        node).  Collecting them changes no feature bit.
+        """
         with span(f"feature.{mode}", k=self._k, pairs=len(pairs)):
-            return self._extract_all(pairs, (mode,), shared=False)[mode]
+            return self._extract_all(
+                pairs, (mode,), shared=False, footprints=footprints
+            )[mode]
 
     def extract_multi_batch(
         self, pairs: "Sequence[Pair]", modes: "tuple[str, ...]"
@@ -457,6 +470,7 @@ class BatchExtractionEngine:
         pairs: "Sequence[Pair]",
         modes: "tuple[str, ...]",
         shared: bool,
+        footprints: "list[np.ndarray] | None" = None,
     ) -> "dict[str, np.ndarray]":
         out = {
             mode: np.zeros((len(pairs), self._dim), dtype=np.float64)
@@ -465,9 +479,14 @@ class BatchExtractionEngine:
         if not pairs:
             return out
 
+        grown: "list[np.ndarray] | None" = (
+            [_EMPTY_LEVEL] * len(pairs) if footprints is not None else None
+        )
         with span("subgraph_growth", pairs=len(pairs)):
             with span("structure_combination", pairs=len(pairs)):
-                jobs = self._grow_and_combine(pairs)
+                jobs = self._grow_and_combine(pairs, grown)
+        if footprints is not None and grown is not None:
+            footprints.extend(grown)
         if not jobs:
             return out
 
@@ -706,7 +725,11 @@ class BatchExtractionEngine:
     # ------------------------------------------------------------------
     # phase 1: level-synchronous growth + cross-pair combination
     # ------------------------------------------------------------------
-    def _grow_and_combine(self, pairs: "Sequence[Pair]") -> "list[_PairJob]":
+    def _grow_and_combine(
+        self, pairs: "Sequence[Pair]", grown: "list[np.ndarray] | None"
+    ) -> "list[_PairJob]":
+        """Def. 3 growth + Alg. 1 for every pair; a finishing pair's union
+        (its final radius-h ball) lands in ``grown[row]`` when asked."""
         snapshot = self._snapshot
         arena = self._arena
         k = self._k
@@ -824,6 +847,9 @@ class BatchExtractionEngine:
                             growth.union = merged[lo:hi] - index * n_nodes
                             growing.append(growth)
 
+            if grown is not None:
+                for growth, _segment in done_segments + forced:
+                    grown[growth.row] = growth.union
             finishing = done_segments + [
                 (growth, segment)
                 for growth, segment in forced
@@ -1256,6 +1282,7 @@ def batch_extract(
     modes: "tuple[str, ...] | None" = None,
     backend: str = "auto",
     extractor: "object | None" = None,
+    footprints: "list[np.ndarray] | None" = None,
 ) -> "np.ndarray | dict[str, np.ndarray]":
     """Extract SSF vectors for many pairs through the batched driver.
 
@@ -1275,8 +1302,16 @@ def batch_extract(
     agree with any also-given ``network``/``config``/``present_time``
     (mismatches raise rather than silently extracting against the wrong
     substrate).
+
+    ``footprints`` (csr, ``modes=None`` only) is extended with one
+    sorted node-id array per pair: the final grown Def. 3 ball its row
+    depends on, empty for a pair with a missing end node.  The serving
+    cache invalidates on it; leaving it ``None`` collects nothing.
     """
     from repro.core.feature import SSFConfig, SSFExtractor, resolve_backend
+
+    if footprints is not None and modes is not None:
+        raise ValueError("footprints are collected for one entry mode (modes=None)")
 
     if extractor is not None:
         assert isinstance(extractor, SSFExtractor)
@@ -1295,7 +1330,7 @@ def batch_extract(
             )
         pair_list = list(pairs) if pairs is not None else []
         if modes is None:
-            return extractor.extract_batch(pair_list)
+            return extractor.extract_batch(pair_list, footprints)
         return extractor.extract_multi_batch(pair_list, modes)
 
     ssf_config = config if config is not None else SSFConfig()
@@ -1319,5 +1354,5 @@ def batch_extract(
         raise ValueError(f"unresolvable backend {backend!r}")
     pair_list = list(pairs) if pairs is not None else []
     if modes is None:
-        return extractor.extract_batch(pair_list)
+        return extractor.extract_batch(pair_list, footprints)
     return extractor.extract_multi_batch(pair_list, modes)

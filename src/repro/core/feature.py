@@ -307,7 +307,11 @@ class SSFExtractor:
         with span(f"feature.{self._config.entry_mode}", k=self._config.k):
             return self._unfold(self.adjacency_matrix(a, b))
 
-    def extract_batch(self, pairs: "list[tuple[Node, Node]]") -> np.ndarray:
+    def extract_batch(
+        self,
+        pairs: "list[tuple[Node, Node]]",
+        footprints: "list[np.ndarray] | None" = None,
+    ) -> np.ndarray:
         """SSF vectors for many target links, as a ``(pairs, dim)`` matrix.
 
         On ``backend="csr"`` this runs the batched driver
@@ -316,9 +320,18 @@ class SSFExtractor:
         every subgraph of the batch.  The dict backend stays the
         loop-per-pair reference; both return bit-identical matrices.
         Pairs with a missing end node yield all-zero rows, in place.
+
+        ``footprints`` (csr only) is extended with each row's snapshot
+        node ids it depends on — see
+        :meth:`~repro.core.batch.BatchExtractionEngine.extract_batch`.
         """
         if self._backend == "csr":
-            return self._engine().extract_batch(pairs, self._config.entry_mode)
+            return self._engine().extract_batch(
+                pairs, self._config.entry_mode, footprints
+            )
+        if footprints is not None:
+            # a footprint is a set of snapshot node ids; dict has none
+            raise ValueError("footprints need the csr backend")
         out = np.zeros((len(pairs), self.feature_dim), dtype=np.float64)
         if not pairs:
             return out

@@ -8,15 +8,16 @@ package provides the serving-side substrate and surface:
   by vectorised delta merge, bit-identical to a full rebuild.
 * :class:`DecayedInfluenceIndex` — O(1)-per-event decayed activity
   summaries for recency-aware candidate ranking.
-* :class:`FeatureCache` — LRU feature cache with locality-ball
-  invalidation keyed on :func:`~repro.serve.cache.pair_key`.
+* :class:`FeatureCache` — LRU feature cache keyed on
+  :func:`~repro.serve.cache.pair_key`, invalidated on each row's grown
+  footprint.
 * :class:`ServingRecommender` / :class:`AsyncScoringFrontend` — the
   batched scoring core and its coalescing asyncio front-end.
 * :func:`run_replay` — the measured replay harness behind
   ``repro serve --replay`` and the CI serving smoke step.
 
-See docs/SERVING.md for the architecture and the cache's (documented)
-approximations.
+See docs/SERVING.md for the architecture and the cache's one opt-in
+approximation.
 """
 
 from repro.serve.cache import DEFAULT_CACHE_ENTRIES, CacheEntry, FeatureCache, pair_key

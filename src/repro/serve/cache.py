@@ -1,4 +1,4 @@
-"""Serving feature cache with locality-ball invalidation.
+"""Serving feature cache, invalidated on each row's grown footprint.
 
 SSF features are expensive relative to a cache probe (a subgraph walk,
 Palette-WL ordering and a matrix unfold per pair), and a serving
@@ -9,32 +9,26 @@ formation is overwhelmingly a *local* process, so a cached pair's
 feature can only change when an edge event lands near it.
 
 :class:`FeatureCache` stores one entry per scored pair, keyed by the
-canonical pair label, carrying the feature vector and the node-id ball
-the feature was extracted over.  An inverted node → pairs index makes
-invalidation O(affected entries): when an edge event touches node ``n``,
-every cached pair whose ball contains ``n`` is dropped
-(:meth:`invalidate_nodes`).  The ball is the 2-hop neighbourhood of the
-pair by default — the same friends-of-friends locality the candidate
-generator walks.
+canonical pair label, carrying the feature row, the serving clock it was
+extracted at and its **footprint**: the node ids of the pair's final
+grown Def. 3 ball, as the batched engine reports it.  The row depends on
+that ball's induced sub-multigraph and the clock alone, and an edge
+between two nodes outside the ball cannot shorten a path into it, so an
+event can change the row only if an endpoint lies in the footprint;
+:meth:`invalidate_nodes` drops exactly those entries.  Rows with an
+empty footprint (an end node missing from the snapshot) are not stored.
 
-**Approximation, stated honestly.**  Two ways a cached entry can be
-stale without a ball hit, both documented in docs/SERVING.md:
-
-* K-structure growth can exceed 2 hops on sparse graphs (the subgraph
-  keeps growing until it holds K structure nodes), so a far-away event
-  could in principle alter a feature.  Serve with ``invalidation_hops``
-  matching the observed growth radius, or enable fingerprint
-  verification below.
-* Influence decays as the serving clock advances even with no nearby
-  event.  Entries therefore record the ``present_time`` they were
-  extracted at; ``max_staleness`` bounds how far the clock may drift
-  before an entry is treated as a miss.
+``max_staleness`` (default ``0.0``) bounds how far the serving clock may
+move after extraction before an entry is a miss; at ``0.0`` every served
+row equals a cold extraction.  A positive bound, or ``None`` for none,
+is the one opt-in approximation: the row's ``exp(-θ·Δt)`` factors then
+lag the clock (docs/SERVING.md measures the cost).
 
 For exactness audits, each entry can carry a
-:func:`~repro.graph.hashing.subgraph_fingerprint` of its ball; a probe
-then recomputes the fingerprint against the *current* snapshot and
-treats any mismatch as a miss (``verify=True`` — too expensive for the
-hot path, invaluable for tests and canaries).
+:func:`~repro.graph.hashing.subgraph_fingerprint` of its footprint; a
+probe then recomputes the fingerprint against the *current* snapshot
+and treats any mismatch as a miss (``verify=True`` — too expensive for
+the hot path, invaluable for tests and canaries).
 """
 
 from __future__ import annotations
@@ -52,8 +46,9 @@ from repro.obs import incr, span
 Node = Hashable
 PairKey = tuple[str, str]
 
-#: default bound on cached pair entries — at ~44 float64s per k=10
-#: feature plus the ball id array, 10k entries stay well under 10 MB
+#: default bound on cached pair entries.  On the co-author serving
+#: benchmark (k = 10, 32-id footprints) an entry takes about 3 KB by
+#: ``sys.getsizeof``, so 10k hold about 30 MB
 DEFAULT_CACHE_ENTRIES = 10_000
 
 
@@ -65,16 +60,16 @@ def pair_key(u: Node, v: Node) -> PairKey:
 
 @dataclass
 class CacheEntry:
-    """One cached pair: the feature row and the locality it depends on."""
+    """One cached pair: the feature row and the node ids it depends on."""
 
     features: np.ndarray
-    ball: "frozenset[int]"
+    footprint: "frozenset[int]"
     present_time: float
     fingerprint: "str | None" = None
 
 
 class FeatureCache:
-    """LRU feature cache with inverted-index ball invalidation.
+    """LRU feature cache with footprint invalidation.
 
     Counters (gated behind ``obs.enable``): ``serve.cache.hits``,
     ``serve.cache.misses``, ``serve.cache.evictions``,
@@ -86,7 +81,7 @@ class FeatureCache:
         self,
         max_entries: int = DEFAULT_CACHE_ENTRIES,
         *,
-        max_staleness: "float | None" = None,
+        max_staleness: "float | None" = 0.0,
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
@@ -95,7 +90,6 @@ class FeatureCache:
         self.max_entries = max_entries
         self.max_staleness = max_staleness
         self._entries: OrderedDict[PairKey, CacheEntry] = OrderedDict()
-        self._node_index: dict[int, set[PairKey]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -118,7 +112,7 @@ class FeatureCache:
         """The entry for ``key``, or ``None`` on a miss.
 
         ``present_time`` applies the ``max_staleness`` bound;
-        ``verify=True`` (with ``snapshot``) recomputes the ball
+        ``verify=True`` (with ``snapshot``) recomputes the footprint
         fingerprint and drops the entry on mismatch.
         """
         entry = self._entries.get(key)
@@ -131,14 +125,14 @@ class FeatureCache:
             and present_time is not None
             and abs(present_time - entry.present_time) > self.max_staleness
         ):
-            self._drop(key)
+            del self._entries[key]
             self.misses += 1
             incr("serve.cache.stale_drops")
             incr("serve.cache.misses")
             return None
         if verify and snapshot is not None and entry.fingerprint is not None:
-            if subgraph_fingerprint(snapshot, entry.ball) != entry.fingerprint:
-                self._drop(key)
+            if subgraph_fingerprint(snapshot, entry.footprint) != entry.fingerprint:
+                del self._entries[key]
                 self.misses += 1
                 incr("serve.cache.verify_drops")
                 incr("serve.cache.misses")
@@ -152,36 +146,35 @@ class FeatureCache:
         self,
         key: PairKey,
         features: np.ndarray,
-        ball: "Iterable[int]",
+        footprint: "Iterable[int]",
         present_time: float,
         *,
         snapshot: "CSRSnapshot | None" = None,
         fingerprint: bool = False,
     ) -> None:
-        """Insert/replace one entry; evicts LRU entries past the bound."""
-        if key in self._entries:
-            self._drop(key)
-        ball_ids = (
-            ball
-            if isinstance(ball, frozenset)
-            else frozenset(int(n) for n in ball)
+        """Insert/replace one entry (none for an empty ``footprint``);
+        evicts LRU entries past the bound."""
+        self._entries.pop(key, None)
+        node_ids = (
+            footprint
+            if isinstance(footprint, frozenset)
+            else frozenset(map(int, footprint))
         )
+        if not node_ids:
+            return
         digest = (
-            subgraph_fingerprint(snapshot, ball_ids)
+            subgraph_fingerprint(snapshot, node_ids)
             if fingerprint and snapshot is not None
             else None
         )
         self._entries[key] = CacheEntry(
             features=features,
-            ball=ball_ids,
+            footprint=node_ids,
             present_time=float(present_time),
             fingerprint=digest,
         )
-        for node_id in ball_ids:
-            self._node_index.setdefault(node_id, set()).add(key)
         while len(self._entries) > self.max_entries:
-            evicted_key, evicted = self._entries.popitem(last=False)
-            self._unindex(evicted_key, evicted)
+            self._entries.popitem(last=False)
             self.evictions += 1
             incr("serve.cache.evictions")
 
@@ -189,45 +182,39 @@ class FeatureCache:
     # invalidation
     # ------------------------------------------------------------------
     def invalidate_nodes(self, node_ids: "Iterable[int]") -> list[PairKey]:
-        """Drop every entry whose ball contains any of ``node_ids``.
+        """Drop every entry whose footprint contains any of ``node_ids``.
 
         The serving loop calls this with the endpoints of each ingested
-        edge event: an event inside a cached pair's 2-hop ball lands on
-        a node the ball contains, so the inverted index finds exactly
-        the affected entries.  Returns the dropped keys (sorted) so
+        edge event; an event can change a row only if an endpoint lies
+        in the row's footprint.  Returns the dropped keys (sorted) so
         callers can cascade the invalidation to derived caches.
+
+        One pass over the entries, each a set-disjointness test of at
+        most ``len(node_ids)`` lookups.  An inverted node index would
+        visit only the dropped entries, but it charges every put and
+        drop one set update per footprint node.  On the co-author
+        serving benchmark (about 8k entries, 4 events per ingest) the
+        pass plus the puts cost about 20 ms per ingest period; the index
+        upkeep cost about 65 ms.
         """
         # under an active request context (rtrace) this span inherits
         # the ingesting request's trace id via the record provider
         with span("serve.cache_invalidate") as inv_span:
-            doomed: set[PairKey] = set()
-            for node_id in node_ids:
-                doomed.update(self._node_index.get(int(node_id), ()))
-            dropped = sorted(doomed)
+            touched = frozenset(map(int, node_ids))
+            dropped = sorted(
+                key
+                for key, entry in self._entries.items()
+                if not touched.isdisjoint(entry.footprint)
+            )
             for key in dropped:
-                self._drop(key)
-                self.invalidations += 1
-                incr("serve.cache.invalidations")
+                del self._entries[key]
+            self.invalidations += len(dropped)
+            incr("serve.cache.invalidations", len(dropped))
             inv_span.tags.update(dropped=len(dropped))
         return dropped
 
     def clear(self) -> None:
         self._entries.clear()
-        self._node_index.clear()
-
-    def _drop(self, key: PairKey) -> None:
-        entry = self._entries.pop(key, None)
-        if entry is not None:
-            self._unindex(key, entry)
-
-    def _unindex(self, key: PairKey, entry: CacheEntry) -> None:
-        # O(|ball|): the entry knows exactly which index rows hold it
-        for node_id in entry.ball:
-            keys = self._node_index.get(node_id)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._node_index[node_id]
 
     # ------------------------------------------------------------------
     # introspection

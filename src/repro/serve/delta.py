@@ -475,9 +475,8 @@ class DeltaCSRSnapshot:
 def hop_ball(snapshot: CSRSnapshot, node_id: int, hops: int) -> np.ndarray:
     """Sorted node ids within ``hops`` of ``node_id`` (itself included).
 
-    Array BFS over the snapshot's CSR rows — the locality ball both the
-    feature cache's invalidation rule and the serving candidate
-    generator are defined on.
+    Array BFS over the snapshot's CSR rows — the friends-of-friends
+    ball the serving candidate generator is defined on.
     """
     if hops < 0:
         raise ValueError(f"hops must be >= 0, got {hops}")

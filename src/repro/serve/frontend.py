@@ -5,7 +5,7 @@ Two layers:
 * :class:`ServingRecommender` — the synchronous core.  Holds a
   :class:`~repro.serve.delta.DeltaCSRSnapshot`, a trained model and a
   :class:`~repro.serve.cache.FeatureCache`; ``ingest`` appends edge
-  events and invalidates exactly the cached pairs whose locality ball
+  events and invalidates exactly the cached pairs whose grown footprint
   the events touched; ``recommend_many`` scores several users' requests
   through ONE :func:`repro.core.batch.batch_extract` call, probing the
   cache per pair and extracting only the misses.
@@ -80,7 +80,6 @@ class ServingRecommender:
         *,
         candidate_hops: int = 2,
         global_candidates: int = 20,
-        invalidation_hops: int = 2,
         cache: "FeatureCache | None" = None,
         fingerprint: bool = False,
         verify: bool = False,
@@ -89,21 +88,15 @@ class ServingRecommender:
             raise ValueError(f"candidate_hops must be >= 1, got {candidate_hops}")
         if global_candidates < 0:
             raise ValueError("global_candidates must be >= 0")
-        if invalidation_hops < 1:
-            raise ValueError(
-                f"invalidation_hops must be >= 1, got {invalidation_hops}"
-            )
         self.delta = delta
         self.model = model
         self.config = config or SSFConfig()
         self.candidate_hops = candidate_hops
         self.global_candidates = global_candidates
-        self.invalidation_hops = invalidation_hops
         self.cache = cache if cache is not None else FeatureCache()
         self.fingerprint = fingerprint or verify
         self.verify = verify
         self._extractor: "SSFExtractor | None" = None
-        self._ball_memo: dict[int, frozenset[int]] = {}
         # per-snapshot-generation memos: hub pool + candidate pools are
         # pure functions of the substrate, so they survive until ingest.
         # Each pool memo keeps the hop-ball ids it was generated from: a
@@ -120,6 +113,9 @@ class ServingRecommender:
         self._result_memo: dict[
             Node, tuple[list[Suggestion], frozenset[PairKey], float]
         ] = {}
+        # an evicted key can no longer be voided: ingest drops every
+        # result once the cache has evicted since the last ingest
+        self._evictions_seen = 0
         self.result_hits = 0
         self.result_misses = 0
 
@@ -174,10 +170,10 @@ class ServingRecommender:
     ) -> int:
         """Apply edge events; returns how many cached pairs they voided.
 
-        An event lands "inside" a cached pair's locality ball exactly
-        when one of its endpoints is a ball member, so invalidating by
-        endpoint id through the cache's inverted index drops precisely
-        the affected entries.  ``rctx`` (lint R304) threads the
+        An event can change a cached row only if one of its endpoints
+        lies in the row's footprint, so invalidating by endpoint id
+        through the cache's inverted index drops precisely the affected
+        entries.  ``rctx`` (lint R304) threads the
         requesting trace across the executor boundary so the ingest
         span — and the invalidation spans under it — carry the
         request's trace id.
@@ -192,21 +188,17 @@ class ServingRecommender:
                 touched=len(touched), invalidated=len(dropped_keys)
             )
         # the substrate moved: rebuild the extractor lazily, and drop
-        # exactly the memoised balls/pools/results the events can have
-        # changed — a ball changes only if it reaches an event endpoint
+        # exactly the memoised pools/results the events can have
+        # changed — a pool when its hop ball reaches an event endpoint
         # (a new edge cannot shorten paths, and cannot bring a node
-        # within reach unless an endpoint already was), a pool
-        # additionally whenever the hub ranking shifts, a ranked result
-        # whenever its pool or any feature it was scored from moved
+        # within reach unless an endpoint already was) or the hub
+        # ranking shifts, a ranked result whenever its pool or any
+        # feature it was scored from moved, or the cache evicted rows
         self._extractor = None
         old_hubs = self._hubs_memo
         self._hubs_memo = None
-        for node_id in [
-            nid
-            for nid, ball in self._ball_memo.items()
-            if not endpoints.isdisjoint(ball)
-        ]:
-            del self._ball_memo[node_id]
+        evicted = self.cache.evictions != self._evictions_seen
+        self._evictions_seen = self.cache.evictions
         if old_hubs is not None and self._hubs() == old_hubs:
             pool_dropped = [
                 user
@@ -218,7 +210,7 @@ class ServingRecommender:
             for user in [
                 user
                 for user, (_, keys, _) in self._result_memo.items()
-                if user in pool_dropped or not dropped_keys.isdisjoint(keys)
+                if evicted or user in pool_dropped or not dropped_keys.isdisjoint(keys)
             ]:
                 del self._result_memo[user]
         else:
@@ -244,15 +236,6 @@ class ServingRecommender:
 
     def _snapshot(self) -> CSRSnapshot:
         return self.extractor.snapshot  # type: ignore[return-value]
-
-    def _ball(self, node_id: int) -> frozenset[int]:
-        ball = self._ball_memo.get(node_id)
-        if ball is None:
-            ball = frozenset(
-                hop_ball(self._snapshot(), node_id, self.invalidation_hops).tolist()
-            )
-            self._ball_memo[node_id] = ball
-        return ball
 
     def _hubs(self) -> list[Node]:
         if self._hubs_memo is None:
@@ -303,7 +286,7 @@ class ServingRecommender:
         pair is probed against the feature cache, and every miss across
         ALL queries lands in one :func:`batch_extract` call reusing the
         serving extractor's batched engine.  Fresh rows are cached with
-        their locality ball before scoring.
+        the footprint the engine grew them on before scoring.
 
         ``rctx`` (lint R304) is the batch's primary trace context —
         normally the first live member request — and ``members`` the
@@ -378,22 +361,20 @@ class ServingRecommender:
                 probe.tags.update(hits=len(cached), misses=len(missed))
 
             if missed:
-                miss_pairs = list(missed.values())
+                footprints: list[np.ndarray] = []
                 fresh = batch_extract(
                     snapshot,
                     self.config,
-                    miss_pairs,
+                    list(missed.values()),
                     present_time=present,
                     extractor=extractor,
+                    footprints=footprints,
                 )
-                for row, (key, (user, cand)) in zip(fresh, missed.items()):
-                    ball = self._ball(self.delta.node_id(user)) | self._ball(
-                        self.delta.node_id(cand)
-                    )
+                for key, row, footprint in zip(missed, fresh, footprints):
                     self.cache.put(
                         key,
                         row,
-                        ball,
+                        frozenset(footprint.tolist()),
                         present,
                         snapshot=snapshot,
                         fingerprint=self.fingerprint,

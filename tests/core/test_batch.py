@@ -21,7 +21,7 @@ from repro.core.feature import ENTRY_MODES, SSFConfig, SSFExtractor
 from repro.core.palette_wl import palette_wl_order, palette_wl_order_many
 from repro.core.parallel import parallel_extract_batch
 from repro.core.structure import combine_structures
-from repro.core.subgraph import h_hop_node_set
+from repro.core.subgraph import csr_h_hop_node_ids, h_hop_node_set
 from repro.graph.csr import CSRSnapshot
 from repro.graph.temporal import DynamicNetwork
 from repro.obs.metrics import get_registry
@@ -95,6 +95,86 @@ class TestBatchedDifferential:
         extractor = SSFExtractor(network, config, backend="csr")
         single = np.stack([extractor.extract(a, b) for a, b in pairs])
         assert np.array_equal(single, extractor.extract_batch(pairs))
+
+
+class TestFootprints:
+    """Each row's footprint is the pair's final grown Def. 3 ball."""
+
+    def test_footprint_is_final_grown_ball(self):
+        rng = random.Random(61)
+        seen = {"reached_k": 0, "exhausted": 0, "cut": 0, "missing": 0}
+        for _ in range(8):
+            n = rng.randint(20, 60)
+            network = _random_network(rng, n, rng.randint(n // 2, n * 3))
+            # a 3-node component: its pairs run out of nodes before K
+            network.add_edges_from([("t0", "t1", 1.0), ("t1", "t2", 2.0)])
+            snapshot = CSRSnapshot.from_dynamic(network)
+            config = SSFConfig(
+                k=rng.choice([4, 6, 10, 16]),
+                ordering=rng.choice(["influence", "hops"]),
+                max_hop=rng.choice([None, 2]),
+            )
+            pairs = _random_pairs(rng, n, rng.randint(3, 12))
+            pairs.insert(1, ("missing", "n0"))
+            pairs.append(pairs[0])
+            pairs.append(("t2", "t0"))
+            reference = SSFExtractor(network, config, backend="dict")
+            footprints: list = []
+            rows = SSFExtractor(snapshot, config, backend="csr").extract_batch(
+                pairs, footprints
+            )
+            plain = SSFExtractor(snapshot, config, backend="csr").extract_batch(pairs)
+            assert rows.tobytes() == plain.tobytes()
+            assert len(footprints) == len(pairs)
+            for (a, b), footprint in zip(pairs, footprints):
+                if not (snapshot.has_node(a) and snapshot.has_node(b)):
+                    assert footprint.size == 0
+                    seen["missing"] += 1
+                    continue
+                ks = reference.k_structure_subgraph(a, b)
+                a_id, b_id = snapshot.node_id(a), snapshot.node_id(b)
+                ball = csr_h_hop_node_ids(snapshot, a_id, b_id, ks.h)
+                assert np.array_equal(footprint, ball)
+                beyond = csr_h_hop_node_ids(snapshot, a_id, b_id, ks.h + 1)
+                if ks.number_selected() >= config.k:
+                    seen["reached_k"] += 1
+                elif beyond.size == ball.size:
+                    seen["exhausted"] += 1
+                else:
+                    assert ks.h == config.max_hop
+                    seen["cut"] += 1
+        assert all(seen.values()), seen
+
+    def test_batch_extract_reports_the_same_footprints(self):
+        rng = random.Random(67)
+        network = _random_network(rng, 40, 100)
+        snapshot = CSRSnapshot.from_dynamic(network)
+        pairs = _random_pairs(rng, 40, 10) + [("ghost", "n1")]
+        config = SSFConfig(k=6)
+        direct: list = []
+        rows = SSFExtractor(snapshot, config, backend="csr").extract_batch(
+            pairs, direct
+        )
+        for extractor in (None, SSFExtractor(snapshot, config, backend="csr")):
+            served: list = []
+            got = batch_extract(
+                snapshot,
+                config,
+                pairs,
+                backend="csr",
+                extractor=extractor,
+                footprints=served,
+            )
+            assert got.tobytes() == rows.tobytes()
+            assert [f.tolist() for f in served] == [f.tolist() for f in direct]
+        with pytest.raises(ValueError, match="one entry mode"):
+            batch_extract(snapshot, config, pairs, modes=("count",), footprints=[])
+
+    def test_dict_backend_refuses_footprints(self):
+        network = _random_network(random.Random(71), 10, 20)
+        extractor = SSFExtractor(network, SSFConfig(k=4), backend="dict")
+        with pytest.raises(ValueError, match="csr"):
+            extractor.extract_batch([("n0", "n1")], [])
 
 
 class TestBatchEdgeCases:

@@ -1,4 +1,4 @@
-"""Feature-cache semantics: LRU bound, ball invalidation, staleness."""
+"""Feature-cache semantics: LRU bound, footprint invalidation, staleness."""
 
 import numpy as np
 import pytest
@@ -69,6 +69,15 @@ class TestBallInvalidation:
         assert len(cache.invalidate_nodes([1])) == 2
         assert len(cache) == 0
 
+    def test_empty_footprint_not_stored(self):
+        # a pair with an end node missing from the snapshot: its row
+        # changes when the node arrives, which no index entry could see
+        cache = FeatureCache()
+        cache.put(pair_key("u", "a"), row(0), [0], present_time=1.0)
+        cache.put(pair_key("u", "a"), row(1), [], present_time=1.0)
+        assert len(cache) == 0
+        assert cache.get(pair_key("u", "a")) is None
+
     def test_miss_on_unknown_node(self):
         cache = FeatureCache()
         cache.put(pair_key("u", "a"), row(0), [0], present_time=1.0)
@@ -84,10 +93,14 @@ class TestStaleness:
         assert cache.get(pair_key("u", "a"), present_time=13.5) is None
         assert len(cache) == 0
 
-    def test_no_bound_by_default(self):
-        cache = FeatureCache()
-        cache.put(pair_key("u", "a"), row(0), [0], present_time=10.0)
-        assert cache.get(pair_key("u", "a"), present_time=1e9) is not None
+    def test_moved_clock_misses_by_default(self):
+        exact = FeatureCache()
+        unbounded = FeatureCache(max_staleness=None)
+        for cache in (exact, unbounded):
+            cache.put(pair_key("u", "a"), row(0), [0], present_time=10.0)
+            assert cache.get(pair_key("u", "a"), present_time=10.0) is not None
+        assert exact.get(pair_key("u", "a"), present_time=11.0) is None
+        assert unbounded.get(pair_key("u", "a"), present_time=1e9) is not None
 
 
 class TestFingerprintVerify:

@@ -11,6 +11,7 @@ from repro.recommend import LinkRecommender
 from repro.robust.policy import RetryPolicy
 from repro.serve import (
     AsyncScoringFrontend,
+    FeatureCache,
     ServingRecommender,
     ServingTimeout,
 )
@@ -40,11 +41,11 @@ def offline():
 
 class TestServingExactness:
     def test_cached_path_equals_cold_recompute(self, offline):
-        """With the locality ball covering the whole (small, connected)
-        graph, invalidation is exact, so a warm cache must reproduce a
-        cold instance's recommendations after identical ingestion."""
-        warm = ServingRecommender.from_recommender(offline, invalidation_hops=8)
-        cold = ServingRecommender.from_recommender(offline, invalidation_hops=8)
+        """Footprint invalidation is exact, so a warm cache must
+        reproduce a cold instance's recommendations after identical
+        ingestion."""
+        warm = ServingRecommender.from_recommender(offline)
+        cold = ServingRecommender.from_recommender(offline)
         users = ["n0", "n3", "n7", "n3"]
         events = [("n1", "n9", 11.0), ("n20", "x", 11.0), ("n5", "n2", 12.0)]
         for user in users:  # warm the caches
@@ -94,23 +95,41 @@ class TestIngestInvalidation:
         offline = LinkRecommender.fit(
             path, config=SSFConfig(k=4), seed=0
         )
+        # the far event moves the serving clock, so the ranked result
+        # survives it only under the unbounded-staleness opt-in
         serving = ServingRecommender.from_recommender(
-            offline, global_candidates=0, invalidation_hops=2
+            offline,
+            global_candidates=0,
+            cache=FeatureCache(max_staleness=None),
         )
         serving.recommend("p0", top_n=3)
         baseline = len(serving.cache)
         assert baseline > 0
 
-        # far event: both endpoints > 2 hops from everything p0 touched
+        # far event: both endpoints outside every footprint p0 touched
         serving.ingest([("p10", "p11", 20.0)])
         assert serving.cache.invalidations == 0
         assert len(serving.cache) == baseline
         serving.recommend("p0", top_n=3)
         assert serving.result_hits >= 1  # ranked result survived too
 
-        # near event: lands inside the cached pairs' locality balls
+        # near event: lands inside the cached pairs' footprints
         serving.ingest([("p0", "p2", 21.0)])
         assert serving.cache.invalidations > 0
+
+    def test_eviction_voids_ranked_results_at_next_ingest(self, offline):
+        # an evicted row can no longer be invalidated, so the result
+        # scored from it must not outlive the next ingest
+        serving = ServingRecommender.from_recommender(
+            offline, global_candidates=0, cache=FeatureCache(max_entries=1)
+        )
+        serving.recommend("n0", top_n=5)
+        assert serving.cache.evictions > 0
+        clock = serving.delta.scoring_time()
+        serving.ingest([("far1", "far2", 5.0)])  # new nodes, old stamp
+        assert serving.delta.scoring_time() == clock
+        serving.recommend("n0", top_n=5)
+        assert serving.result_hits == 0 and serving.result_misses == 2
 
     def test_ingest_reflects_new_partner(self, offline):
         serving = ServingRecommender.from_recommender(offline)
