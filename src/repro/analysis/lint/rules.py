@@ -851,7 +851,7 @@ class AnnotationCoverageRule(Rule):
         "repro.obs.bench",
         "repro.obs.report",
         "repro.obs.live",
-        "repro.obs.rtrace",
+        "repro.obs.trace",
         "repro.obs.slo",
         "repro.obs.contprof",
     )

@@ -44,6 +44,7 @@ regressions.  See docs/OBSERVABILITY.md.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from typing import Sequence
@@ -64,6 +65,22 @@ from repro.experiments.runner import LinkPredictionExperiment
 from repro.experiments.tables import format_table1, format_table2, format_table3
 from repro.graph.temporal import DynamicNetwork
 from repro.sampling.temporal_cv import cross_validate_method
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type=``: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+#: output-path flags checked before any work runs: a missing or
+#: read-only directory would otherwise only fail after the whole command
+_OUTPUT_PATH_FLAGS = ("metrics_out", "trace_out", "heartbeat", "continuous_profile")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,7 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset_args(sub)
     sub.add_argument("--k", type=int, default=10)
     sub.add_argument(
-        "--pairs", type=int, default=100, help="number of target links profiled"
+        "--pairs",
+        type=_positive_int,
+        default=100,
+        help="number of target links profiled",
     )
     sub.add_argument(
         "--mode",
@@ -816,7 +836,17 @@ _HANDLERS = {
 def main(argv: "Sequence[str] | None" = None) -> int:
     import json as _json
 
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for flag in _OUTPUT_PATH_FLAGS:
+        path = getattr(args, flag, None)
+        if path:
+            directory = os.path.dirname(os.path.abspath(path))
+            if not (os.path.isdir(directory) and os.access(directory, os.W_OK)):
+                parser.error(
+                    f"--{flag.replace('_', '-')} {path}: directory {directory} "
+                    "does not exist or is not writable"
+                )
     obs.configure_logging(level=args.log_level, json_lines=args.log_json)
     metrics_out = getattr(args, "metrics_out", None)
     trace_out = getattr(args, "trace_out", None)

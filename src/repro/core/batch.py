@@ -685,41 +685,46 @@ class BatchExtractionEngine:
                 )
             return link_dist
 
+        def fill(mode: str) -> None:
+            with span("influence_matrix", mode=mode, pairs=len(pairs)):
+                if mode == "binary":
+                    values = np.ones(link_m.size, dtype=np.float64)
+                elif mode == "count":
+                    values = self._link_counts(
+                        link_seg,
+                        link_i - seg_indptr[link_seg],
+                        link_j - seg_indptr[link_seg],
+                        seg_indptr,
+                        sizes,
+                        member_counts,
+                        code_offsets,
+                        codes_cat,
+                        slots_cat,
+                    )
+                    if compress:
+                        values = _log1p_each(values)
+                elif mode == "influence":
+                    values = influences()
+                    if compress:
+                        values = _log1p_each(values)
+                elif mode == "distance":
+                    values = distance_entries()
+                elif mode == "influence_distance":
+                    values = influences() * distance_entries()
+                else:  # "temporal"
+                    values = (1.0 + _log1p_each(influences())) * (
+                        distance_entries()
+                    )
+                out[mode][link_row, feature_cols] = values
+
         for mode in modes:
-            tags: dict[str, object] = {"k": k, "pairs": len(pairs)}
             if shared:
-                tags["shared"] = True
-            with span(f"feature.{mode}", **tags):
-                with span("influence_matrix", mode=mode, pairs=len(pairs)):
-                    if mode == "binary":
-                        values = np.ones(link_m.size, dtype=np.float64)
-                    elif mode == "count":
-                        values = self._link_counts(
-                            link_seg,
-                            link_i - seg_indptr[link_seg],
-                            link_j - seg_indptr[link_seg],
-                            seg_indptr,
-                            sizes,
-                            member_counts,
-                            code_offsets,
-                            codes_cat,
-                            slots_cat,
-                        )
-                        if compress:
-                            values = _log1p_each(values)
-                    elif mode == "influence":
-                        values = influences()
-                        if compress:
-                            values = _log1p_each(values)
-                    elif mode == "distance":
-                        values = distance_entries()
-                    elif mode == "influence_distance":
-                        values = influences() * distance_entries()
-                    else:  # "temporal"
-                        values = (1.0 + _log1p_each(influences())) * (
-                            distance_entries()
-                        )
-                    out[mode][link_row, feature_cols] = values
+                # extract_batch opens the one feature.<mode> span of its
+                # call; a shared multi-mode pass opens one per mode here
+                with span(f"feature.{mode}", k=k, pairs=len(pairs), shared=True):
+                    fill(mode)
+            else:
+                fill(mode)
         return out
 
     # ------------------------------------------------------------------

@@ -75,7 +75,7 @@ from repro.obs import (
     set_gauge,
     span,
 )
-from repro.obs.rtrace import TraceContext, activate, current_wire, rspan
+from repro.obs.trace import TraceContext, current_context, current_wire
 from repro.obs.aggregate import (
     ObsState,
     apply_worker_obs_state,
@@ -90,9 +90,9 @@ Node = Hashable
 Pair = tuple[Node, Node]
 
 #: (chunk index, offset of the chunk's first pair in the batch, pairs,
-#: requesting trace context as a :data:`repro.obs.rtrace.TraceWire` —
+#: requesting trace context as :meth:`TraceContext.to_wire` output —
 #: contextvars do not cross the process boundary, so the wire rides the
-#: task payload and the worker re-activates it around its chunk span)
+#: task payload and the worker's chunk span adopts it as its parent)
 ChunkTask = tuple[int, int, list[Pair], "tuple[str, str, str | None] | None"]
 
 _LOG = get_logger("core.parallel")
@@ -247,17 +247,21 @@ def _extract_chunk(
         raise _WorkerInitError(*_WORKER.init_error)
     faults.maybe_slow_chunk(index)
     rows: "list[np.ndarray | dict[str, np.ndarray]]" = []
-    with activate(TraceContext.from_wire(wire)):
-        with rspan("parallel.worker_chunk", chunk=index, pairs=len(pairs)):
-            # Crash probes are hoisted ahead of the extraction: a crash loses
-            # the whole chunk either way (it is re-dispatched as a unit), so
-            # probing every pair position up front preserves the injected
-            # fault budgets while the chunk runs as ONE batched-driver call.
-            for position in range(len(pairs)):
-                faults.maybe_crash_worker(offset + position)
-            assert _WORKER.extractor is not None
-            rows = _extract_rows(_WORKER.extractor, pairs, _WORKER.modes)
-            incr("parallel.pairs_extracted", len(pairs))
+    with span(
+        "parallel.worker_chunk",
+        ctx=TraceContext.from_wire(wire),
+        chunk=index,
+        pairs=len(pairs),
+    ):
+        # Crash probes are hoisted ahead of the extraction: a crash loses
+        # the whole chunk either way (it is re-dispatched as a unit), so
+        # probing every pair position up front preserves the injected
+        # fault budgets while the chunk runs as ONE batched-driver call.
+        for position in range(len(pairs)):
+            faults.maybe_crash_worker(offset + position)
+        assert _WORKER.extractor is not None
+        rows = _extract_rows(_WORKER.extractor, pairs, _WORKER.modes)
+        incr("parallel.pairs_extracted", len(pairs))
     return index, rows, collect_worker_payload()
 
 
@@ -491,8 +495,9 @@ def parallel_extract_batch(
                 # context (if any) is still live — fallback spans parent
                 # to the ORIGINAL request, not to a dead worker
                 for index, _offset, chunk_pairs, _wire in tasks:
-                    with rspan(
+                    with span(
                         "parallel.fallback_chunk",
+                        ctx=current_context(),
                         chunk=index,
                         pairs=len(chunk_pairs),
                     ):

@@ -9,10 +9,10 @@ measures itself against the numbers this package exports.
   counters, gauges and histograms with ``snapshot()``/``to_json()``.
 * :mod:`repro.obs.trace` — ``span`` context-manager/decorator tracing
   with a guaranteed no-op fast path when disabled, plus an optional
-  bounded buffer of completed-span records (``record_spans``).
-* :mod:`repro.obs.rtrace` — request-scoped tracing: ``TraceContext``
-  identity carried in contextvars, ``rspan`` request spans, and wire
-  hand-off across queue/executor/process boundaries.
+  bounded buffer of completed-span records (``record_spans``).  Spans
+  also carry request identity (``TraceContext``; ``span(..., root=True)``
+  / ``span(..., ctx=...)``) with wire hand-off across
+  queue/executor/process boundaries.
 * :mod:`repro.obs.slo` — declarative SLOs with sliding windows,
   multi-window burn-rate alerts and OpenMetrics exemplars.
 * :mod:`repro.obs.contprof` — ``setitimer``-based continuous sampling
@@ -73,111 +73,47 @@ from repro.obs.trace import (
     span_records,
 )
 from repro.obs.live import (
-    Heartbeat,
     TelemetryPublisher,
     atomic_write_text,
     configure_heartbeat,
-    current_phase,
     emit_alert,
-    get_heartbeat,
     heartbeat_tick,
-    peak_rss_bytes,
-    read_open_fds,
-    read_rss_bytes,
-    render_openmetrics,
-    run_id,
-    sample_process_resources,
     set_phase,
-    set_tracemalloc,
     tracemalloc_stage,
 )
-from repro.obs.aggregate import (
-    apply_worker_obs_state,
-    collect_worker_payload,
-    merge_worker_payload,
-    parent_obs_state,
-)
-from repro.obs.export import (
-    trace_events,
-    validate_flow_events,
-    validate_trace,
-    write_trace,
-)
-from repro.obs.rtrace import (
-    TraceContext,
-    activate,
-    current_context,
-    current_wire,
-    new_trace,
-    rspan,
-)
-from repro.obs.slo import (
-    Objective,
-    SLOEngine,
-    configure_slo,
-    get_slo_engine,
-    slo_observe,
-)
+from repro.obs.export import write_trace
 from repro.obs.contprof import ContinuousProfiler
 
 __all__ = [
     "ContinuousProfiler",
     "Counter",
     "Gauge",
-    "Heartbeat",
     "Histogram",
     "JsonLinesFormatter",
     "LEVELS",
     "MetricsRegistry",
-    "Objective",
-    "SLOEngine",
     "TelemetryPublisher",
-    "TraceContext",
-    "activate",
-    "apply_worker_obs_state",
     "atomic_write_text",
-    "collect_worker_payload",
     "configure_heartbeat",
     "configure_logging",
-    "configure_slo",
-    "current_context",
-    "current_phase",
     "current_span",
-    "current_wire",
     "disable",
     "drain_span_records",
     "emit_alert",
     "enable",
     "enabled",
-    "get_heartbeat",
     "get_logger",
     "get_registry",
-    "get_slo_engine",
     "heartbeat_tick",
     "incr",
-    "merge_worker_payload",
-    "new_trace",
     "observe",
     "observe_many",
-    "parent_obs_state",
-    "peak_rss_bytes",
-    "read_open_fds",
-    "read_rss_bytes",
     "record_spans",
     "recording",
-    "render_openmetrics",
-    "rspan",
-    "run_id",
-    "sample_process_resources",
     "set_gauge",
     "set_phase",
-    "set_tracemalloc",
-    "slo_observe",
     "span",
     "span_records",
-    "trace_events",
     "tracemalloc_stage",
-    "validate_flow_events",
-    "validate_trace",
     "write_trace",
 ]

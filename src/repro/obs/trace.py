@@ -34,6 +34,24 @@ on one timeline.  When the buffer cap is hit further records are
 dropped (counted by :func:`dropped_span_records`) rather than growing
 without bound.
 
+**Request identity.**  A :class:`TraceContext` — ``trace_id`` /
+``span_id`` / ``parent_id`` — names one node of one request's span
+tree.  Each span on the (task-local) span stack carries the context
+active in its body, so :func:`current_context` follows ``await``
+chains and task switches.  A span becomes a *node* of a trace when it
+is given ``ctx=`` (a child of that context), or ``root=True`` (a child
+of the active context, else a fresh trace); its record then carries
+``trace_id``/``span_id``/``parent_span_id``.  Any other span under an
+active context is a *leaf*: its record carries the ``trace_id`` and the
+enclosing node as ``parent_span_id``.  ``members=`` lists the other
+trace ids a node serves (the batch fan-in case) under ``trace_ids``.
+
+Context does not cross a queue hand-off, ``run_in_executor`` or a
+process boundary on its own; carry :func:`current_context` (or its
+picklable :meth:`TraceContext.to_wire` form) across and open the far
+side's span with ``ctx=``.  Ids are deterministic (pid + a locked
+counter — no RNG, per lint R103) and unique across a worker pool.
+
 Usage::
 
     with span("structure_combination", k=10):
@@ -42,19 +60,31 @@ Usage::
     @span("palette_wl")
     def order(...):
         ...
+
+    with span("serve.request", root=True) as request:
+        ctx = request.ctx        # ship across an explicit boundary
+    # elsewhere (another thread/process):
+    with span("serve.score", ctx=ctx):
+        ...
 """
 
 from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
 import os
 import threading
 import time
-from typing import Callable
+from dataclasses import dataclass
+from types import TracebackType
+from typing import Any, Callable, ParamSpec, Sequence, TypeVar
 
 from repro.obs.logging import get_logger
 from repro.obs.metrics import get_registry
+
+_P = ParamSpec("_P")
+_R = TypeVar("_R")
 
 #: module-global observability switch — the single check on the fast path
 _ENABLED = False
@@ -66,29 +96,96 @@ _RECORDING = False
 #: chunk boundaries; the cap only bounds pathological single-chunk runs)
 MAX_SPAN_RECORDS = 200_000
 
-_records: "list[dict]" = []
+_records: "list[dict[str, Any]]" = []
 _records_dropped = 0
 _records_lock = threading.Lock()
 _drop_warned = False
+
+_IDS = itertools.count(1)
+_IDS_LOCK = threading.Lock()
 
 #: the active span stack, a ContextVar so concurrent asyncio tasks on
 #: one thread (the serving frontend) each see their own lineage — a
 #: thread-local list would interleave enter/exit across tasks and leak
 #: whichever span was not on top when it exited
-_SPAN_STACK: "contextvars.ContextVar[tuple]" = contextvars.ContextVar(
+_SPAN_STACK: "contextvars.ContextVar[tuple[span, ...]]" = contextvars.ContextVar(
     "repro_obs_span_stack", default=()
 )
 
 
-def _reinit_lock_after_fork() -> None:
-    """Forked children get a fresh records lock (the parent's could have
-    been held by another thread at fork time and would never unlock)."""
-    global _records_lock
+def _reinit_locks_after_fork() -> None:
+    """Forked children get fresh locks (the parent's could have been
+    held by another thread at fork time and would never unlock); the id
+    counter itself is safe — child ids embed the child pid."""
+    global _records_lock, _IDS_LOCK
     _records_lock = threading.Lock()
+    _IDS_LOCK = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):  # absent on some platforms (Windows)
-    os.register_at_fork(after_in_child=_reinit_lock_after_fork)
+    os.register_at_fork(after_in_child=_reinit_locks_after_fork)
+
+
+def _next_id(prefix: str) -> str:
+    """A process-unique identifier; pid-qualified so pool workers never
+    collide with the parent (deterministic: no RNG, per lint R103)."""
+    with _IDS_LOCK:
+        serial = next(_IDS)
+    return f"{prefix}{os.getpid():x}-{serial:06x}"
+
+
+@dataclass(frozen=True)
+class TraceContext:
+    """One request's position in its trace: ids only, no timing.
+
+    ``trace_id`` names the whole request; ``span_id`` this node in the
+    request's span tree; ``parent_id`` the enclosing node (``None`` at
+    the root).  Frozen so a context captured at a boundary can never be
+    mutated behind the captor's back.
+    """
+
+    trace_id: str
+    span_id: str
+    parent_id: "str | None" = None
+
+    def child(self) -> "TraceContext":
+        """A fresh child node under this one (same trace)."""
+        return TraceContext(
+            trace_id=self.trace_id,
+            span_id=_next_id("s"),
+            parent_id=self.span_id,
+        )
+
+    def to_wire(self) -> "tuple[str, str, str | None]":
+        """The picklable tuple form for queue/executor/process hand-off."""
+        return (self.trace_id, self.span_id, self.parent_id)
+
+    @classmethod
+    def from_wire(
+        cls, wire: "tuple[str, str, str | None] | None"
+    ) -> "TraceContext | None":
+        """Rebuild a context from :meth:`to_wire` output (None-safe)."""
+        if wire is None:
+            return None
+        trace_id, span_id, parent_id = wire
+        return cls(trace_id=trace_id, span_id=span_id, parent_id=parent_id)
+
+
+def new_trace() -> TraceContext:
+    """A fresh root context (new trace_id, root span node)."""
+    return TraceContext(trace_id=_next_id("t"), span_id=_next_id("s"))
+
+
+def current_context() -> "TraceContext | None":
+    """The request context active in this task/thread, or ``None``."""
+    stack = _SPAN_STACK.get()
+    return stack[-1].ctx if stack else None
+
+
+def current_wire() -> "tuple[str, str, str | None] | None":
+    """:meth:`TraceContext.to_wire` of the active context (None-safe)."""
+    ctx = current_context()
+    return ctx.to_wire() if ctx is not None else None
 
 
 def enabled() -> bool:
@@ -141,7 +238,7 @@ def _note_dropped(n: int) -> None:
         )
 
 
-def add_span_record(record: dict) -> None:
+def add_span_record(record: "dict[str, Any]") -> None:
     """Append one completed-span record (used by the worker merge path).
 
     Respects the process cap: overflow increments the dropped count
@@ -154,7 +251,7 @@ def add_span_record(record: dict) -> None:
             _records.append(record)
 
 
-def extend_span_records(records: "list[dict]") -> None:
+def extend_span_records(records: "list[dict[str, Any]]") -> None:
     """Append many records (bulk form of :func:`add_span_record`)."""
     with _records_lock:
         room = MAX_SPAN_RECORDS - len(_records)
@@ -165,7 +262,7 @@ def extend_span_records(records: "list[dict]") -> None:
             _note_dropped(len(records) - room)
 
 
-def drain_span_records() -> "list[dict]":
+def drain_span_records() -> "list[dict[str, Any]]":
     """Return and clear the retained span records."""
     with _records_lock:
         out = list(_records)
@@ -173,7 +270,7 @@ def drain_span_records() -> "list[dict]":
         return out
 
 
-def span_records() -> "list[dict]":
+def span_records() -> "list[dict[str, Any]]":
     """A copy of the retained span records (without clearing)."""
     with _records_lock:
         return list(_records)
@@ -182,27 +279,6 @@ def span_records() -> "list[dict]":
 def dropped_span_records() -> int:
     """How many records the cap has discarded in this process."""
     return _records_dropped
-
-
-#: optional record-enrichment hook: a callable returning extra top-level
-#: keys for every recorded span (installed by :mod:`repro.obs.rtrace` to
-#: stamp the active request's trace identity onto plain spans).  Only
-#: consulted when span recording is on, so the disabled fast path is
-#: untouched.
-_CONTEXT_PROVIDER: "Callable[[], dict | None] | None" = None
-
-
-def set_context_provider(provider: "Callable[[], dict | None] | None") -> None:
-    """Install (or clear) the span-record enrichment hook.
-
-    ``provider()`` is called once per *recorded* span; any dict it
-    returns is merged into the record as top-level keys (it must not use
-    the reserved keys ``name``/``path``/``ts``/``dur``/``pid``/``tid``/
-    ``tags``).  :mod:`repro.obs.rtrace` uses this to give every span
-    completed under an active request context that request's trace id.
-    """
-    global _CONTEXT_PROVIDER
-    _CONTEXT_PROVIDER = provider
 
 
 def current_span() -> "span | None":
@@ -214,32 +290,47 @@ def current_span() -> "span | None":
 class span:
     """Context manager *and* decorator timing one named region.
 
+    ``ctx``/``root``/``members`` make the span a node of a request trace
+    (see the module docstring); without them it is a leaf of whatever
+    trace is active, or identity-free when none is.
+
     Attributes (meaningful only while/after an *enabled* run):
         name: the stage name; feeds histogram ``span.<name>``.
         tags: own tags merged over the parent span's tags.
         path: slash-joined names from the outermost span, e.g.
             ``"feature_extract/palette_wl"``.
         duration: wall seconds, set on exit.
+        ctx: the request context active in the body — this span's own
+            node, or the inherited one for a leaf; ``None`` when
+            identity-free.
     """
 
     __slots__ = (
         "name", "_own_tags", "tags", "path", "duration", "_start", "_active",
-        "record_extra", "_token",
+        "_token", "_ctx_arg", "_root", "_members", "ctx",
     )
 
-    def __init__(self, name: str, **tags) -> None:
+    def __init__(
+        self,
+        name: str,
+        *,
+        ctx: "TraceContext | None" = None,
+        root: bool = False,
+        members: "list[str] | None" = None,
+        **tags: Any,
+    ) -> None:
         self.name = name
         self._own_tags = tags
-        self.tags = tags
+        self.tags: "dict[str, Any]" = tags
         self.path = name
         self.duration: "float | None" = None
         self._start = 0.0
         self._active = False
-        #: extra top-level record keys, applied AFTER the context
-        #: provider so an owner (rtrace's request spans) can override
-        #: the inherited identity with its own span/parent ids
-        self.record_extra: "dict | None" = None
-        self._token: "contextvars.Token | None" = None
+        self._token: "contextvars.Token[tuple[span, ...]] | None" = None
+        self._ctx_arg = ctx
+        self._root = root
+        self._members = members
+        self.ctx: "TraceContext | None" = None
 
     def __enter__(self) -> "span":
         if not _ENABLED:
@@ -249,17 +340,30 @@ class span:
         if parent is not None:
             self.path = f"{parent.path}/{self.name}"
             self.tags = {**parent.tags, **self._own_tags}
+            active = parent.ctx
         else:
             self.path = self.name
             self.tags = dict(self._own_tags)
+            active = None
+        if self._ctx_arg is not None:
+            self.ctx = self._ctx_arg.child()
+        elif self._root:
+            self.ctx = active.child() if active is not None else new_trace()
+        else:
+            self.ctx = active
         self._token = _SPAN_STACK.set(stack + (self,))
         self._active = True
         self._start = time.perf_counter()
         return self
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
+    def __exit__(
+        self,
+        exc_type: "type[BaseException] | None",
+        exc: "BaseException | None",
+        tb: "TracebackType | None",
+    ) -> None:
         if not self._active:
-            return False
+            return
         self.duration = time.perf_counter() - self._start
         self._active = False
         token, self._token = self._token, None
@@ -274,7 +378,7 @@ class span:
                     _SPAN_STACK.set(stack[:-1])
         get_registry().histogram(f"span.{self.name}").observe(self.duration)
         if _RECORDING:
-            record = {
+            record: "dict[str, Any]" = {
                 "name": self.name,
                 "path": self.path,
                 "ts": self._start,
@@ -283,21 +387,35 @@ class span:
                 "tid": threading.get_ident(),
                 "tags": dict(self.tags),
             }
-            if _CONTEXT_PROVIDER is not None:
-                extra = _CONTEXT_PROVIDER()
-                if extra:
-                    record.update(extra)
-            if self.record_extra:
-                record.update(self.record_extra)
+            ctx = self.ctx
+            if ctx is not None:
+                record["trace_id"] = ctx.trace_id
+                if self._ctx_arg is not None or self._root:
+                    record["span_id"] = ctx.span_id
+                    record["parent_span_id"] = ctx.parent_id
+                    if self._members:
+                        record["trace_ids"] = list(self._members)
+                else:
+                    record["parent_span_id"] = ctx.span_id
             add_span_record(record)
-        return False
 
-    def __call__(self, func):
+    @property
+    def trace_id(self) -> "str | None":
+        """The trace this span belongs to (``None`` when identity-free)."""
+        return self.ctx.trace_id if self.ctx is not None else None
+
+    def __call__(self, func: "Callable[_P, _R]") -> "Callable[_P, _R]":
         """Decorator form: each call runs inside a fresh span."""
 
         @functools.wraps(func)
-        def wrapper(*args, **kwargs):
-            with span(self.name, **self._own_tags):
+        def wrapper(*args: _P.args, **kwargs: _P.kwargs) -> _R:
+            with span(
+                self.name,
+                ctx=self._ctx_arg,
+                root=self._root,
+                members=self._members,
+                **self._own_tags,
+            ):
                 return func(*args, **kwargs)
 
         return wrapper
@@ -316,7 +434,7 @@ def observe(name: str, value: float) -> None:
         get_registry().histogram(name).observe(value)
 
 
-def observe_many(name: str, values) -> None:
+def observe_many(name: str, values: "Sequence[float]") -> None:
     """Record a batch of histogram observations — only when observability
     is on.  One registry lookup and one lock acquisition for the whole
     sequence, so per-element instrumentation in hot loops can accumulate

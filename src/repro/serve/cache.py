@@ -197,8 +197,8 @@ class FeatureCache:
         pass plus the puts cost about 20 ms per ingest period; the index
         upkeep cost about 65 ms.
         """
-        # under an active request context (rtrace) this span inherits
-        # the ingesting request's trace id via the record provider
+        # under the ingesting request's serve.ingest span this span is
+        # a leaf of that request's trace
         with span("serve.cache_invalidate") as inv_span:
             touched = frozenset(map(int, node_ids))
             dropped = sorted(

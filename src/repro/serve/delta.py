@@ -240,8 +240,8 @@ class DeltaCSRSnapshot:
         tie-break) bit-identical to a full rebuild.
         """
         touched: list[tuple[int, int]] = []
-        # under an active request context (rtrace) this span inherits
-        # the ingesting request's trace id via the record provider
+        # under the ingesting request's serve.ingest span this span is
+        # a leaf of that request's trace
         with span("serve.delta_apply") as apply_span:
             for u, v, stamp in events:
                 if u == v:

@@ -27,8 +27,6 @@ degree, so recency matters.
 from __future__ import annotations
 
 import asyncio
-import os
-import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -44,11 +42,9 @@ from repro.robust.policy import RetryPolicy
 from repro.serve.cache import FeatureCache, PairKey, pair_key
 from repro.serve.delta import DeltaCSRSnapshot, hop_ball
 from repro.obs import get_logger, incr, observe, span
-from repro.obs.rtrace import TraceContext, new_trace, rspan
 from repro.obs.slo import slo_observe
-from repro.obs.trace import add_span_record
+from repro.obs.trace import TraceContext, current_context, new_trace
 from repro.obs.trace import enabled as obs_enabled
-from repro.obs.trace import recording as obs_recording
 
 Node = Hashable
 Event = "tuple[Node, Node, float]"
@@ -171,20 +167,20 @@ class ServingRecommender:
         """Apply edge events; returns how many cached pairs they voided.
 
         An event can change a cached row only if one of its endpoints
-        lies in the row's footprint, so invalidating by endpoint id
-        through the cache's inverted index drops precisely the affected
+        lies in the row's grown footprint, so dropping every row whose
+        footprint holds an event endpoint removes precisely the affected
         entries.  ``rctx`` (lint R304) threads the
         requesting trace across the executor boundary so the ingest
         span — and the invalidation spans under it — carry the
         request's trace id.
         """
-        with rspan("serve.ingest", ctx=rctx) as ingest_span:
+        with span("serve.ingest", ctx=rctx or current_context()) as ingest_span:
             touched = self.delta.apply(events)
             if not touched:
                 return 0
             endpoints = {node_id for pair in touched for node_id in pair}
             dropped_keys = set(self.cache.invalidate_nodes(endpoints))
-            ingest_span.annotate(
+            ingest_span.tags.update(
                 touched=len(touched), invalidated=len(dropped_keys)
             )
         # the substrate moved: rebuild the extractor lazily, and drop
@@ -334,8 +330,11 @@ class ServingRecommender:
         keyed: list[list[PairKey]] = []
         cached: dict[PairKey, np.ndarray] = {}
         missed: dict[PairKey, tuple[Node, Node]] = {}
-        with rspan(
-            "serve.score", ctx=rctx, members=members, queries=len(compute_map)
+        with span(
+            "serve.score",
+            ctx=rctx or current_context(),
+            members=members,
+            queries=len(compute_map),
         ):
             with span("serve.cache_probe") as probe:
                 for user in compute_map:
@@ -442,40 +441,6 @@ class _IngestJob:
     ctx: "TraceContext | None" = None
 
 
-def _record_request_span(
-    ctx: "TraceContext | None",
-    started: float,
-    duration: float,
-    *,
-    user: Node,
-    outcome: str,
-) -> None:
-    """Record the frontend-level ``serve.request`` span for one request.
-
-    Emitted directly as a record (not a ``with`` block) because the
-    request's lifetime spans awaits on the shared event-loop thread —
-    holding a thread-local span open across an await would interleave
-    with every other task's spans.  The record parents the whole
-    request: the batch spans it was served by point back via trace id.
-    """
-    if ctx is None or not obs_recording():
-        return
-    add_span_record(
-        {
-            "name": "serve.request",
-            "path": "serve.request",
-            "ts": started,
-            "dur": duration,
-            "pid": os.getpid(),
-            "tid": threading.get_ident(),
-            "tags": {"user": str(user), "outcome": outcome},
-            "trace_id": ctx.trace_id,
-            "span_id": ctx.span_id,
-            "parent_span_id": ctx.parent_id,
-        }
-    )
-
-
 class AsyncScoringFrontend:
     """Coalescing asyncio front-end over a :class:`ServingRecommender`.
 
@@ -561,52 +526,47 @@ class AsyncScoringFrontend:
 
         ``rctx`` (lint R304) lets a caller attach the request to an
         existing trace; by default each request roots a fresh one.  The
-        context is created ONCE — retries and the in-parent fallback all
-        parent to the original request, never to a dead attempt.
+        ``serve.request`` span is opened ONCE around the retry loop —
+        retries and the in-parent fallback all parent to the original
+        request, never to a dead attempt.
         """
         queue = self._require_started()
         if not self.recommender.delta.has_node(user):
             raise KeyError(f"user {user!r} not in network")
-        ctx = rctx
-        if ctx is None and obs_enabled():
-            ctx = new_trace()
         started = time.perf_counter()
         timeout = self.retry.chunk_timeout
         attempts = self.retry.max_retries + 1
-        for attempt in range(attempts):
-            job = _ScoreJob(
-                user, top_n, asyncio.get_running_loop().create_future(), ctx=ctx
-            )
-            await queue.put(job)
-            try:
-                if timeout is None:
-                    result = await job.future
+        with span("serve.request", ctx=rctx, root=True, user=str(user)) as request:
+            ctx = request.ctx
+            for attempt in range(attempts):
+                job = _ScoreJob(
+                    user, top_n, asyncio.get_running_loop().create_future(), ctx=ctx
+                )
+                await queue.put(job)
+                try:
+                    if timeout is None:
+                        result = await job.future
+                    else:
+                        result = await asyncio.wait_for(job.future, timeout)
+                except asyncio.TimeoutError:
+                    job.cancelled = True
+                    incr("serve.request_timeouts")
+                    _LOG.warning(
+                        "recommend(%r) attempt %d/%d timed out after %.1fs",
+                        user,
+                        attempt + 1,
+                        attempts,
+                        timeout,
+                    )
+                except asyncio.CancelledError:
+                    job.cancelled = True
+                    request.tags.update(outcome="cancelled")
+                    raise
                 else:
-                    result = await asyncio.wait_for(job.future, timeout)
-            except asyncio.TimeoutError:
-                job.cancelled = True
-                incr("serve.request_timeouts")
-                _LOG.warning(
-                    "recommend(%r) attempt %d/%d timed out after %.1fs",
-                    user,
-                    attempt + 1,
-                    attempts,
-                    timeout,
-                )
-            except asyncio.CancelledError:
-                job.cancelled = True
-                raise
-            else:
-                _record_request_span(
-                    ctx,
-                    started,
-                    time.perf_counter() - started,
-                    user=user,
-                    outcome="ok",
-                )
-                return result
+                    request.tags.update(outcome="ok")
+                    return result
+            request.tags.update(outcome="timeout")
         elapsed = time.perf_counter() - started
-        _record_request_span(ctx, started, elapsed, user=user, outcome="timeout")
         slo_observe(
             "serve.request",
             elapsed,

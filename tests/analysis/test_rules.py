@@ -335,7 +335,7 @@ def test_r304_flags_accepted_but_unread_rctx() -> None:
 def test_r304_allows_forwarding_entry_points() -> None:
     good = (
         "async def ingest(self, events, *, rctx=None):\n"
-        "    with rspan('serve.ingest', ctx=rctx):\n"
+        "    with span('serve.ingest', ctx=rctx):\n"
         "        return self.core.apply(events)\n"
     )
     assert run(good, "R304", path=SERVE) == []

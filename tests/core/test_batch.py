@@ -250,6 +250,41 @@ class TestBatchExtractEntry:
         assert np.array_equal(out["temporal"], single)
 
 
+class TestFeatureSpanCount:
+    """One ``span.feature.<mode>`` observation per engine call."""
+
+    def _feature_histograms(self, call):
+        rng = random.Random(37)
+        network = _random_network(rng, 40, 120)
+        pairs = _random_pairs(rng, 40, 8)
+        extractor = SSFExtractor(
+            CSRSnapshot.from_dynamic(network), SSFConfig(k=6), backend="csr"
+        )
+        get_registry().reset()
+        obs.enable()
+        try:
+            call(extractor, pairs)
+            return get_registry().snapshot()["histograms"]
+        finally:
+            obs.disable()
+            get_registry().reset()
+
+    def test_extract_batch_records_one_feature_span(self):
+        histograms = self._feature_histograms(
+            lambda extractor, pairs: extractor.extract_batch(pairs)
+        )
+        assert histograms["span.feature.temporal"]["count"] == 1
+
+    def test_multi_batch_records_one_feature_span_per_mode(self):
+        histograms = self._feature_histograms(
+            lambda extractor, pairs: extractor.extract_multi_batch(
+                pairs, ("temporal", "binary")
+            )
+        )
+        assert histograms["span.feature.temporal"]["count"] == 1
+        assert histograms["span.feature.binary"]["count"] == 1
+
+
 class TestBallReuse:
     def test_shared_endpoints_hit_ball_cache(self):
         rng = random.Random(31)

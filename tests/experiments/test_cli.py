@@ -155,3 +155,63 @@ class TestRecommendCommand:
                 "--scale", "0.15",
                 "--user", "definitely-not-a-node",
             ])
+
+
+class TestBadInput:
+    """Bad CLI input exits 2 with one argparse error line, before any work."""
+
+    @pytest.fixture
+    def handler_calls(self, monkeypatch):
+        import repro.cli as cli
+
+        calls = []
+        for command in ("profile", "table3"):
+            monkeypatch.setitem(
+                cli._HANDLERS, command, lambda args: calls.append(args) or ""
+            )
+        return calls
+
+    def _assert_usage_error(self, capsys, handler_calls, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if "error:" in line]) == 1
+        assert "Traceback" not in err
+        assert handler_calls == []
+        return err
+
+    @pytest.mark.parametrize("pairs", ["0", "many"])
+    def test_profile_pairs_must_be_a_positive_int(
+        self, capsys, handler_calls, pairs
+    ):
+        err = self._assert_usage_error(
+            capsys,
+            handler_calls,
+            ["profile", "--dataset", "contact", "--pairs", pairs],
+        )
+        assert "--pairs" in err
+
+    @pytest.mark.parametrize(
+        "flag", ["--metrics-out", "--trace-out", "--heartbeat", "--continuous-profile"]
+    )
+    def test_output_path_in_missing_directory(
+        self, capsys, handler_calls, tmp_path, flag
+    ):
+        target = tmp_path / "missing" / "out.json"
+        err = self._assert_usage_error(
+            capsys,
+            handler_calls,
+            ["table3", "--dataset", "contact", flag, str(target)],
+        )
+        assert flag in err
+
+    def test_valid_output_path_reaches_the_handler(
+        self, capsys, handler_calls, tmp_path
+    ):
+        code = main([
+            "profile", "--dataset", "contact",
+            "--metrics-out", str(tmp_path / "m.json"),
+        ])
+        assert code == 0
+        assert len(handler_calls) == 1

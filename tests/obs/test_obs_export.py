@@ -13,7 +13,7 @@ from repro.obs.export import (
     validate_trace,
     write_trace,
 )
-from repro.obs.rtrace import new_trace
+from repro.obs.trace import new_trace
 
 
 @pytest.fixture(autouse=True)
@@ -233,18 +233,17 @@ class TestFlowEvents:
         assert any("finish" in p for p in problems)
 
     def test_end_to_end_rspan_chain_exports_valid_flows(self, tmp_path):
-        from repro.obs.rtrace import TraceContext, activate, current_wire, rspan
+        from repro.obs.trace import TraceContext, current_wire, span
 
         obs.enable()
         obs.record_spans(True)
-        with rspan("serve.request", root=True) as request:
+        with span("serve.request", root=True) as request:
             trace_id = request.trace_id
             wire = current_wire()
-            with rspan("serve.score"):
+            with span("serve.score"):
                 pass
-        with activate(TraceContext.from_wire(wire)):
-            with rspan("parallel.worker_chunk"):
-                pass
+        with span("parallel.worker_chunk", ctx=TraceContext.from_wire(wire)):
+            pass
         path = tmp_path / "trace.json"
         write_trace(str(path))
         payload = json.loads(path.read_text())

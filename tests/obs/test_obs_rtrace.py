@@ -1,17 +1,16 @@
-"""Request-scoped trace context: identity model, wire format, rspan."""
+"""Request-scoped trace context: identity model, wire format, span identity."""
 
 import asyncio
 
 import pytest
 
 from repro import obs
-from repro.obs.rtrace import (
+from repro.obs.trace import (
     TraceContext,
-    activate,
     current_context,
     current_wire,
     new_trace,
-    rspan,
+    span,
 )
 
 
@@ -60,24 +59,11 @@ class TestTraceContext:
 
 
 class TestActivate:
-    def test_activate_sets_and_restores_current(self):
-        assert current_context() is None
-        ctx = new_trace()
-        with activate(ctx):
-            assert current_context() == ctx
-            assert current_wire() == ctx.to_wire()
-        assert current_context() is None
-        assert current_wire() is None
-
-    def test_activate_none_is_a_no_op(self):
-        with activate(None):
-            assert current_context() is None
-
     def test_context_survives_asyncio_task_switches(self):
         obs.enable()
 
         async def _task(tag):
-            with rspan(f"task.{tag}", root=True) as sp:
+            with span(f"task.{tag}", root=True) as sp:
                 trace_before = sp.trace_id
                 await asyncio.sleep(0)  # yield to the other task
                 assert current_context().trace_id == trace_before
@@ -92,14 +78,14 @@ class TestActivate:
 
 class TestRspan:
     def test_disabled_obs_records_nothing_and_sets_no_context(self):
-        with rspan("quiet", root=True) as sp:
+        with span("quiet", root=True) as sp:
             assert sp.trace_id is None
             assert current_context() is None
 
     def test_root_span_creates_a_trace_and_records_identity(self):
         obs.enable()
         obs.record_spans(True)
-        with rspan("serve.request", root=True, user="u1") as sp:
+        with span("serve.request", root=True, user="u1") as sp:
             trace_id = sp.trace_id
             assert trace_id is not None
         (record,) = obs.drain_span_records()
@@ -110,8 +96,8 @@ class TestRspan:
     def test_nested_rspan_children_chain_parent_ids(self):
         obs.enable()
         obs.record_spans(True)
-        with rspan("outer", root=True):
-            with rspan("inner"):
+        with span("outer", root=True):
+            with span("inner"):
                 pass
         records = {r["name"]: r for r in obs.drain_span_records()}
         outer, inner = records["outer"], records["inner"]
@@ -121,7 +107,7 @@ class TestRspan:
     def test_plain_span_inherits_identity_via_provider(self):
         obs.enable()
         obs.record_spans(True)
-        with rspan("request", root=True) as sp:
+        with span("request", root=True) as sp:
             with obs.span("leaf"):
                 pass
             trace_id = sp.trace_id
@@ -143,8 +129,8 @@ class TestRspan:
         obs.enable()
         obs.record_spans(True)
         other = new_trace()
-        with rspan("outer", root=True):
-            with rspan("handoff", ctx=other):
+        with span("outer", root=True):
+            with span("handoff", ctx=other):
                 pass
         records = {r["name"]: r for r in obs.drain_span_records()}
         assert records["handoff"]["trace_id"] == other.trace_id
@@ -154,7 +140,7 @@ class TestRspan:
         obs.enable()
         obs.record_spans(True)
         a, b = new_trace(), new_trace()
-        with rspan("batch", ctx=a, members=[a.trace_id, b.trace_id]):
+        with span("batch", ctx=a, members=[a.trace_id, b.trace_id]):
             pass
         (record,) = obs.drain_span_records()
         assert record["trace_id"] == a.trace_id
@@ -163,21 +149,20 @@ class TestRspan:
     def test_annotate_adds_tags(self):
         obs.enable()
         obs.record_spans(True)
-        with rspan("r", root=True) as sp:
-            sp.annotate(hits=3)
+        with span("r", root=True) as sp:
+            sp.tags.update(hits=3)
         (record,) = obs.drain_span_records()
         assert record["tags"]["hits"] == 3
 
     def test_wire_hand_off_reparents_worker_side(self):
         obs.enable()
         obs.record_spans(True)
-        with rspan("request", root=True) as sp:
+        with span("request", root=True) as sp:
             wire = current_wire()
             request_trace = sp.trace_id
-        # simulate the worker: re-activate from the wire tuple
-        with activate(TraceContext.from_wire(wire)):
-            with rspan("worker_chunk"):
-                pass
+        # simulate the worker: parent the chunk span on the wire tuple
+        with span("worker_chunk", ctx=TraceContext.from_wire(wire)):
+            pass
         records = {r["name"]: r for r in obs.drain_span_records()}
         worker = records["worker_chunk"]
         assert worker["trace_id"] == request_trace

@@ -11,7 +11,7 @@ from repro.core.feature import SSFConfig
 from repro.core.parallel import parallel_extract_batch
 from repro.graph.temporal import DynamicNetwork
 from repro.obs.export import trace_events, validate_flow_events, validate_trace
-from repro.obs.rtrace import rspan
+from repro.obs.trace import span
 from repro.recommend import LinkRecommender
 from repro.robust import RetryPolicy, inject
 from repro.serve import AsyncScoringFrontend, ServingRecommender
@@ -169,7 +169,7 @@ class TestPoolPropagation:
             pytest.skip(f"{method} unavailable on this platform")
         monkeypatch.setenv("REPRO_START_METHOD", method)
         network, config, pairs = pool_case
-        with rspan("serve.request", root=True) as request:
+        with span("serve.request", root=True) as request:
             trace_id = request.trace_id
             parallel_extract_batch(
                 network, config, pairs, workers=2, min_pairs=1, chunksize=4
@@ -189,7 +189,7 @@ class TestPoolPropagation:
         # worker's span ids never re-surface as parents)
         network, config, pairs = pool_case
         with inject("worker_crash", "1"):
-            with rspan("serve.request", root=True) as request:
+            with span("serve.request", root=True) as request:
                 trace_id = request.trace_id
                 result = parallel_extract_batch(
                     network,
