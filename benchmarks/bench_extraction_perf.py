@@ -10,24 +10,11 @@ and writes the registry snapshot to ``results/extraction_metrics.json``
 — the machine-readable per-stage baseline later performance PRs diff
 against.
 
-Run as a script for the dict-vs-csr backend comparison (no
-pytest-benchmark needed — this is what the CI bench smoke step runs)::
-
-    PYTHONPATH=src python benchmarks/bench_extraction_perf.py \
-        --nodes 5000 --pairs 200 --batch
-
-which writes ``BENCH_extraction.json`` (pairs/sec per backend) at the
-repository root and appends a stamped record (seed, git SHA, machine
-fingerprint) to ``BENCH_history.jsonl`` — pass ``--no-history`` to skip
-the append.  ``--batch`` adds a ``batched`` section timing one cold
-``extract_batch`` call through the csr batched driver (``--batch-pairs``
-pairs, default 5x ``--pairs``).  ``repro bench --compare BASELINE``
-gates on regressions.
+The dict-vs-csr-vs-batched throughput comparison is ``repro bench``
+(:func:`repro.obs.bench.run_extraction_bench`).
 """
 
-import argparse
 import json
-from pathlib import Path
 
 import pytest
 
@@ -38,8 +25,6 @@ from repro.core.feature import SSFConfig, SSFExtractor
 from repro.core.palette_wl import palette_wl_order
 from repro.core.structure import combine_structures
 from repro.core.subgraph import h_hop_node_set
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture(scope="module")
@@ -154,111 +139,3 @@ def test_extraction_metrics_snapshot(network, sample_pairs):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(scrub(snapshot), fh, indent=1, sort_keys=True)
         fh.write("\n")
-
-
-# ----------------------------------------------------------------------
-# dict-vs-csr backend comparison (script mode — the CI bench smoke step)
-#
-# The implementation lives in repro.obs.bench so the CLI (`repro bench`)
-# and the history/regression tooling share it; these names stay as
-# aliases for anyone driving the benchmark from this file.
-# ----------------------------------------------------------------------
-from repro.obs.bench import run_extraction_bench, synthetic_network  # noqa: E402,F401
-
-
-def run_backend_comparison(
-    n_nodes: int = 5000,
-    n_pairs: int = 200,
-    k: int = 10,
-    seed: int = 0,
-    out_path: "Path | None" = None,
-    history_path: "Path | None" = None,
-    tag: "str | None" = None,
-    batch: bool = False,
-    batch_pairs: "int | None" = None,
-) -> dict:
-    """Time single-process SSF extraction on both backends, same pairs.
-
-    Delegates to :func:`repro.obs.bench.run_extraction_bench`.  Writes
-    the latest result to ``BENCH_extraction.json`` at the repo root and
-    appends a stamped record (seed, git SHA, machine fingerprint) to
-    ``BENCH_history.jsonl`` unless ``history_path`` is explicitly
-    disabled by the caller.  ``tag`` labels the record's experiment line
-    (rendered per-tag in the run-report bench trajectory).  ``batch``
-    adds the ``batched`` section (one cold ``extract_batch`` call over
-    ``batch_pairs`` pairs, default ``5 * n_pairs``) — see
-    :func:`repro.obs.bench.run_extraction_bench`.
-    """
-    return run_extraction_bench(
-        n_nodes=n_nodes,
-        n_pairs=n_pairs,
-        k=k,
-        seed=seed,
-        out_path=out_path or REPO_ROOT / "BENCH_extraction.json",
-        history_path=history_path,
-        tag=tag,
-        batch=batch,
-        batch_pairs=batch_pairs,
-    )
-
-
-def main() -> int:
-    parser = argparse.ArgumentParser(
-        description="dict-vs-csr SSF extraction throughput comparison"
-    )
-    parser.add_argument("--nodes", type=int, default=5000)
-    parser.add_argument("--pairs", type=int, default=200)
-    parser.add_argument("--k", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument(
-        "--history",
-        type=Path,
-        default=REPO_ROOT / "BENCH_history.jsonl",
-        help="JSONL trajectory file every run is appended to",
-    )
-    parser.add_argument(
-        "--no-history",
-        action="store_true",
-        help="skip the BENCH_history.jsonl append",
-    )
-    parser.add_argument(
-        "--tag",
-        metavar="LABEL",
-        default=None,
-        help="label this run's experiment line in BENCH_history.jsonl",
-    )
-    parser.add_argument(
-        "--batch",
-        action="store_true",
-        help="also time the csr batched driver (extract_batch) and write "
-        "a 'batched' section; pairs default to 10x --pairs",
-    )
-    parser.add_argument(
-        "--batch-pairs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pair count for the --batch section (default 10x --pairs)",
-    )
-    args = parser.parse_args()
-    result = run_backend_comparison(
-        n_nodes=args.nodes,
-        n_pairs=args.pairs,
-        k=args.k,
-        seed=args.seed,
-        out_path=args.out,
-        history_path=None if args.no_history else args.history,
-        tag=args.tag,
-        batch=args.batch,
-        batch_pairs=args.batch_pairs,
-    )
-    print(json.dumps(result, indent=1, sort_keys=True))
-    if not result["bit_identical"]:
-        print("FAIL: backends disagree")
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

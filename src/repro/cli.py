@@ -56,7 +56,7 @@ from repro.datasets.catalog import DATASETS, dataset_statistics, get_dataset
 from repro.datasets.loaders import load_dataset_file
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figures import format_k_sweep, k_sweep, mine_frequent_pattern
-from repro.experiments.methods import METHOD_ORDER
+from repro.experiments.methods import METHOD_ORDER, validate_method_name
 from repro.experiments.motivating import (
     format_motivating_table,
     motivating_comparison,
@@ -67,15 +67,34 @@ from repro.graph.temporal import DynamicNetwork
 from repro.sampling.temporal_cv import cross_validate_method
 
 
-def _positive_int(text: str) -> int:
-    """argparse ``type=``: an integer >= 1."""
+def _int_at_least(text: str, low: int) -> int:
+    """Parse an integer >= ``low`` for an argparse ``type=``."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse ``type=``: an integer >= 1."""
+    return _int_at_least(text, 1)
+
+
+def _k_value(text: str) -> int:
+    """argparse ``type=``: an SSF ``K``, at least 3 so the feature is
+    non-empty."""
+    return _int_at_least(text, 3)
+
+
+def _method_name(text: str) -> str:
+    """argparse ``type=``: a Table III method name."""
+    try:
+        return validate_method_name(text)
+    except KeyError as exc:
+        raise argparse.ArgumentTypeError(str(exc.args[0])) from None
 
 
 #: output-path flags checked before any work runs: a missing or
@@ -116,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_experiment_args(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--epochs", type=int, default=120)
-        sub.add_argument("--k", type=int, default=10)
+        sub.add_argument("--k", type=_k_value, default=10)
         sub.add_argument(
             "--max-positives",
             type=int,
@@ -190,6 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument(
         "--methods",
         nargs="+",
+        type=_method_name,
         default=None,
         metavar="METHOD",
         help=f"subset of: {', '.join(METHOD_ORDER)} (plus LP/tCN/tRA/tPA)",
@@ -211,22 +231,22 @@ def build_parser() -> argparse.ArgumentParser:
     sub = commands.add_parser("ksweep", help="Fig. 7 panel: AUC/F1 vs K")
     add_dataset_args(sub)
     add_experiment_args(sub)
-    sub.add_argument("--method", default="SSFNM")
+    sub.add_argument("--method", type=_method_name, default="SSFNM")
     sub.add_argument(
-        "--ks", nargs="+", type=int, default=[5, 10, 15, 20], metavar="K"
+        "--ks", nargs="+", type=_k_value, default=[5, 10, 15, 20], metavar="K"
     )
 
     sub = commands.add_parser("patterns", help="Fig. 6 panel: frequent pattern")
     add_dataset_args(sub)
     sub.add_argument("--samples", type=int, default=2000)
-    sub.add_argument("--k", type=int, default=10)
+    sub.add_argument("--k", type=_k_value, default=10)
 
     commands.add_parser("motivating", help="Fig. 1 walkthrough")
 
     sub = commands.add_parser("crossval", help="temporal cross-validation")
     add_dataset_args(sub)
     add_experiment_args(sub)
-    sub.add_argument("--method", default="SSFNM")
+    sub.add_argument("--method", type=_method_name, default="SSFNM")
     sub.add_argument("--folds", type=int, default=3)
 
     sub = commands.add_parser(
@@ -275,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset_args(sub)
     sub.add_argument("--user", required=True, help="node to recommend for")
     sub.add_argument("--top", type=int, default=10)
-    sub.add_argument("--k", type=int, default=10)
+    sub.add_argument("--k", type=_k_value, default=10)
     sub.add_argument(
         "--model", choices=("linear", "neural"), default="linear"
     )
@@ -284,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "stream", help="prequential (test-then-train) streaming evaluation"
     )
     add_dataset_args(sub)
-    sub.add_argument("--k", type=int, default=10)
+    sub.add_argument("--k", type=_k_value, default=10)
     sub.add_argument("--model", choices=("linear", "neural"), default="linear")
     sub.add_argument("--warmup", type=float, default=0.5)
     sub.add_argument("--refit-every", type=int, default=2)
@@ -304,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-stage extraction timing/ratio profile (observability)",
     )
     add_dataset_args(sub)
-    sub.add_argument("--k", type=int, default=10)
+    sub.add_argument("--k", type=_k_value, default=10)
     sub.add_argument(
         "--pairs",
         type=_positive_int,
@@ -326,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--nodes", type=int, default=800)
     sub.add_argument("--pairs", type=int, default=60)
-    sub.add_argument("--k", type=int, default=10)
+    sub.add_argument("--k", type=_k_value, default=10)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument(
         "--out", metavar="PATH", help="write the latest result JSON there"
@@ -405,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="in-flight request window during the replay",
     )
     sub.add_argument("--top", type=int, default=5, help="suggestions per request")
-    sub.add_argument("--k", type=int, default=10)
+    sub.add_argument("--k", type=_k_value, default=10)
     sub.add_argument("--model", choices=("linear", "neural"), default="linear")
     sub.add_argument(
         "--hot-users",
@@ -437,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SECONDS",
         help="per-attempt request deadline (default: the robustness "
-        "layer's RetryPolicy, REPRO_CHUNK_TIMEOUT et al.)",
+        "layer's RetryPolicy, REPRO_PARALLEL_CHUNK_TIMEOUT et al.)",
     )
     sub.add_argument(
         "--out", metavar="PATH", help="write the replay result JSON there"
@@ -765,11 +785,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
     from repro.robust.policy import RetryPolicy
     from repro.serve import run_replay
 
-    if not args.replay:
-        raise SystemExit(
-            "error: `repro serve` currently requires --replay (the live "
-            "socket front-end is the replay harness's production twin)"
-        )
     if args.nodes:
         from repro.obs.bench import synthetic_network
 
@@ -838,6 +853,11 @@ def main(argv: "Sequence[str] | None" = None) -> int:
 
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "serve" and not args.replay:
+        parser.error(
+            "`repro serve` currently requires --replay (the live socket "
+            "front-end is the replay harness's production twin)"
+        )
     for flag in _OUTPUT_PATH_FLAGS:
         path = getattr(args, flag, None)
         if path:

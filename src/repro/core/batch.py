@@ -17,10 +17,10 @@ through the CSR pipeline at once:
   together, so all structure combination at one radius happens in ONE
   cross-pair array pass (:meth:`BatchExtractionEngine._combine_many`)
   instead of one quadratic-ish pass per pair.
-* **Arena buffers** — the |V|-sized BFS visited map and ball-membership
-  stamp are allocated once per engine and reused across every pair of
-  every batch via monotonically increasing token/epoch stamps (never
-  cleared, never reallocated).
+* **Arena buffer** — the |V|-sized BFS visited map is allocated once
+  per engine and reused across every pair of every batch via
+  monotonically increasing ownership tokens (never cleared, never
+  reallocated).
 * **Vectorized Palette-WL** — all structure subgraphs of a batch are laid
   out flat and refined together by
   :func:`repro.core.palette_wl.palette_wl_order_many`; tie-break scores
@@ -63,36 +63,29 @@ from repro.graph.csr import (
     concatenate_neighbor_slices,
     concatenate_neighbor_slices_with_slots,
 )
-from repro.obs import enabled as obs_enabled, incr, observe, observe_many, span
+from repro.obs import enabled as obs_enabled, incr, observe_many, span
 
 Node = Hashable
 Pair = "tuple[Node, Node]"
 
 
 class BatchArena:
-    """Reusable |V|-sized work buffers, shared by every pair of an engine.
+    """The reusable |V|-sized BFS work buffer, shared by every pair of an
+    engine.
 
-    Both maps are *token-stamped*: an entry is "set" only when it holds
-    the current token/epoch, so reuse never needs a clearing pass.
-    ``visited`` carries per-ball BFS ownership; ``stamp`` carries
-    per-combine ball membership.
+    ``visited`` is *token-stamped* with per-ball BFS ownership: an entry
+    is "set" only when it holds the ball's token, so reuse never needs a
+    clearing pass.
     """
 
     def __init__(self, n_nodes: int) -> None:
         self.visited = np.zeros(n_nodes, dtype=np.int64)
-        self.stamp = np.zeros(n_nodes, dtype=np.int64)
         self._token = 0
-        self._epoch = 0
 
     def next_token(self) -> int:
         """A fresh BFS ownership token for :attr:`visited`."""
         self._token += 1
         return self._token
-
-    def next_epoch(self) -> int:
-        """A fresh ball-membership epoch for :attr:`stamp`."""
-        self._epoch += 1
-        return self._epoch
 
 
 _EMPTY_LEVEL = np.zeros(0, dtype=np.int64)
@@ -482,9 +475,7 @@ class BatchExtractionEngine:
         grown: "list[np.ndarray] | None" = (
             [_EMPTY_LEVEL] * len(pairs) if footprints is not None else None
         )
-        with span("subgraph_growth", pairs=len(pairs)):
-            with span("structure_combination", pairs=len(pairs)):
-                jobs = self._grow_and_combine(pairs, grown)
+        jobs = self._grow_and_combine(pairs, grown)
         if footprints is not None and grown is not None:
             footprints.extend(grown)
         if not jobs:
@@ -734,10 +725,92 @@ class BatchExtractionEngine:
         self, pairs: "Sequence[Pair]", grown: "list[np.ndarray] | None"
     ) -> "list[_PairJob]":
         """Def. 3 growth + Alg. 1 for every pair; a finishing pair's union
-        (its final radius-h ball) lands in ``grown[row]`` when asked."""
+        (its final radius-h ball) lands in ``grown[row]`` when asked.
+
+        Ball extension and the per-pair merges run under
+        ``subgraph_growth`` spans, ``_combine_many`` and ``_finalize``
+        under ``structure_combination`` spans, so the two stage
+        histograms time disjoint work."""
+        k = self._k
+        with span("subgraph_growth", h=1, pairs=len(pairs)):
+            active = self._start_growth(pairs)
+        jobs: "list[_PairJob]" = []
+        h = 1
+        while active:
+            if obs_enabled():
+                sizes = [int(g.union.size) for g in active]
+                observe_many("subgraph.ball_size", sizes)
+                observe_many(
+                    "subgraph.frontier_size",
+                    [size - g.prev_size for size, g in zip(sizes, active)],
+                )
+            candidates = [g for g in active if g.union.size >= k]
+            state: "_PassState | None" = None
+            if candidates:
+                with span("structure_combination", h=h, pairs=len(candidates)):
+                    state = self._combine_many(candidates)
+            done_segments: "list[tuple[_Growth, int]]" = []
+            pending: "list[tuple[_Growth, int | None]]" = []
+            if state is not None:
+                for segment, growth in enumerate(candidates):
+                    if int(state.group_counts[segment]) >= k:
+                        done_segments.append((growth, segment))
+                    else:
+                        pending.append((growth, segment))
+            for growth in active:
+                if growth.union.size < k:
+                    pending.append((growth, None))
+
+            forced: "list[tuple[_Growth, int | None]]" = []
+            growing: "list[_Growth]" = []
+            if pending:
+                if self._max_hop is not None and h >= self._max_hop:
+                    forced = pending
+                else:
+                    with span("subgraph_growth", h=h + 1, pairs=len(pending)):
+                        forced, growing = self._grow_pending(pending, h)
+
+            if grown is not None:
+                for growth, _segment in done_segments + forced:
+                    grown[growth.row] = growth.union
+            finishing = done_segments + [
+                (growth, segment)
+                for growth, segment in forced
+                if segment is not None
+            ]
+            small = [growth for growth, segment in forced if segment is None]
+            if (state is not None and finishing) or small:
+                with span(
+                    "structure_combination", h=h, pairs=len(finishing) + len(small)
+                ):
+                    if state is not None and finishing:
+                        jobs.extend(
+                            self._finalize(
+                                state,
+                                [(g.row, segment) for g, segment in finishing],
+                            )
+                        )
+                    if small:
+                        small_state = self._combine_many(small)
+                        jobs.extend(
+                            self._finalize(
+                                small_state,
+                                [(g.row, i) for i, g in enumerate(small)],
+                            )
+                        )
+            observe_many(
+                "subgraph.growth_h", [h] * (len(done_segments) + len(forced))
+            )
+            active = growing
+            h += 1
+        jobs.sort(key=lambda job: job.row)
+        return jobs
+
+    def _start_growth(self, pairs: "Sequence[Pair]") -> "list[_Growth]":
+        """Radius-1 growth state for every pair with both end nodes in the
+        snapshot; endpoint balls are shared across the batch."""
         snapshot = self._snapshot
         arena = self._arena
-        k = self._k
         balls: dict[int, _Ball] = {}
         hits = 0
         misses = 0
@@ -788,101 +861,48 @@ class BatchExtractionEngine:
                 merged[bounds[index] : bounds[index + 1]]
                 - index * self._snapshot.number_of_nodes()
             )
+        return active
 
-        jobs: "list[_PairJob]" = []
-        h = 1
-        while active:
-            if obs_enabled():
-                sizes = [int(g.union.size) for g in active]
-                observe_many("subgraph.ball_size", sizes)
-                observe_many(
-                    "subgraph.frontier_size",
-                    [size - g.prev_size for size, g in zip(sizes, active)],
-                )
-            candidates = [g for g in active if g.union.size >= k]
-            state = self._combine_many(candidates) if candidates else None
-            done_segments: "list[tuple[_Growth, int]]" = []
-            pending: "list[tuple[_Growth, int | None]]" = []
-            if state is not None:
-                for segment, growth in enumerate(candidates):
-                    if int(state.group_counts[segment]) >= k:
-                        done_segments.append((growth, segment))
-                    else:
-                        pending.append((growth, segment))
-            for growth in active:
-                if growth.union.size < k:
-                    pending.append((growth, None))
+    def _grow_pending(
+        self, pending: "list[tuple[_Growth, int | None]]", h: int
+    ) -> "tuple[list[tuple[_Growth, int | None]], list[_Growth]]":
+        """Advance every pending pair from radius ``h`` to ``h + 1``.
 
-            forced: "list[tuple[_Growth, int | None]]" = []
-            growing: "list[_Growth]" = []
-            if pending:
-                if self._max_hop is not None and h >= self._max_hop:
-                    forced = pending
-                else:
-                    self._extend_balls(
-                        [g.ball_a for g, _ in pending]
-                        + [g.ball_b for g, _ in pending],
-                        h + 1,
-                    )
-                    # One global merge decides both questions per pair —
-                    # did the radius-(h+1) ball grow (else the pair is
-                    # forced), and what is the new union if it did.
-                    probe_parts: "list[np.ndarray]" = []
-                    probe_owner: "list[int]" = []
-                    for index, (growth, _segment) in enumerate(pending):
-                        assert growth.ball_a is not None
-                        assert growth.ball_b is not None
-                        for part in (
-                            growth.union,
-                            growth.ball_a.level(h + 1),
-                            growth.ball_b.level(h + 1),
-                        ):
-                            probe_parts.append(part)
-                            probe_owner.append(index)
-                    merged, bounds = self._merge_per_pair(
-                        probe_parts, probe_owner, len(pending)
-                    )
-                    n_nodes = self._snapshot.number_of_nodes()
-                    for index, (growth, segment) in enumerate(pending):
-                        lo, hi = int(bounds[index]), int(bounds[index + 1])
-                        if hi - lo == growth.union.size:
-                            forced.append((growth, segment))
-                        else:
-                            growth.prev_size = int(growth.union.size)
-                            growth.union = merged[lo:hi] - index * n_nodes
-                            growing.append(growth)
-
-            if grown is not None:
-                for growth, _segment in done_segments + forced:
-                    grown[growth.row] = growth.union
-            finishing = done_segments + [
-                (growth, segment)
-                for growth, segment in forced
-                if segment is not None
-            ]
-            if state is not None and finishing:
-                jobs.extend(
-                    self._finalize(
-                        state,
-                        [(g.row, segment) for g, segment in finishing],
-                    )
-                )
-            small = [growth for growth, segment in forced if segment is None]
-            if small:
-                small_state = self._combine_many(small)
-                jobs.extend(
-                    self._finalize(
-                        small_state,
-                        [(g.row, i) for i, g in enumerate(small)],
-                    )
-                )
-            observe_many(
-                "subgraph.growth_h", [h] * (len(done_segments) + len(forced))
-            )
-            active = growing
-            h += 1
-        jobs.sort(key=lambda job: job.row)
-        return jobs
+        Returns ``(forced, growing)``: pairs whose ball stopped growing
+        (they finish at ``h``) and pairs whose union grew.
+        """
+        self._extend_balls(
+            [g.ball_a for g, _ in pending] + [g.ball_b for g, _ in pending],
+            h + 1,
+        )
+        # One global merge decides both questions per pair — did the
+        # radius-(h+1) ball grow (else the pair is forced), and what is
+        # the new union if it did.
+        probe_parts: "list[np.ndarray]" = []
+        probe_owner: "list[int]" = []
+        for index, (growth, _segment) in enumerate(pending):
+            assert growth.ball_a is not None
+            assert growth.ball_b is not None
+            for part in (
+                growth.union,
+                growth.ball_a.level(h + 1),
+                growth.ball_b.level(h + 1),
+            ):
+                probe_parts.append(part)
+                probe_owner.append(index)
+        merged, bounds = self._merge_per_pair(probe_parts, probe_owner, len(pending))
+        n_nodes = self._snapshot.number_of_nodes()
+        forced: "list[tuple[_Growth, int | None]]" = []
+        growing: "list[_Growth]" = []
+        for index, (growth, segment) in enumerate(pending):
+            lo, hi = int(bounds[index]), int(bounds[index + 1])
+            if hi - lo == growth.union.size:
+                forced.append((growth, segment))
+            else:
+                growth.prev_size = int(growth.union.size)
+                growth.union = merged[lo:hi] - index * n_nodes
+                growing.append(growth)
+        return forced, growing
 
     def _merge_per_pair(
         self,
@@ -1276,88 +1296,3 @@ class BatchExtractionEngine:
         prefix = np.zeros(slots_cat.size + 1, dtype=np.int64)
         np.cumsum(self._slot_lengths()[slots_cat], out=prefix[1:])
         return (prefix[hi] - prefix[lo]).astype(np.float64)
-
-
-def batch_extract(
-    network: "object",
-    config: "object" = None,
-    pairs: "Sequence[Pair] | None" = None,
-    *,
-    present_time: "float | None" = None,
-    modes: "tuple[str, ...] | None" = None,
-    backend: str = "auto",
-    extractor: "object | None" = None,
-    footprints: "list[np.ndarray] | None" = None,
-) -> "np.ndarray | dict[str, np.ndarray]":
-    """Extract SSF vectors for many pairs through the batched driver.
-
-    Thin convenience wrapper over
-    :meth:`~repro.core.feature.SSFExtractor.extract_batch` /
-    :meth:`~repro.core.feature.SSFExtractor.extract_multi_batch` that
-    plumbs ``backend`` like every other entry point: ``"csr"`` runs the
-    batched engine, ``"dict"`` the untouched reference loop, ``"auto"``
-    resolves by network size (see
-    :func:`~repro.core.feature.resolve_backend`).
-
-    ``extractor`` is the serving fast path: pass a prebuilt
-    :class:`~repro.core.feature.SSFExtractor` to reuse its batched
-    engine (arena buffers, palette memos, slot-sum caches) across calls
-    instead of paying engine construction per batch.  The extractor's
-    own network/config/present_time govern the extraction; they must
-    agree with any also-given ``network``/``config``/``present_time``
-    (mismatches raise rather than silently extracting against the wrong
-    substrate).
-
-    ``footprints`` (csr, ``modes=None`` only) is extended with one
-    sorted node-id array per pair: the final grown Def. 3 ball its row
-    depends on, empty for a pair with a missing end node.  The serving
-    cache invalidates on it; leaving it ``None`` collects nothing.
-    """
-    from repro.core.feature import SSFConfig, SSFExtractor, resolve_backend
-
-    if footprints is not None and modes is not None:
-        raise ValueError("footprints are collected for one entry mode (modes=None)")
-
-    if extractor is not None:
-        assert isinstance(extractor, SSFExtractor)
-        if config is not None and extractor.config != config:
-            raise ValueError(
-                "extractor reuse: extractor config does not match the "
-                "config argument"
-            )
-        if (
-            present_time is not None
-            and float(present_time) != extractor.present_time
-        ):
-            raise ValueError(
-                f"extractor reuse: extractor present_time "
-                f"{extractor.present_time} != requested {present_time}"
-            )
-        pair_list = list(pairs) if pairs is not None else []
-        if modes is None:
-            return extractor.extract_batch(pair_list, footprints)
-        return extractor.extract_multi_batch(pair_list, modes)
-
-    ssf_config = config if config is not None else SSFConfig()
-    assert isinstance(ssf_config, SSFConfig)
-    resolved = resolve_backend(network, backend)  # type: ignore[arg-type]
-    if resolved == "dict":
-        extractor = SSFExtractor(
-            network,  # type: ignore[arg-type]
-            ssf_config,
-            present_time=present_time,
-            backend="dict",
-        )
-    elif resolved == "csr":
-        extractor = SSFExtractor(
-            network,  # type: ignore[arg-type]
-            ssf_config,
-            present_time=present_time,
-            backend="csr",
-        )
-    else:  # pragma: no cover - resolve_backend never returns anything else
-        raise ValueError(f"unresolvable backend {backend!r}")
-    pair_list = list(pairs) if pairs is not None else []
-    if modes is None:
-        return extractor.extract_batch(pair_list, footprints)
-    return extractor.extract_multi_batch(pair_list, modes)

@@ -13,9 +13,6 @@ from __future__ import annotations
 
 from typing import Hashable
 
-import numpy as np
-
-from repro.graph.csr import CSRSnapshot, concatenate_neighbor_slices
 from repro.graph.temporal import DynamicNetwork
 
 Node = Hashable
@@ -62,52 +59,6 @@ def distances_to_link(
                     dist[nb] = depth
                     nxt.append(nb)
         frontier = nxt
-    return dist
-
-
-def csr_distances_to_link(
-    snapshot: CSRSnapshot,
-    a_id: int,
-    b_id: int,
-    max_hop: "int | None" = None,
-) -> np.ndarray:
-    """Array form of :func:`distances_to_link` over a CSR snapshot.
-
-    A frontier-at-a-time multi-source BFS: each level gathers every
-    neighbour slice of the frontier in one vectorised read, masks already
-    visited nodes and deduplicates with ``np.unique`` — no per-node Python
-    work.
-
-    Args:
-        snapshot: the frozen observed window.
-        a_id: int id of the first end node.
-        b_id: int id of the second end node.
-        max_hop: stop at this depth; ``None`` explores the component.
-
-    Returns:
-        ``int32`` array over all snapshot nodes; unreached nodes hold
-        ``-1``, the end nodes hold ``0``.
-    """
-    n = snapshot.number_of_nodes()
-    if not 0 <= a_id < n:
-        raise KeyError(f"end node id {a_id} not in snapshot")
-    if not 0 <= b_id < n:
-        raise KeyError(f"end node id {b_id} not in snapshot")
-    if a_id == b_id:
-        raise ValueError("target link end nodes must be distinct")
-
-    dist = np.full(n, -1, dtype=np.int32)
-    frontier = np.array([a_id, b_id], dtype=np.int64)
-    dist[frontier] = 0
-    depth = 0
-    while frontier.size and (max_hop is None or depth < max_hop):
-        depth += 1
-        neighbors = concatenate_neighbor_slices(snapshot, frontier)
-        neighbors = neighbors[dist[neighbors] == -1]
-        if not neighbors.size:
-            break
-        frontier = np.unique(neighbors).astype(np.int64)
-        dist[frontier] = depth
     return dist
 
 

@@ -53,7 +53,6 @@ Notes on faithfulness:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Hashable
@@ -87,14 +86,8 @@ BACKENDS = ("auto", "dict", "csr")
 
 #: ``backend="auto"`` freezes a CSR snapshot once the observed network has
 #: at least this many links; below it, the snapshot build cost is not
-#: worth paying for a handful of extractions.  Override with the
-#: ``REPRO_AUTO_CSR_MIN_LINKS`` environment variable.
+#: worth paying for a handful of extractions.
 AUTO_CSR_MIN_LINKS = 4096
-
-
-def _auto_csr_min_links() -> int:
-    raw = os.environ.get("REPRO_AUTO_CSR_MIN_LINKS")
-    return int(raw) if raw else AUTO_CSR_MIN_LINKS
 
 
 def resolve_backend(network: "DynamicNetwork | CSRSnapshot", backend: str) -> str:
@@ -116,7 +109,7 @@ def resolve_backend(network: "DynamicNetwork | CSRSnapshot", backend: str) -> st
             )
         return "csr"
     if backend == "auto":
-        return "csr" if network.number_of_links() >= _auto_csr_min_links() else "dict"
+        return "csr" if network.number_of_links() >= AUTO_CSR_MIN_LINKS else "dict"
     return backend
 
 
@@ -387,8 +380,9 @@ class SSFExtractor:
         """SSF vectors for several entry modes from ONE subgraph extraction.
 
         The K-structure subgraph (the expensive part) is shared; only the
-        entry evaluation differs per mode.  Used by the experiment runner
-        to amortise extraction across SSF and SSF-W variants.
+        entry evaluation differs per mode.  The experiment runner shares
+        extraction across SSF and SSF-W through the batched form,
+        :meth:`extract_multi_batch`.
         """
         for mode in modes:
             if mode not in ENTRY_MODES:

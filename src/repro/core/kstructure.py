@@ -115,9 +115,7 @@ def extract_k_structure_subgraph(
     b: Node,
     k: int,
     max_hop: "int | None" = None,
-    edge_length: "Callable[[AnyStructureSubgraph, int, int], float] | None" = None,
     tie_break: "Callable[[AnyStructureSubgraph], list[float]] | None" = None,
-    initial_scores: "Callable[[AnyStructureSubgraph], list[float]] | None" = None,
 ) -> KStructureSubgraph:
     """Grow ``h`` until the structure subgraph holds >= ``k`` structure
     nodes, order it with Palette-WL, and select the top ``k``.
@@ -131,17 +129,10 @@ def extract_k_structure_subgraph(
         k: number of structure nodes to select (>= 2).
         max_hop: optional cap on the growth radius; defaults to growing
             until the whole reachable component is absorbed.
-        edge_length: optional structure-link length function
-            ``(subgraph, i, j) -> float`` used by the Palette-WL initial
-            ordering; the paper's footnote 1 uses reciprocal normalized
-            influence (see :class:`~repro.core.feature.SSFExtractor`).
-            ``None`` uses unit (hop) lengths.
         tie_break: optional ``subgraph -> per-node scores`` (lower =
             earlier) ordering WL-tied structure nodes, e.g. by influence
-            strength toward the end nodes.
-        initial_scores: optional ``subgraph -> per-node scores``
-            overriding the Palette-WL initial ordering entirely
-            (Algorithm 2 line 1); takes precedence over ``edge_length``.
+            strength toward the end nodes (see
+            :class:`~repro.core.feature.SSFExtractor`).
 
     Returns:
         The ordered selection; ``len(selected) < k`` only when the
@@ -155,24 +146,8 @@ def extract_k_structure_subgraph(
     else:
         subgraph, h = _grow_dict(network, a, b, k, max_hop)
 
-    bound_length: "Callable[[int, int], float] | None" = None
-    if edge_length is not None:
-        final_subgraph = subgraph
-        final_edge_length = edge_length
-
-        def _bound_length(i: int, j: int) -> float:
-            return final_edge_length(final_subgraph, i, j)
-
-        bound_length = _bound_length
-
     tie_break_scores = tie_break(subgraph) if tie_break is not None else None
-    scores = initial_scores(subgraph) if initial_scores is not None else None
-    order = palette_wl_order(
-        subgraph,
-        initial_scores=scores,
-        edge_length=bound_length,
-        tie_break=tie_break_scores,
-    )
+    order = palette_wl_order(subgraph, tie_break=tie_break_scores)
     by_order = sorted(range(len(order)), key=lambda i: order[i])
     selected = by_order[: min(k, len(by_order))]
     structure_distances = subgraph.distances_to_target()

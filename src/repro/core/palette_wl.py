@@ -50,28 +50,20 @@ def _log_prime(color: int) -> float:
 
 def palette_wl_order(
     subgraph: StructureSubgraph,
-    initial_scores: "Sequence[float] | None" = None,
-    edge_length: "Callable[[int, int], float] | None" = None,
     tie_break: "Sequence[float] | None" = None,
 ) -> list[int]:
     """Assign a strict Palette-WL order to every structure node.
 
+    The initial ordering key of each structure node (Algorithm 2, line 1:
+    "increasingly with the distance to e_t") is
+    :func:`bilateral_distance_scores` — the sum of hop distances to the
+    two end nodes, the WLNM convention the paper's Algorithm 2 is
+    adopted from, which ranks common neighbours (close to *both* ends)
+    before one-sided neighbours.
+
     Args:
         subgraph: the h-hop structure subgraph; indices 0/1 are the end
             structure nodes.
-        initial_scores: the initial ordering key of each structure node
-            (Algorithm 2, line 1: "increasingly with the distance to
-            e_t").  Defaults to :func:`bilateral_distance_scores` — the
-            sum of hop distances to the two end nodes, the WLNM
-            convention the paper's Algorithm 2 is adopted from, which
-            ranks common neighbours (close to *both* ends) before
-            one-sided neighbours.  Negative values mean "unreachable" and
-            sort after every finite score.
-        edge_length: optional structure-link length function used by the
-            default initial scores (ignored when ``initial_scores`` is
-            given).  The paper's footnote 1 uses the reciprocal
-            normalized influence, making strongly/recently connected
-            structure nodes rank earlier.
         tie_break: optional per-node score (lower = earlier) used to
             order nodes the WL refinement leaves tied, *before* the
             label-based fallback.  The SSF extractor passes negative
@@ -88,54 +80,34 @@ def palette_wl_order(
     n = subgraph.number_of_structure_nodes()
     if n < 2:
         raise ValueError("structure subgraph must contain both end nodes")
-    if initial_scores is None:
-        initial_scores = bilateral_distance_scores(subgraph, edge_length)
-    if len(initial_scores) != n:
-        raise ValueError(f"expected {n} initial scores, got {len(initial_scores)}")
-
     if tie_break is not None and len(tie_break) != n:
         raise ValueError(f"expected {n} tie-break scores, got {len(tie_break)}")
 
     with span("palette_wl", nodes=n):
-        colors = _initial_colors(initial_scores)
+        colors = _initial_colors(bilateral_distance_scores(subgraph))
         colors = _refine(subgraph, colors)
         return _strict_order(subgraph, colors, tie_break)
 
 
-def bilateral_distance_scores(
-    subgraph: StructureSubgraph,
-    edge_length: "Callable[[int, int], float] | None" = None,
-) -> list[float]:
-    """``d(N, a) + d(N, b)`` per structure node, the default initial key.
+def bilateral_distance_scores(subgraph: StructureSubgraph) -> list[float]:
+    """``d(N, a) + d(N, b)`` hop distances per structure node, the
+    initial Palette-WL key.
 
-    With unit lengths a common neighbour scores 2 (1 + 1) while a node
-    adjacent to one end only scores at least 3 — so the initial colouring
-    already separates the structurally central nodes, and top-K selection
-    keeps them.  With ``edge_length`` given (footnote 1: reciprocal
-    normalized influence), distances additionally prefer strong/recent
-    structure links, which is what breaks the massive distance ties of
-    dense networks.  Unreachability from one end contributes a
+    A common neighbour scores 2 (1 + 1) while a node adjacent to one end
+    only scores at least 3 — so the initial colouring already separates
+    the structurally central nodes, and top-K selection keeps them.
+    Unreachability from one end (distance −1) contributes a
     large-but-finite penalty so half-reachable nodes still order among
     themselves by the reachable side; fully unreachable nodes sort last.
     """
-    if edge_length is None:
-        from_a = [float(d) for d in subgraph.distances_from(0)]
-        from_b = [float(d) for d in subgraph.distances_from(1)]
-        unreachable = -1.0
-    else:
-        from_a = subgraph.weighted_distances_from(0, edge_length)
-        from_b = subgraph.weighted_distances_from(1, edge_length)
-        unreachable = math.inf
-    finite = [
-        d for d in from_a + from_b if d != unreachable and math.isfinite(d)
+    from_a = [float(d) for d in subgraph.distances_from(0)]
+    from_b = [float(d) for d in subgraph.distances_from(1)]
+    reached = [d for d in from_a + from_b if d >= 0]
+    penalty = 2.0 * max(reached) + 1.0 if reached else 1.0
+    return [
+        (da if da >= 0 else penalty) + (db if db >= 0 else penalty)
+        for da, db in zip(from_a, from_b)
     ]
-    penalty = 2.0 * max(finite) + 1.0 if finite else 1.0
-    scores: list[float] = []
-    for da, db in zip(from_a, from_b):
-        sa = da if (da != unreachable and math.isfinite(da)) else penalty
-        sb = db if (db != unreachable and math.isfinite(db)) else penalty
-        scores.append(sa + sb)
-    return scores
 
 
 def _initial_colors(scores: Sequence[float]) -> list[int]:

@@ -50,8 +50,7 @@ guaranteed by the differential tests — so callers can enable workers
 freely.  For small batches the pool start-up costs more than it saves;
 :func:`parallel_extract_batch` therefore falls back to sequential
 extraction below :func:`min_pairs_for_pool` (default
-:data:`MIN_PAIRS_FOR_POOL`, overridable per call or with the
-``REPRO_MIN_PAIRS_FOR_POOL`` environment variable).
+:data:`MIN_PAIRS_FOR_POOL`, overridable per call with ``min_pairs=``).
 """
 
 from __future__ import annotations
@@ -139,18 +138,15 @@ class _WorkerInitError(RuntimeError):
 
 
 def min_pairs_for_pool(override: "int | None" = None) -> int:
-    """The sequential-fallback threshold actually in effect.
-
-    Resolution order: explicit ``override`` argument, then the
-    ``REPRO_MIN_PAIRS_FOR_POOL`` environment variable, then the module
-    default :data:`MIN_PAIRS_FOR_POOL`.
+    """The sequential-fallback threshold actually in effect: the explicit
+    ``override`` argument, else the module default
+    :data:`MIN_PAIRS_FOR_POOL`.
     """
     if override is not None:
         if override < 0:
             raise ValueError(f"min_pairs_for_pool must be >= 0, got {override}")
         return int(override)
-    raw = os.environ.get("REPRO_MIN_PAIRS_FOR_POOL")
-    return int(raw) if raw else MIN_PAIRS_FOR_POOL
+    return MIN_PAIRS_FOR_POOL
 
 
 def _initialize(

@@ -39,10 +39,8 @@ Implementation notes:
 
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Iterable, Sequence, TypeVar
+from typing import Hashable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -167,41 +165,6 @@ class _StructureTopology:
                         dist[nb] = depth
                         nxt.append(nb)
             frontier = nxt
-        return dist
-
-    def weighted_distances_from(
-        self, start: int, edge_length: "Callable[[int, int], float]"
-    ) -> list[float]:
-        """Dijkstra distances from one structure node.
-
-        ``edge_length(i, j)`` must return a positive length for the
-        structure link ``(i, j)``.  The paper's footnote 1 sets lengths to
-        the *reciprocal normalized influence*, so strongly/recently
-        connected structure nodes are "closer" — which is what lets the
-        ordering prioritise the most active structure on dense networks
-        where plain hop distances are all ties.
-
-        Unreachable structure nodes get ``math.inf``.
-        """
-        if not 0 <= start < self.number_of_structure_nodes():
-            raise IndexError(f"structure node index {start} out of range")
-        dist = [math.inf] * self.number_of_structure_nodes()
-        dist[start] = 0.0
-        heap: list[tuple[float, int]] = [(0.0, start)]
-        while heap:
-            d, idx = heapq.heappop(heap)
-            if d > dist[idx]:
-                continue
-            for nb in self._adjacency[idx]:
-                length = edge_length(idx, nb)
-                if length <= 0:
-                    raise ValueError(
-                        f"edge_length({idx}, {nb}) must be > 0, got {length}"
-                    )
-                candidate = d + length
-                if candidate < dist[nb]:
-                    dist[nb] = candidate
-                    heapq.heappush(heap, (candidate, nb))
         return dist
 
     def distances_from(self, start: int) -> list[int]:

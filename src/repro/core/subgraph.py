@@ -17,10 +17,7 @@ from __future__ import annotations
 
 from typing import Hashable
 
-import numpy as np
-
-from repro.core.distance import csr_distances_to_link, distances_to_link
-from repro.graph.csr import CSRSnapshot
+from repro.core.distance import distances_to_link
 from repro.graph.temporal import DynamicNetwork
 from repro.obs import observe, span
 
@@ -39,19 +36,6 @@ def h_hop_node_set(network: DynamicNetwork, a: Node, b: Node, h: int) -> set[Nod
         nodes = set(distances_to_link(network, a, b, max_hop=h))
     observe("subgraph.nodes", len(nodes))
     return nodes
-
-
-def csr_h_hop_node_ids(
-    snapshot: CSRSnapshot, a_id: int, b_id: int, h: int
-) -> np.ndarray:
-    """Array form of :func:`h_hop_node_set`: sorted int ids of ``V_h``."""
-    if h < 0:
-        raise ValueError(f"hop radius must be >= 0, got {h}")
-    with span("subgraph_growth", h=h):
-        dist = csr_distances_to_link(snapshot, a_id, b_id, max_hop=h)
-        node_ids = np.flatnonzero((dist >= 0) & (dist <= h))
-    observe("subgraph.nodes", len(node_ids))
-    return node_ids
 
 
 def extract_h_hop_subgraph(

@@ -2,9 +2,11 @@
 
 :class:`LinkPredictionExperiment` owns one dataset's split and a feature
 cache; methods are evaluated on demand.  Feature kinds map to extractor
-runs, and the two SSF variants ("ssf" influence entries, "ssf_w" count
-entries) share a single K-structure-subgraph extraction per link via
-:meth:`~repro.core.feature.SSFExtractor.extract_multi`.
+runs, and the two SSF variants ("ssf" temporal entries, "ssf_w" count
+entries) share one subgraph pass per pair batch:
+:func:`~repro.core.parallel.parallel_extract_batch` with ``modes=``
+runs :meth:`~repro.core.feature.SSFExtractor.extract_multi_batch` in
+each chunk.
 
 Module-level helpers :func:`run_dataset` and :func:`run_table3` regenerate
 entire table columns / the full table.
@@ -25,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.baselines import WLFExtractor
-from repro.core.feature import SSFConfig, SSFExtractor
+from repro.core.feature import SSFConfig
 from repro.datasets.catalog import DatasetSpec, get_dataset
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.methods import (

@@ -33,7 +33,6 @@ refcount-touched), and under ``spawn`` the :meth:`CSRSnapshot.to_shared`
 
 from __future__ import annotations
 
-import os
 import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -56,19 +55,8 @@ _LOG = get_logger("graph.csr")
 #: bound on cached ``(present_time, θ)`` influence tables per snapshot.
 #: Each distinct key pins a full ``|ts|``-sized float64 array, and a
 #: serving loop advances ``present_time`` with the stream — unbounded,
-#: the cache leaks one table per request batch.  Override with the
-#: ``REPRO_CSR_INFLUENCE_CACHE`` environment variable.
+#: the cache leaks one table per request batch.
 INFLUENCE_TABLE_CACHE_SIZE = 8
-
-
-def _influence_cache_capacity() -> int:
-    raw = os.environ.get("REPRO_CSR_INFLUENCE_CACHE", "")
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            _LOG.warning("ignoring non-integer REPRO_CSR_INFLUENCE_CACHE=%r", raw)
-    return INFLUENCE_TABLE_CACHE_SIZE
 
 
 class CSRSnapshot:
@@ -261,28 +249,18 @@ class CSRSnapshot:
         from repro.core.influence import influence_array
 
         key = (float(present_time), float(theta))
-        table = self._influence_tables.get(key)
-        if table is None:
-            with span("csr.influence_table"):
-                table = influence_array(self.ts, key[0], key[1])
-            self._cache_influence_table(key, table)
-        else:
-            self._influence_tables.move_to_end(key)
-        return table
-
-    def _cache_influence_table(
-        self, key: tuple[float, float], table: np.ndarray
-    ) -> None:
-        """Insert one influence table, evicting least-recently-used keys
-        past the cache bound.  Also the seeding hook the delta-ingestion
-        layer uses to carry patched tables across materialisations."""
         tables = self._influence_tables
+        table = tables.get(key)
+        if table is not None:
+            tables.move_to_end(key)
+            return table
+        with span("csr.influence_table"):
+            table = influence_array(self.ts, key[0], key[1])
         tables[key] = table
-        tables.move_to_end(key)
-        capacity = _influence_cache_capacity()
-        while len(tables) > capacity:
+        while len(tables) > INFLUENCE_TABLE_CACHE_SIZE:
             tables.popitem(last=False)
             incr("csr.influence_cache_evictions")
+        return table
 
     # ------------------------------------------------------------------
     # shared-memory transport (spawn-safe zero-copy worker hand-off)
@@ -462,13 +440,6 @@ class SharedSnapshotHandle:
             except FileNotFoundError:  # pragma: no cover - double unlink
                 pass
             self._shm = None
-
-
-def as_snapshot(network: "DynamicNetwork | CSRSnapshot") -> CSRSnapshot:
-    """Coerce a network-or-snapshot into a :class:`CSRSnapshot`."""
-    if isinstance(network, CSRSnapshot):
-        return network
-    return CSRSnapshot.from_dynamic(network)
 
 
 def concatenate_neighbor_slices(

@@ -12,7 +12,7 @@ at < 2 % median.
 Samples aggregate into **collapsed-stack** form — the ``flamegraph.pl``
 / speedscope input format, one line per unique stack::
 
-    serve;MainThread;frontend.py:recommend;parallel.py:batch_extract 42
+    serve;MainThread;frontend.py:recommend_many;batch.py:extract_batch 42
 
 The leading frame is the current serving **phase** (from
 :func:`repro.obs.live.current_phase`), then the thread name, then

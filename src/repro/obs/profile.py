@@ -1,13 +1,14 @@
 """A parameterized extraction workload with a per-stage profile report.
 
-Backs the ``repro profile`` CLI command: run SSF extraction over a
-deterministic sample of target links with observability enabled, then
-render what the metrics registry saw — per-stage call counts and
-p50/p95/max wall times for the four pipeline stages of Algorithms 1–3
-(h-hop subgraph growth, structure combination, Palette-WL ordering,
-normalized-influence matrix) plus the structural ratios (growth depth,
-compression ratio, WL iterations) that explain *why* the timings look
-the way they do.
+Backs the ``repro profile`` CLI command: run one batched SSF extraction
+(:meth:`~repro.core.feature.SSFExtractor.extract_batch`, the path the
+experiment runner and serving take) over a deterministic sample of
+target links with observability enabled, then render what the metrics
+registry saw — per-stage call counts and p50/p95/max wall times for the
+four pipeline stages of Algorithms 1–3 (h-hop subgraph growth, structure
+combination, Palette-WL ordering, normalized-influence matrix) plus the
+structural ratios (growth depth, compression ratio, WL iterations) that
+explain *why* the timings look the way they do.
 
 This is the measurement harness every later performance PR is expected
 to quote numbers from.
@@ -84,8 +85,7 @@ def run_extraction_profile(
     registry.reset()
     started = time.perf_counter()
     try:
-        for a, b in pairs:
-            extractor.extract(a, b)
+        extractor.extract_batch(pairs)
     finally:
         if not was_enabled:
             trace.disable()

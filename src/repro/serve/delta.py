@@ -20,21 +20,13 @@ same dtypes.  The rebuilt≡delta differential suite
 holds this across all six entry modes, because every downstream feature
 guarantee (dict ≡ csr bit-parity) is inherited from it.
 
-**Incremental influence.**  Two complementary mechanisms:
-
-* Cached ``(present_time, θ)`` influence tables of the previous
-  materialisation are *carried forward*: only the inserted stamps' slots
-  get fresh ``math.exp(-θ·(present − t))`` entries (bit-identical to
-  :func:`repro.core.influence.influence_array`'s own per-unique-stamp
-  scalar evaluation), so a serving loop whose ``present_time`` is
-  pinned between event batches never recomputes the full table.  Keys
-  invalidated by a newer stamp (``t > present``) are dropped, exactly
-  as a fresh build would refuse them.
-* A :class:`DecayedInfluenceIndex` maintains per-link and per-node
-  decayed influence *summaries* under new stamps: a stamp on link
-  ``(u, v)`` rescales only that link's running sum by the θ-decay
-  factor.  The serving recommender ranks hub candidates by this decayed
-  activity instead of the static degree the offline recommender uses.
+**Incremental influence.**  A :class:`DecayedInfluenceIndex` maintains
+per-link and per-node decayed influence *summaries* under new stamps: a
+stamp on link ``(u, v)`` rescales only that link's running sum by the
+θ-decay factor.  The serving recommender ranks hub candidates by this
+decayed activity instead of the static degree the offline recommender
+uses.  Each materialised snapshot builds its own Eq. 2 influence table
+on first use (:meth:`CSRSnapshot.influence_table`).
 """
 
 from __future__ import annotations
@@ -424,46 +416,14 @@ class DeltaCSRSnapshot:
                 pos = seg_lo + int(np.searchsorted(segment, stamp, side="right"))
                 entries.append(((slot, 1, serial, within), pos, stamp))
         entries.sort(key=lambda entry: entry[0])
-        ts_ins_pos = [entry[1] for entry in entries]
-        ts_ins_val = [entry[2] for entry in entries]
-        ts_new = np.insert(old.ts, ts_ins_pos, ts_ins_val)
-
-        merged = CSRSnapshot(
+        ts_new = np.insert(
+            old.ts,
+            [entry[1] for entry in entries],
+            [entry[2] for entry in entries],
+        )
+        return CSRSnapshot(
             list(self._labels), indptr_new, indices_new, ts_indptr_new, ts_new
         )
-        self._carry_influence_tables(old, merged, ts_ins_pos, ts_ins_val)
-        return merged
-
-    def _carry_influence_tables(
-        self,
-        old: CSRSnapshot,
-        merged: CSRSnapshot,
-        ts_ins_pos: list[int],
-        ts_ins_val: list[float],
-    ) -> None:
-        """Patch the previous snapshot's cached influence tables forward.
-
-        Each surviving ``(present, θ)`` key gets exactly the inserted
-        stamps' entries added — ``math.exp(-θ·(present − t))`` per stamp,
-        the same scalar expression :func:`influence_array` evaluates per
-        unique stamp, so the patched table is bit-identical to a fresh
-        build.  Keys a new stamp postdates are dropped (a fresh build
-        would raise for them), matching the dict path's contract.
-        """
-        max_new = max(ts_ins_val) if ts_ins_val else None
-        carried = 0
-        for (present, theta), table in old._influence_tables.items():
-            if max_new is not None and max_new > present:
-                continue
-            patched = np.insert(
-                table,
-                ts_ins_pos,
-                [math.exp(-theta * (present - stamp)) for stamp in ts_ins_val],
-            )
-            merged._cache_influence_table((present, theta), patched)
-            carried += 1
-        if carried:
-            incr("serve.delta.influence_tables_carried", carried)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -7,8 +7,8 @@ Two layers:
   :class:`~repro.serve.cache.FeatureCache`; ``ingest`` appends edge
   events and invalidates exactly the cached pairs whose grown footprint
   the events touched; ``recommend_many`` scores several users' requests
-  through ONE :func:`repro.core.batch.batch_extract` call, probing the
-  cache per pair and extracting only the misses.
+  through ONE :meth:`~repro.core.feature.SSFExtractor.extract_batch`
+  call, probing the cache per pair and extracting only the misses.
 * :class:`AsyncScoringFrontend` — the asyncio surface.  Concurrent
   ``await frontend.recommend(user)`` calls are coalesced by a single
   worker task into ``recommend_many`` batches (run in an executor so the
@@ -34,7 +34,6 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
-from repro.core.batch import batch_extract
 from repro.core.feature import SSFConfig, SSFExtractor
 from repro.graph.csr import CSRSnapshot
 from repro.recommend import LinkRecommender, Suggestion
@@ -77,7 +76,6 @@ class ServingRecommender:
         candidate_hops: int = 2,
         global_candidates: int = 20,
         cache: "FeatureCache | None" = None,
-        fingerprint: bool = False,
         verify: bool = False,
     ) -> None:
         if candidate_hops < 1:
@@ -90,7 +88,6 @@ class ServingRecommender:
         self.candidate_hops = candidate_hops
         self.global_candidates = global_candidates
         self.cache = cache if cache is not None else FeatureCache()
-        self.fingerprint = fingerprint or verify
         self.verify = verify
         self._extractor: "SSFExtractor | None" = None
         # per-snapshot-generation memos: hub pool + candidate pools are
@@ -280,9 +277,9 @@ class ServingRecommender:
 
         Per query the candidate pool is generated, each (user, candidate)
         pair is probed against the feature cache, and every miss across
-        ALL queries lands in one :func:`batch_extract` call reusing the
-        serving extractor's batched engine.  Fresh rows are cached with
-        the footprint the engine grew them on before scoring.
+        ALL queries lands in one ``extract_batch`` call on the serving
+        extractor's batched engine.  Fresh rows are cached with the
+        footprint the engine grew them on before scoring.
 
         ``rctx`` (lint R304) is the batch's primary trace context —
         normally the first live member request — and ``members`` the
@@ -361,14 +358,7 @@ class ServingRecommender:
 
             if missed:
                 footprints: list[np.ndarray] = []
-                fresh = batch_extract(
-                    snapshot,
-                    self.config,
-                    list(missed.values()),
-                    present_time=present,
-                    extractor=extractor,
-                    footprints=footprints,
-                )
+                fresh = extractor.extract_batch(list(missed.values()), footprints)
                 for key, row, footprint in zip(missed, fresh, footprints):
                     self.cache.put(
                         key,
@@ -376,7 +366,7 @@ class ServingRecommender:
                         frozenset(footprint.tolist()),
                         present,
                         snapshot=snapshot,
-                        fingerprint=self.fingerprint,
+                        fingerprint=self.verify,
                     )
                     cached[key] = row
 
@@ -637,12 +627,8 @@ class AsyncScoringFrontend:
     async def _do_ingest(self, job: _IngestJob) -> None:
         loop = asyncio.get_running_loop()
         # run_in_executor does not propagate contextvars, so the trace
-        # context crosses as an explicit kwarg (lint R304); identity-free
-        # jobs keep the bare call shape (duck-typed cores need not know)
-        if job.ctx is not None:
-            call = partial(self.recommender.ingest, job.events, rctx=job.ctx)
-        else:
-            call = partial(self.recommender.ingest, job.events)
+        # context crosses as an explicit kwarg (lint R304)
+        call = partial(self.recommender.ingest, job.events, rctx=job.ctx)
         try:
             dropped = await loop.run_in_executor(None, call)
         except Exception as exc:
@@ -664,16 +650,12 @@ class AsyncScoringFrontend:
         # end) and records every member's trace id for flow fan-out
         primary = next((job.ctx for job in live if job.ctx is not None), None)
         member_ids = [job.ctx.trace_id for job in live if job.ctx is not None]
-        if primary is not None:
-            call = partial(
-                self.recommender.recommend_many,
-                queries,
-                rctx=primary,
-                members=member_ids or None,
-            )
-        else:
-            # identity-free batch (tracing off): keep the bare call shape
-            call = partial(self.recommender.recommend_many, queries)
+        call = partial(
+            self.recommender.recommend_many,
+            queries,
+            rctx=primary,
+            members=member_ids or None,
+        )
         try:
             results = await loop.run_in_executor(None, call)
         except Exception as exc:

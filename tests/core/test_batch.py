@@ -16,12 +16,11 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.core.batch import batch_extract
 from repro.core.feature import ENTRY_MODES, SSFConfig, SSFExtractor
 from repro.core.palette_wl import palette_wl_order, palette_wl_order_many
 from repro.core.parallel import parallel_extract_batch
 from repro.core.structure import combine_structures
-from repro.core.subgraph import csr_h_hop_node_ids, h_hop_node_set
+from repro.core.subgraph import h_hop_node_set
 from repro.graph.csr import CSRSnapshot
 from repro.graph.temporal import DynamicNetwork
 from repro.obs.metrics import get_registry
@@ -34,6 +33,11 @@ def _random_network(rng: random.Random, n: int, m: int) -> DynamicNetwork:
         if u != v:
             links.append((f"n{u}", f"n{v}", float(rng.randint(1, 50))))
     return DynamicNetwork(links)
+
+
+def _snapshot_ids(snapshot: CSRSnapshot, nodes: set) -> np.ndarray:
+    """Sorted snapshot ids of a set of node labels."""
+    return np.array(sorted(snapshot.node_id(n) for n in nodes), dtype=np.int64)
 
 
 def _random_pairs(rng: random.Random, n: int, count: int) -> list:
@@ -132,13 +136,12 @@ class TestFootprints:
                     seen["missing"] += 1
                     continue
                 ks = reference.k_structure_subgraph(a, b)
-                a_id, b_id = snapshot.node_id(a), snapshot.node_id(b)
-                ball = csr_h_hop_node_ids(snapshot, a_id, b_id, ks.h)
+                ball = _snapshot_ids(snapshot, h_hop_node_set(network, a, b, ks.h))
                 assert np.array_equal(footprint, ball)
-                beyond = csr_h_hop_node_ids(snapshot, a_id, b_id, ks.h + 1)
+                beyond = h_hop_node_set(network, a, b, ks.h + 1)
                 if ks.number_selected() >= config.k:
                     seen["reached_k"] += 1
-                elif beyond.size == ball.size:
+                elif len(beyond) == ball.size:
                     seen["exhausted"] += 1
                 else:
                     assert ks.h == config.max_hop
@@ -146,29 +149,22 @@ class TestFootprints:
         assert all(seen.values()), seen
 
     def test_batch_extract_reports_the_same_footprints(self):
+        """Serving reuses one extractor across batches: a second call on
+        the same engine, and an extractor over the unfrozen network,
+        report the first call's rows and footprints."""
         rng = random.Random(67)
         network = _random_network(rng, 40, 100)
         snapshot = CSRSnapshot.from_dynamic(network)
         pairs = _random_pairs(rng, 40, 10) + [("ghost", "n1")]
         config = SSFConfig(k=6)
+        extractor = SSFExtractor(snapshot, config, backend="csr")
         direct: list = []
-        rows = SSFExtractor(snapshot, config, backend="csr").extract_batch(
-            pairs, direct
-        )
-        for extractor in (None, SSFExtractor(snapshot, config, backend="csr")):
+        rows = extractor.extract_batch(pairs, direct)
+        for again in (extractor, SSFExtractor(network, config, backend="csr")):
             served: list = []
-            got = batch_extract(
-                snapshot,
-                config,
-                pairs,
-                backend="csr",
-                extractor=extractor,
-                footprints=served,
-            )
+            got = again.extract_batch(pairs, served)
             assert got.tobytes() == rows.tobytes()
             assert [f.tolist() for f in served] == [f.tolist() for f in direct]
-        with pytest.raises(ValueError, match="one entry mode"):
-            batch_extract(snapshot, config, pairs, modes=("count",), footprints=[])
 
     def test_dict_backend_refuses_footprints(self):
         network = _random_network(random.Random(71), 10, 20)
@@ -226,27 +222,31 @@ class TestBatchEdgeCases:
 
 
 class TestBatchExtractEntry:
-    """Module-level ``batch_extract`` dispatch (R201/R202 plumbing)."""
+    """``SSFExtractor.extract_batch`` / ``extract_multi_batch`` dispatch
+    over every ``backend`` value."""
 
     def test_backends_agree(self):
         rng = random.Random(23)
         network = _random_network(rng, 40, 120)
         pairs = _random_pairs(rng, 40, 10)
-        ref = batch_extract(network, pairs=pairs, backend="dict")
-        got = batch_extract(network, pairs=pairs, backend="csr")
-        auto = batch_extract(network, pairs=pairs, backend="auto")
-        assert np.array_equal(ref, got)
-        assert np.array_equal(ref, auto)
+
+        def rows(backend: str) -> np.ndarray:
+            return SSFExtractor(network, SSFConfig(), backend=backend).extract_batch(
+                pairs
+            )
+
+        ref = rows("dict")
+        assert np.array_equal(ref, rows("csr"))
+        assert np.array_equal(ref, rows("auto"))
 
     def test_modes_return_per_mode_dict(self):
         rng = random.Random(29)
         network = _random_network(rng, 30, 90)
         pairs = _random_pairs(rng, 30, 6)
-        out = batch_extract(
-            network, pairs=pairs, modes=("temporal", "binary"), backend="csr"
-        )
+        extractor = SSFExtractor(network, SSFConfig(), backend="csr")
+        out = extractor.extract_multi_batch(pairs, ("temporal", "binary"))
         assert set(out) == {"temporal", "binary"}
-        single = batch_extract(network, pairs=pairs, backend="csr")
+        single = extractor.extract_batch(pairs)
         assert np.array_equal(out["temporal"], single)
 
 
@@ -283,6 +283,41 @@ class TestFeatureSpanCount:
         )
         assert histograms["span.feature.temporal"]["count"] == 1
         assert histograms["span.feature.binary"]["count"] == 1
+
+
+class TestStageSpans:
+    """The engine's growth and combination spans time disjoint work."""
+
+    def test_growth_and_combination_do_not_overlap(self):
+        rng = random.Random(43)
+        network = _random_network(rng, 60, 180)
+        pairs = _random_pairs(rng, 60, 20)
+        extractor = SSFExtractor(
+            CSRSnapshot.from_dynamic(network), SSFConfig(k=6), backend="csr"
+        )
+        obs.drain_span_records()
+        obs.enable()
+        obs.record_spans(True)
+        try:
+            extractor.extract_batch(pairs)
+            records = obs.drain_span_records()
+        finally:
+            obs.record_spans(False)
+            obs.disable()
+            get_registry().reset()
+
+        def total(name: str) -> float:
+            return sum(r["dur"] for r in records if r["name"] == name)
+
+        assert not [
+            r["path"]
+            for r in records
+            if "subgraph_growth/structure_combination" in r["path"]
+        ]
+        growth = total("subgraph_growth")
+        combination = total("structure_combination")
+        assert growth > 0 and combination > 0
+        assert growth + combination <= total("feature.temporal")
 
 
 class TestBallReuse:

@@ -146,11 +146,8 @@ class TestPoolThresholds:
         )
         assert np.array_equal(sequential, pooled)
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MIN_PAIRS_FOR_POOL", raising=False)
+    def test_env_override(self):
         assert min_pairs_for_pool() == MIN_PAIRS_FOR_POOL
-        monkeypatch.setenv("REPRO_MIN_PAIRS_FOR_POOL", "7")
-        assert min_pairs_for_pool() == 7
         assert min_pairs_for_pool(99) == 99
 
     def test_negative_override_rejected(self):

@@ -1,7 +1,5 @@
 """Tests for structure combination (Algorithm 1, Defs. 4–6)."""
 
-import math
-
 import pytest
 
 from repro.core.structure import StructureNode, combine_structures
@@ -193,24 +191,6 @@ class TestDistances:
         leaves_b = sub.structure_node_of("D")
         # D is 2 hops from A (via... A-C-B? no: A-C, C-B, B-D -> 3)
         assert from_a[leaves_b] == 3
-
-    def test_weighted_distances(self, fig3_network):
-        nodes = h_hop_node_set(fig3_network, "A", "B", 2)
-        sub = combine_structures(fig3_network, nodes, "A", "B")
-        dist = sub.weighted_distances_from(0, lambda i, j: 0.5)
-        c_idx = sub.structure_node_of("C")
-        assert dist[c_idx] == pytest.approx(0.5)
-
-    def test_weighted_distances_unreachable(self, two_components):
-        sub = combine_structures(two_components, {"a", "b", "c", "d"}, "a", "b")
-        dist = sub.weighted_distances_from(0, lambda i, j: 1.0)
-        assert math.isinf(dist[sub.structure_node_of("c")])
-
-    def test_weighted_rejects_bad_length(self, fig3_network):
-        nodes = h_hop_node_set(fig3_network, "A", "B", 1)
-        sub = combine_structures(fig3_network, nodes, "A", "B")
-        with pytest.raises(ValueError):
-            sub.weighted_distances_from(0, lambda i, j: 0.0)
 
     def test_bad_start_index(self, fig3_network):
         nodes = h_hop_node_set(fig3_network, "A", "B", 1)

@@ -165,7 +165,7 @@ class TestBadInput:
         import repro.cli as cli
 
         calls = []
-        for command in ("profile", "table3"):
+        for command in cli._HANDLERS:
             monkeypatch.setitem(
                 cli._HANDLERS, command, lambda args: calls.append(args) or ""
             )
@@ -215,3 +215,43 @@ class TestBadInput:
         ])
         assert code == 0
         assert len(handler_calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table3", "--methods", "BOGUS"],
+            ["table3", "--methods", "CN", "BOGUS"],
+            ["ksweep", "--method", "BOGUS"],
+            ["crossval", "--method", "BOGUS"],
+        ],
+    )
+    def test_unknown_method_name(self, capsys, handler_calls, argv):
+        err = self._assert_usage_error(
+            capsys, handler_calls, argv + ["--dataset", "contact"]
+        )
+        assert "unknown method 'BOGUS'" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table3", "--dataset", "contact", "--k", "2"],
+            ["ksweep", "--dataset", "contact", "--ks", "5", "2"],
+            ["crossval", "--dataset", "contact", "--k", "2"],
+            ["report", "--dataset", "contact", "--k", "2"],
+            ["patterns", "--dataset", "contact", "--k", "2"],
+            ["recommend", "--dataset", "contact", "--user", "1", "--k", "2"],
+            ["stream", "--dataset", "contact", "--k", "2"],
+            ["profile", "--dataset", "contact", "--k", "2"],
+            ["bench", "--k", "2"],
+            ["serve", "--replay", "--nodes", "100", "--k", "2"],
+        ],
+    )
+    def test_k_below_three(self, capsys, handler_calls, argv):
+        err = self._assert_usage_error(capsys, handler_calls, argv)
+        assert "must be >= 3, got 2" in err
+
+    def test_serve_requires_replay(self, capsys, handler_calls):
+        err = self._assert_usage_error(
+            capsys, handler_calls, ["serve", "--nodes", "100"]
+        )
+        assert "--replay" in err

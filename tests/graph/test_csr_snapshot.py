@@ -156,16 +156,6 @@ class TestInfluenceTable:
             if not was_enabled:
                 obs.disable()
 
-    def test_cache_capacity_env_override(self, network, monkeypatch):
-        monkeypatch.setenv("REPRO_CSR_INFLUENCE_CACHE", "2")
-        snap = CSRSnapshot.from_dynamic(network)
-        for step in range(5):
-            snap.influence_table(10.0 + step, 0.5)
-        assert len(snap._influence_tables) == 2
-        monkeypatch.setenv("REPRO_CSR_INFLUENCE_CACHE", "not-a-number")
-        snap.influence_table(99.0, 0.5)  # falls back to the default bound
-        assert len(snap._influence_tables) == 3
-
 
 class TestNeighborConcatenation:
     def test_matches_per_row_concat(self, network):

@@ -131,11 +131,13 @@ def test_max_hop_parity():
 
 
 def test_auto_backend_threshold(monkeypatch):
+    import repro.core.feature as feature
+
     network = _random_network(0, 25, 100, 12)
-    monkeypatch.setenv("REPRO_AUTO_CSR_MIN_LINKS", "1")
+    monkeypatch.setattr(feature, "AUTO_CSR_MIN_LINKS", 1)
     assert SSFExtractor(network, SSFConfig(k=6), backend="auto").backend == "csr"
-    monkeypatch.setenv(
-        "REPRO_AUTO_CSR_MIN_LINKS", str(network.number_of_links() + 1)
+    monkeypatch.setattr(
+        feature, "AUTO_CSR_MIN_LINKS", network.number_of_links() + 1
     )
     assert SSFExtractor(network, SSFConfig(k=6), backend="auto").backend == "dict"
 

@@ -147,6 +147,17 @@ class TestProfileWorkload:
         run_extraction_profile(network, k=8, n_pairs=4)
         assert not obs.enabled()
 
+    def test_profile_times_one_batched_call(self):
+        """Above the auto-csr threshold the profile runs the batched
+        engine once, not per-pair ``extract()``."""
+        from repro.core.feature import AUTO_CSR_MIN_LINKS
+
+        large = get_dataset("co-author").generate(seed=0, scale=1.0)
+        assert large.number_of_links() >= AUTO_CSR_MIN_LINKS
+        run_extraction_profile(large, k=8, n_pairs=10)
+        histograms = get_registry().snapshot()["histograms"]
+        assert histograms["span.feature.temporal"]["count"] == 1
+
 
 class TestCliObservability:
     def _run(self, capsys, *argv):

@@ -114,33 +114,6 @@ class TestDeltaBitIdentity:
         )
 
 
-class TestInfluenceCarryForward:
-    def test_tables_bit_identical(self):
-        events = random_events(20, 120, 10, seed=5)
-        delta = DeltaCSRSnapshot.from_dynamic(DynamicNetwork(events[:80]))
-        # warm two cached tables on the seed snapshot
-        seeded = delta.snapshot()
-        seeded.influence_table(1e6, 0.5)
-        seeded.influence_table(1e6, 0.25)
-        delta.apply(events[80:])
-        merged = delta.snapshot()
-        carried = dict(merged._influence_tables)
-        assert set(carried) == {(1e6, 0.5), (1e6, 0.25)}
-        fresh = CSRSnapshot.from_dynamic(DynamicNetwork(events))
-        for (present, theta), table in carried.items():
-            assert np.array_equal(table, fresh.influence_table(present, theta))
-
-    def test_postdated_key_dropped(self):
-        """A key whose present predates a new stamp must not survive —
-        a fresh build would refuse to evaluate it."""
-        delta = DeltaCSRSnapshot.from_dynamic(
-            DynamicNetwork([("a", "b", 1.0), ("b", "c", 2.0)])
-        )
-        delta.snapshot().influence_table(3.0, 0.5)
-        delta.apply([("a", "c", 10.0)])  # stamp postdates present=3.0
-        assert (3.0, 0.5) not in delta.snapshot()._influence_tables
-
-
 class TestDecayedInfluenceIndex:
     def test_matches_explicit_sum(self):
         index = DecayedInfluenceIndex(theta=0.5)

@@ -154,9 +154,9 @@ class TestAsyncFrontend:
         batch_sizes = []
         inner = serving.recommend_many
 
-        def spy(queries):
+        def spy(queries, **kwargs):
             batch_sizes.append(len(queries))
-            return inner(queries)
+            return inner(queries, **kwargs)
 
         serving.recommend_many = spy
 
@@ -190,7 +190,7 @@ class TestAsyncFrontend:
         serving = ServingRecommender.from_recommender(offline)
         calls = []
 
-        def slow(queries):
+        def slow(queries, **kwargs):
             calls.append(len(queries))
             time.sleep(0.25)
             return [[] for _ in queries]

@@ -127,18 +127,18 @@ class TestFrontendTrace:
         names = {r["name"] for r in trace}
         assert {"serve.ingest", "serve.delta_apply", "serve.cache_invalidate"} <= names
 
-    def test_tracing_disabled_keeps_bare_call_shape(self, offline):
-        # duck-typed cores (tests monkeypatch recommend_many with a
-        # positional-only spy) must keep working when tracing is off
+    def test_tracing_disabled_passes_no_trace_context(self, offline):
+        # with tracing off the batch carries no trace identity: the
+        # frontend still passes rctx= and members=, both None
         obs.disable()
         obs.record_spans(False)
         serving = ServingRecommender.from_recommender(offline)
         calls = []
         inner = serving.recommend_many
 
-        def spy(queries):  # no **kwargs on purpose
-            calls.append(len(queries))
-            return inner(queries)
+        def spy(queries, *, rctx, members):
+            calls.append((rctx, members))
+            return inner(queries, rctx=rctx, members=members)
 
         serving.recommend_many = spy
 
@@ -147,7 +147,7 @@ class TestFrontendTrace:
                 return await frontend.recommend("n4", top_n=3)
 
         asyncio.run(scenario())
-        assert calls  # the spy was used, bare call shape preserved
+        assert calls == [(None, None)]
 
 
 @pytest.fixture(scope="module")
