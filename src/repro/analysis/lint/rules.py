@@ -1852,6 +1852,50 @@ class AccumulationDtypeRule(Rule):
         walk(ctx.tree, set(), set(), 0)
 
 
+class HashSetOpRule(Rule):
+    """R604: no hash-based set operations on integer node/edge codes.
+
+    Since numpy 2.3 a ``np.unique`` that returns only the values goes
+    through a hash table, and ``union1d``/``setdiff1d``/``intersect1d``
+    call it.  On the engine's nearly sorted integer codes that path is
+    one to two orders of magnitude slower than
+    :func:`repro.graph.csr.sorted_unique` (a stable sort plus a neighbour
+    mask) with the same output.  A ``return_*`` keyword sends
+    ``np.unique`` down numpy's sort path, so such calls are not flagged.
+    """
+
+    id = "R604"
+    name = "hash-set-op"
+    summary = "hash-based np.unique/union1d/setdiff1d/intersect1d"
+    scope = ("repro.core", "repro.graph", "repro.serve")
+
+    _SET_OPS = frozenset({"union1d", "setdiff1d", "intersect1d"})
+
+    def visit_Call(self, ctx: ModuleContext, node: ast.Call) -> None:
+        func = node.func
+        if not (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in ("np", "numpy")
+        ):
+            return
+        if func.attr == "unique":
+            if any(
+                kw.arg is not None and kw.arg.startswith("return_")
+                for kw in node.keywords
+            ):
+                return
+        elif func.attr not in self._SET_OPS:
+            return
+        ctx.report(
+            self,
+            node,
+            f"np.{func.attr}() de-duplicates through numpy's hash table; "
+            "use sorted_unique from repro.graph.csr (plus a searchsorted "
+            "membership test for a difference or intersection)",
+        )
+
+
 class RelaxedUnseededRandomRule(UnseededRandomRule):
     """R103 under the relaxed profile (scripts/benchmarks/tests).
 
@@ -1916,6 +1960,7 @@ _RULE_CLASSES: tuple[type[Rule], ...] = (
     Int32WideningRule,
     StableSortRule,
     AccumulationDtypeRule,
+    HashSetOpRule,
 )
 
 # The relaxed profile for scripts/benchmarks/tests: style rules stay

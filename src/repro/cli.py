@@ -89,6 +89,17 @@ def _k_value(text: str) -> int:
     return _int_at_least(text, 3)
 
 
+def _scale(text: str) -> float:
+    """argparse ``type=``: a catalog dataset scale in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
 def _method_name(text: str) -> str:
     """argparse ``type=``: a Table III method name."""
     try:
@@ -129,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--span", type=int, help="normalise file timestamps onto 1..SPAN"
         )
         sub.add_argument(
-            "--scale", type=float, default=1.0, help="dataset scale (0, 1]"
+            "--scale", type=_scale, default=1.0, help="dataset scale (0, 1]"
         )
         sub.add_argument("--seed", type=int, default=0, help="generation seed")
 
@@ -200,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands.add_parser("table1", help="Table I feature comparison")
 
     sub = commands.add_parser("table2", help="Table II dataset statistics")
-    sub.add_argument("--scale", type=float, default=1.0)
+    sub.add_argument("--scale", type=_scale, default=1.0)
     sub.add_argument("--seed", type=int, default=0)
 
     sub = commands.add_parser("table3", help="Table III link prediction")
@@ -491,9 +502,7 @@ def _load_network(args: argparse.Namespace) -> tuple[str, DynamicNetwork]:
             network.number_of_links(),
         )
         return args.file, network
-    name = getattr(args, "dataset", None)
-    if not name:
-        raise SystemExit("error: provide --dataset or --file")
+    name = args.dataset
     network = get_dataset(name).generate(seed=args.seed, scale=args.scale)
     _LOG.info(
         "generated %s (scale=%g, seed=%d): %d nodes, %d links",
@@ -514,6 +523,37 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
         max_positives=max_positives,
         n_jobs=getattr(args, "n_jobs", 1),
     )
+
+
+class _UsageError(Exception):
+    """Bad input a handler can only detect after loading the network;
+    :func:`main` reports it like an argparse error (exit 2)."""
+
+
+def _run_report_mode(args: argparse.Namespace) -> bool:
+    """``repro report`` joins observability artefacts instead of walking
+    through a dataset when any artefact flag is given."""
+    return bool(
+        args.metrics
+        or args.checkpoint
+        or args.bench
+        or args.bench_history
+        or args.profile
+    )
+
+
+def _needs_network_flag(args: argparse.Namespace) -> bool:
+    """Whether the command loads one network but got neither
+    ``--dataset`` nor ``--file``."""
+    if not hasattr(args, "dataset") or args.dataset or args.file:
+        return False
+    if args.command == "table3":
+        return False  # no dataset: every catalog network
+    if args.command == "serve":
+        return not args.nodes
+    if args.command == "report":
+        return not _run_report_mode(args)
+    return True
 
 
 def _cmd_stats(args: argparse.Namespace) -> str:
@@ -537,8 +577,6 @@ def _cmd_table2(args: argparse.Namespace) -> str:
 
 
 def _cmd_table3(args: argparse.Namespace) -> str:
-    import os
-
     from repro.experiments.runner import table3_manifest
     from repro.robust.checkpoint import RunCheckpoint
 
@@ -546,11 +584,6 @@ def _cmd_table3(args: argparse.Namespace) -> str:
     checkpoint_dir = args.resume or args.checkpoint_dir
     checkpoint = None
     if checkpoint_dir:
-        if args.resume and not os.path.isdir(args.resume):
-            raise SystemExit(
-                f"error: --resume directory {args.resume!r} does not exist "
-                "(use --checkpoint-dir to start a fresh checkpointed run)"
-            )
         checkpoint = RunCheckpoint(checkpoint_dir)
         checkpoint.ensure_manifest(
             table3_manifest(
@@ -628,15 +661,7 @@ def _cmd_crossval(args: argparse.Namespace) -> str:
 def _cmd_report(args: argparse.Namespace) -> str:
     from repro.experiments.report import generate_report
 
-    # run-report mode: any observability artefact flag switches the
-    # command from the dataset walkthrough to the artefact joiner
-    if (
-        args.metrics
-        or args.checkpoint
-        or args.bench
-        or args.bench_history
-        or args.profile
-    ):
+    if _run_report_mode(args):
         from repro.obs.report import run_report
 
         report = run_report(
@@ -667,9 +692,6 @@ def _cmd_recommend(args: argparse.Namespace) -> str:
     from repro.recommend import LinkRecommender
 
     name, network = _load_network(args)
-    recommender = LinkRecommender.fit(
-        network, config=SSFConfig(k=args.k), model=args.model, seed=args.seed
-    )
     # node labels are strings after file IO; try both forms for catalogs
     user = args.user
     if not network.has_node(user):
@@ -680,7 +702,10 @@ def _cmd_recommend(args: argparse.Namespace) -> str:
         if candidate is not None and network.has_node(candidate):
             user = candidate
         else:
-            raise SystemExit(f"error: node {args.user!r} not in {name}")
+            raise _UsageError(f"--user {args.user}: node not in {name}")
+    recommender = LinkRecommender.fit(
+        network, config=SSFConfig(k=args.k), model=args.model, seed=args.seed
+    )
     suggestions = recommender.recommend(user, top_n=args.top)
     lines = [f"top {args.top} suggestions for {user!r} on {name}:"]
     lines.extend(f"  {s.node!r}  score={s.score:.3f}" for s in suggestions)
@@ -858,6 +883,13 @@ def main(argv: "Sequence[str] | None" = None) -> int:
             "`repro serve` currently requires --replay (the live socket "
             "front-end is the replay harness's production twin)"
         )
+    if _needs_network_flag(args):
+        parser.error(f"`repro {args.command}` needs --dataset or --file")
+    if getattr(args, "resume", None) and not os.path.isdir(args.resume):
+        parser.error(
+            f"--resume {args.resume}: directory does not exist (use "
+            "--checkpoint-dir to start a fresh checkpointed run)"
+        )
     for flag in _OUTPUT_PATH_FLAGS:
         path = getattr(args, flag, None)
         if path:
@@ -912,7 +944,10 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         obs.heartbeat_tick(args.command, force=True)
     exit_code = 0
     try:
-        result = _HANDLERS[args.command](args)
+        try:
+            result = _HANDLERS[args.command](args)
+        except _UsageError as exc:
+            parser.error(str(exc))
         # handlers return the report text, or (text, exit_code) when the
         # command's outcome must be visible to the shell (e.g. lint)
         if isinstance(result, tuple):

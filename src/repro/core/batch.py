@@ -62,6 +62,7 @@ from repro.graph.csr import (
     CSRSnapshot,
     concatenate_neighbor_slices,
     concatenate_neighbor_slices_with_slots,
+    sorted_unique,
 )
 from repro.obs import enabled as obs_enabled, incr, observe_many, span
 
@@ -915,14 +916,14 @@ class BatchExtractionEngine:
         ``parts[i]`` belongs to pair ``owner[i]``; the merge of each
         pair's piles is one slice of the returned globally sorted key
         array (keys are ``pair * |V| + node`` — subtract the pair offset
-        to recover node ids).  One global ``np.unique`` replaces a
-        Python-level unique/union call per pair.
+        to recover node ids).  One global :func:`sorted_unique` replaces
+        a Python-level unique/union call per pair.
         """
         n_nodes = self._snapshot.number_of_nodes()
         sizes = np.array([part.size for part in parts], dtype=np.int64)
         cat = np.concatenate(parts) if parts else _EMPTY_LEVEL
         owners = np.repeat(np.array(owner, dtype=np.int64), sizes)
-        merged = np.unique(owners * n_nodes + cat)
+        merged = sorted_unique(owners * n_nodes + cat)
         bounds = np.searchsorted(
             merged, np.arange(n_pairs + 1, dtype=np.int64) * n_nodes
         )
@@ -968,7 +969,7 @@ class BatchExtractionEngine:
             neighbors = concatenate_neighbor_slices(snapshot, frontier)
             tokens = np.array([ball.token for ball in need], dtype=np.int64)
             fresh = visited[neighbors] != tokens[owner]
-            claim = np.unique(owner[fresh] * n_nodes + neighbors[fresh])
+            claim = sorted_unique(owner[fresh] * n_nodes + neighbors[fresh])
             claim_owner = claim // n_nodes
             claim_node = claim % n_nodes
             visited[claim_node] = tokens[claim_owner]
@@ -1064,7 +1065,7 @@ class BatchExtractionEngine:
             dst_group = grp_row[kept_dst_row]
             distinct = src_group != dst_group
             codes = src_group[distinct] * n_groups_total + dst_group[distinct]
-            unique_codes = np.unique(codes)
+            unique_codes = sorted_unique(codes)
             adj_src = unique_codes // n_groups_total
             adj_dst = unique_codes % n_groups_total
             adj_indptr = np.searchsorted(

@@ -21,7 +21,7 @@ from typing import Callable, Hashable, TypeAlias
 import numpy as np
 
 from repro.core.distance import distances_to_link
-from repro.graph.csr import concatenate_neighbor_slices
+from repro.graph.csr import concatenate_neighbor_slices, sorted_unique
 from repro.core.palette_wl import palette_wl_order
 from repro.core.structure import (
     CSRStructureSubgraph,
@@ -224,7 +224,7 @@ def _grow_csr(
         fresh = neighbors[dist[neighbors] == -1]
         if fresh.size == 0:
             return np.zeros(0, dtype=np.int64)
-        fresh = np.unique(fresh).astype(np.int64)
+        fresh = sorted_unique(fresh).astype(np.int64)
         dist[fresh] = depth
         return fresh
 

@@ -37,6 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.core.structure import StructureSubgraph
+from repro.graph.csr import sorted_unique
 from repro.obs import enabled as obs_enabled, incr, observe, observe_many, span
 from repro.utils.primes import nth_prime
 
@@ -223,7 +224,7 @@ def flat_hop_distances(
         fresh = neighbors[dist[neighbors] == -1]
         if fresh.size == 0:
             break
-        fresh = np.unique(fresh)
+        fresh = sorted_unique(fresh)
         dist[fresh] = depth
         frontier = fresh
     return dist

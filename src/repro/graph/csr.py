@@ -442,6 +442,24 @@ class SharedSnapshotHandle:
             self._shm = None
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The sorted distinct entries of a 1-D integer array.
+
+    Same values and dtype as ``np.unique(values)``, which since numpy 2.3
+    de-duplicates through a hash table (as do ``union1d`` and
+    ``setdiff1d``, which call it).  A stable sort plus a neighbour mask
+    beats that path several times over on random integers, and by one to
+    two orders of magnitude on the nearly sorted node and edge codes the
+    engine builds, where the stable sort runs close to linear time.  The
+    sorted set of an integer array depends only on its values, so the two
+    agree bit for bit.
+    """
+    ordered = np.sort(values, kind="stable")
+    keep = np.ones(ordered.size, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
+
+
 def concatenate_neighbor_slices(
     snapshot: CSRSnapshot, frontier: np.ndarray
 ) -> np.ndarray:

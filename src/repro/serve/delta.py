@@ -37,7 +37,11 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from repro.core.influence import DEFAULT_THETA, _check_theta
-from repro.graph.csr import CSRSnapshot, concatenate_neighbor_slices
+from repro.graph.csr import (
+    CSRSnapshot,
+    concatenate_neighbor_slices,
+    sorted_unique,
+)
 from repro.graph.temporal import DynamicNetwork, median_timestamp_gap
 from repro.obs import get_logger, incr, observe, span
 
@@ -445,7 +449,12 @@ def hop_ball(snapshot: CSRSnapshot, node_id: int, hops: int) -> np.ndarray:
     for _ in range(hops):
         if not frontier.size:
             break
-        neighbors = concatenate_neighbor_slices(snapshot, frontier)
-        frontier = np.setdiff1d(neighbors.astype(np.int64), seen)
-        seen = np.union1d(seen, frontier)
+        reached = sorted_unique(
+            concatenate_neighbor_slices(snapshot, frontier)
+        ).astype(np.int64)
+        # ``seen`` is sorted and never empty, so one searchsorted probe
+        # tells each reached node whether it is already in the ball
+        probe = np.minimum(np.searchsorted(seen, reached), seen.size - 1)
+        frontier = reached[seen[probe] != reached]
+        seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
     return seen

@@ -391,6 +391,50 @@ def test_r401_allows_int_equality_and_comparisons() -> None:
 
 
 # ----------------------------------------------------------------------
+# R604 hash-set-op
+# ----------------------------------------------------------------------
+def test_r604_flags_bare_unique_and_set_ops() -> None:
+    bad = """
+    import numpy as np
+
+    def merge(a, b, options):
+        codes = np.unique(a)
+        forwarded = np.unique(a, **options)
+        joined = np.union1d(a, b)
+        missing = np.setdiff1d(a, b)
+        shared = numpy.intersect1d(a, b)
+        return codes, forwarded, joined, missing, shared
+    """
+    violations = run(bad, "R604")
+    assert [v.line for v in violations] == [5, 6, 7, 8, 9]
+    assert all("sorted_unique" in v.message for v in violations)
+    assert "np.setdiff1d()" in violations[3].message
+
+
+def test_r604_covers_graph_and_serve() -> None:
+    bad = "import numpy as np\nball = np.union1d(seen, frontier)\n"
+    assert len(run(bad, "R604", path=GRAPH)) == 1
+    assert len(run(bad, "R604", path="src/repro/serve/sample.py")) == 1
+
+
+def test_r604_allows_sort_path_unique_and_the_helper() -> None:
+    good = """
+    import numpy as np
+    from repro.graph.csr import sorted_unique
+
+    def stamps(ts, codes):
+        values, inverse = np.unique(ts, return_inverse=True)
+        counted = np.unique(codes, return_counts=True)
+        return values, inverse, counted, sorted_unique(codes)
+    """
+    assert run(good, "R604") == []
+
+
+def test_r604_out_of_scope_module_is_exempt() -> None:
+    assert run("import numpy as np\nd = np.unique(s)\n", "R604", path=EXPERIMENTS) == []
+
+
+# ----------------------------------------------------------------------
 # catalog
 # ----------------------------------------------------------------------
 def test_every_rule_id_is_unique_and_catalogued() -> None:

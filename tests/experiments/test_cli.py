@@ -255,3 +255,77 @@ class TestBadInput:
             capsys, handler_calls, ["serve", "--nodes", "100"]
         )
         assert "--replay" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats", "--dataset", "contact", "--scale", "0"],
+            ["stats", "--dataset", "contact", "--scale", "1.5"],
+            ["stats", "--dataset", "contact", "--scale", "nan"],
+            ["profile", "--dataset", "contact", "--scale", "-1"],
+            ["table3", "--dataset", "contact", "--scale", "2"],
+            ["table2", "--scale", "0"],
+        ],
+    )
+    def test_scale_outside_unit_interval(self, capsys, handler_calls, argv):
+        err = self._assert_usage_error(capsys, handler_calls, argv)
+        assert "--scale" in err
+        assert "(0, 1]" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stats"],
+            ["ksweep"],
+            ["patterns"],
+            ["crossval"],
+            ["report"],
+            ["recommend", "--user", "1"],
+            ["stream"],
+            ["profile"],
+            ["serve", "--replay"],
+        ],
+    )
+    def test_missing_dataset_and_file(self, capsys, handler_calls, argv):
+        err = self._assert_usage_error(capsys, handler_calls, argv)
+        assert "--dataset or --file" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table3"],
+            ["report", "--metrics", "m.json"],
+            ["serve", "--replay", "--nodes", "100"],
+            ["stats", "--file", "net.tsv", "--scale", "1"],
+        ],
+    )
+    def test_commands_that_need_no_dataset_reach_the_handler(
+        self, handler_calls, argv
+    ):
+        assert main(argv) == 0
+        assert len(handler_calls) == 1
+
+    def test_resume_into_missing_directory(self, capsys, handler_calls, tmp_path):
+        missing = tmp_path / "missing"
+        err = self._assert_usage_error(
+            capsys,
+            handler_calls,
+            ["table3", "--dataset", "contact", "--resume", str(missing)],
+        )
+        assert "--resume" in err
+        assert not missing.exists()
+
+    def test_unknown_recommend_user(self, capsys):
+        # the handler has to load the network before it can check the node
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "recommend",
+                "--dataset", "co-author",
+                "--scale", "0.1",
+                "--user", "definitely-not-a-node",
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "repro: error: --user definitely-not-a-node: node not in co-author"
+        ]

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from repro.core.influence import influence_array, normalized_influence
-from repro.graph.csr import CSRSnapshot, concatenate_neighbor_slices
+from repro.graph.csr import CSRSnapshot, concatenate_neighbor_slices, sorted_unique
 from repro.graph.temporal import DynamicNetwork
 
 
@@ -175,3 +177,33 @@ class TestNeighborConcatenation:
         assert concatenate_neighbor_slices(
             snap, np.zeros(0, dtype=np.int64)
         ).size == 0
+
+
+@st.composite
+def integer_arrays(draw):
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    info = np.iinfo(dtype)
+    values = draw(
+        st.lists(
+            st.one_of(st.integers(-3, 3), st.integers(int(info.min), int(info.max))),
+            max_size=60,
+        )
+    )
+    return np.array(values * draw(st.integers(1, 3)), dtype=dtype)
+
+
+class TestSortedUnique:
+    @given(integer_arrays())
+    @example(np.zeros(0, dtype=np.int32))
+    @example(np.zeros(0, dtype=np.int64))
+    @example(np.array([-5], dtype=np.int32))
+    @example(np.array([7], dtype=np.int64))
+    @example(np.full(9, -2, dtype=np.int32))
+    @example(np.full(9, 2**40, dtype=np.int64))
+    def test_matches_np_unique(self, values):
+        before = values.copy()
+        got = sorted_unique(values)
+        expected = np.unique(values)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+        assert np.array_equal(values, before)  # the input is not sorted in place

@@ -189,21 +189,26 @@ class TestHopBall:
     def test_matches_bfs_reference(self):
         events = random_events(15, 40, 5, seed=9)
         network = DynamicNetwork(events)
+        network.add_node("isolated")
         snapshot = CSRSnapshot.from_dynamic(network)
-        start = network.nodes[0]
-        # dict-side BFS reference
-        frontier, seen = {start}, {start}
-        for _ in range(2):
-            nxt = set()
-            for node in frontier:
-                for nb in network.neighbors(node):
-                    if nb not in seen:
-                        seen.add(nb)
-                        nxt.add(nb)
-            frontier = nxt
-        expected = sorted(snapshot.node_id(n) for n in seen)
-        got = hop_ball(snapshot, snapshot.node_id(start), 2)
-        assert got.tolist() == expected
+        for start in network.nodes:
+            # dict-side BFS reference, one hop at a time
+            frontier, seen = {start}, {start}
+            for hops in range(4):
+                expected = sorted(snapshot.node_id(n) for n in seen)
+                got = hop_ball(snapshot, snapshot.node_id(start), hops)
+                assert got.dtype == np.int64
+                assert got.tolist() == expected, (start, hops)
+                nxt = set()
+                for node in frontier:
+                    for nb in network.neighbors(node):
+                        if nb not in seen:
+                            seen.add(nb)
+                            nxt.add(nb)
+                frontier = nxt
+        assert hop_ball(snapshot, snapshot.node_id("isolated"), 3).tolist() == [
+            snapshot.node_id("isolated")
+        ]
 
     def test_zero_hops(self):
         snapshot = CSRSnapshot.from_dynamic(DynamicNetwork([("a", "b", 1.0)]))
