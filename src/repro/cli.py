@@ -89,14 +89,37 @@ def _k_value(text: str) -> int:
     return _int_at_least(text, 3)
 
 
-def _scale(text: str) -> float:
-    """argparse ``type=``: a catalog dataset scale in (0, 1]."""
+def _float_value(text: str) -> float:
+    """Parse a float for an argparse ``type=``."""
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _scale(text: str) -> float:
+    """argparse ``type=``: a catalog dataset scale in (0, 1]."""
+    value = _float_value(text)
     if not 0.0 < value <= 1.0:
         raise argparse.ArgumentTypeError(f"must be in (0, 1], got {text}")
+    return value
+
+
+def _warmup_fraction(text: str) -> float:
+    """argparse ``type=``: ``stream --warmup`` in [0, 1), as
+    :func:`~repro.streaming.prequential.prequential_evaluate` requires."""
+    value = _float_value(text)
+    if not 0.0 <= value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
+    return value
+
+
+def _event_fraction(text: str) -> float:
+    """argparse ``type=``: ``serve --event-fraction`` in (0, 1), as
+    :func:`~repro.serve.replay.split_replay_stream` requires."""
+    value = _float_value(text)
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
     return value
 
 
@@ -145,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--seed", type=int, default=0, help="generation seed")
 
     def add_experiment_args(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--epochs", type=int, default=120)
+        sub.add_argument("--epochs", type=_positive_int, default=120)
         sub.add_argument("--k", type=_k_value, default=10)
         sub.add_argument(
             "--max-positives",
@@ -155,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--n-jobs",
-            type=int,
+            type=_positive_int,
             default=1,
             help="worker processes for SSF feature extraction",
         )
@@ -249,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = commands.add_parser("patterns", help="Fig. 6 panel: frequent pattern")
     add_dataset_args(sub)
-    sub.add_argument("--samples", type=int, default=2000)
+    sub.add_argument("--samples", type=_positive_int, default=2000)
     sub.add_argument("--k", type=_k_value, default=10)
 
     commands.add_parser("motivating", help="Fig. 1 walkthrough")
@@ -258,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset_args(sub)
     add_experiment_args(sub)
     sub.add_argument("--method", type=_method_name, default="SSFNM")
-    sub.add_argument("--folds", type=int, default=3)
+    sub.add_argument("--folds", type=_positive_int, default=3)
 
     sub = commands.add_parser(
         "report",
@@ -305,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_dataset_args(sub)
     sub.add_argument("--user", required=True, help="node to recommend for")
-    sub.add_argument("--top", type=int, default=10)
+    sub.add_argument("--top", type=_positive_int, default=10)
     sub.add_argument("--k", type=_k_value, default=10)
     sub.add_argument(
         "--model", choices=("linear", "neural"), default="linear"
@@ -317,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset_args(sub)
     sub.add_argument("--k", type=_k_value, default=10)
     sub.add_argument("--model", choices=("linear", "neural"), default="linear")
-    sub.add_argument("--warmup", type=float, default=0.5)
-    sub.add_argument("--refit-every", type=int, default=2)
+    sub.add_argument("--warmup", type=_warmup_fraction, default=0.5)
+    sub.add_argument("--refit-every", type=_positive_int, default=2)
     sub.add_argument(
         "--drift-threshold",
         type=float,
@@ -355,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="extraction throughput benchmark + history + regression gate",
     )
-    sub.add_argument("--nodes", type=int, default=800)
+    sub.add_argument("--nodes", type=_positive_int, default=800)
     sub.add_argument("--pairs", type=int, default=60)
     sub.add_argument("--k", type=_k_value, default=10)
     sub.add_argument("--seed", type=int, default=0)
@@ -422,31 +445,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--nodes",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="serve over a synthetic N-node network instead of "
         "--dataset/--file",
     )
-    sub.add_argument("--queries", type=int, default=2000)
+    sub.add_argument("--queries", type=_positive_int, default=2000)
     sub.add_argument(
         "--concurrency",
-        type=int,
+        type=_positive_int,
         default=64,
         help="in-flight request window during the replay",
     )
-    sub.add_argument("--top", type=int, default=5, help="suggestions per request")
+    sub.add_argument(
+        "--top", type=_positive_int, default=5, help="suggestions per request"
+    )
     sub.add_argument("--k", type=_k_value, default=10)
     sub.add_argument("--model", choices=("linear", "neural"), default="linear")
     sub.add_argument(
         "--hot-users",
-        type=int,
+        type=_positive_int,
         default=32,
         help="size of the head-heavy query pool",
     )
     sub.add_argument(
         "--event-fraction",
-        type=float,
+        type=_event_fraction,
         default=0.2,
         help="fraction of distinct timestamps held out as the live stream",
     )
@@ -550,7 +575,7 @@ def _needs_network_flag(args: argparse.Namespace) -> bool:
     if args.command == "table3":
         return False  # no dataset: every catalog network
     if args.command == "serve":
-        return not args.nodes
+        return args.nodes is None
     if args.command == "report":
         return not _run_report_mode(args)
     return True

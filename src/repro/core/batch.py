@@ -16,11 +16,13 @@ through the CSR pipeline at once:
   level-synchronous: every pair still growing at radius ``h`` is advanced
   together, so all structure combination at one radius happens in ONE
   cross-pair array pass (:meth:`BatchExtractionEngine._combine_many`)
-  instead of one quadratic-ish pass per pair.
-* **Arena buffer** — the |V|-sized BFS visited map is allocated once
-  per engine and reused across every pair of every batch via
-  monotonically increasing ownership tokens (never cleared, never
-  reallocated).
+  instead of one quadratic-ish pass per pair.  That pass groups nodes
+  once: the first same-neighbourhood grouping is already Alg. 1's fixed
+  point, so combination is one merge round.
+* **Arena buffers** — the |V|-sized BFS visited map and the |V|-sized
+  node → combination-row map are allocated once per engine and reused
+  across every pair of every batch via monotonically increasing stamps
+  (never cleared, never reallocated).
 * **Vectorized Palette-WL** — all structure subgraphs of a batch are laid
   out flat and refined together by
   :func:`repro.core.palette_wl.palette_wl_order_many`; tie-break scores
@@ -71,22 +73,34 @@ Pair = "tuple[Node, Node]"
 
 
 class BatchArena:
-    """The reusable |V|-sized BFS work buffer, shared by every pair of an
+    """The reusable |V|-sized work buffers, shared by every pair of an
     engine.
 
     ``visited`` is *token-stamped* with per-ball BFS ownership: an entry
     is "set" only when it holds the ball's token, so reuse never needs a
-    clearing pass.
+    clearing pass.  ``row_of`` maps a node to its combination row, stamped
+    ``base + row`` from a monotone per-arena base (never-stamped entries
+    hold −1), so a stamp below the current segment's first row is stale.
+    It cannot share ``visited``: pending balls still read their tokens.
     """
 
     def __init__(self, n_nodes: int) -> None:
         self.visited = np.zeros(n_nodes, dtype=np.int64)
+        self.row_of = np.full(n_nodes, -1, dtype=np.int64)
         self._token = 0
+        self._row_base = 0
 
     def next_token(self) -> int:
         """A fresh BFS ownership token for :attr:`visited`."""
         self._token += 1
         return self._token
+
+    def claim_rows(self, n_rows: int) -> int:
+        """A stamp base for ``n_rows`` fresh rows of :attr:`row_of`, above
+        every stamp written before."""
+        base = self._row_base
+        self._row_base += n_rows
+        return base
 
 
 _EMPTY_LEVEL = np.zeros(0, dtype=np.int64)
@@ -1002,10 +1016,6 @@ class BatchExtractionEngine:
         n_rows = int(row_offsets[-1])
         node_of_row = np.concatenate(ball_list)
         seg_of_row = np.repeat(np.arange(n_segments, dtype=np.int64), ball_sizes)
-        # Per-segment sorted balls + disjoint per-segment key ranges give
-        # one globally sorted haystack: membership AND destination row for
-        # every gathered neighbour is a single searchsorted.
-        haystack = seg_of_row * n_nodes + node_of_row
 
         flat, flat_slots = concatenate_neighbor_slices_with_slots(
             snapshot, node_of_row
@@ -1016,16 +1026,34 @@ class BatchExtractionEngine:
         entry_bounds = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(counts, out=entry_bounds[1:])
         owner_row = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
-        probe = np.searchsorted(haystack, seg_of_row[owner_row] * n_nodes + flat)
-        probe_c = np.minimum(probe, n_rows - 1)
-        keep = haystack[probe_c] == seg_of_row[owner_row] * n_nodes + flat
-        kept_dst_row = probe_c[keep]
+        # Membership AND destination row of every gathered neighbour from
+        # the arena's row map: stamp a segment's rows, then read its
+        # entries.  Earlier segments and calls left only stamps below the
+        # segment's first row, so "stamp >= first row" is membership.
+        row_of = self._arena.row_of
+        base = self._arena.claim_rows(n_rows)
+        stamps = base + np.arange(n_rows, dtype=np.int64)
+        dst_stamp = np.empty(flat.size, dtype=np.int64)
+        row_bounds = row_offsets.tolist()
+        seg_entry_bounds = entry_bounds[row_offsets]
+        entry_list = seg_entry_bounds.tolist()
+        for s in range(n_segments):
+            lo, hi = row_bounds[s], row_bounds[s + 1]
+            row_of[node_of_row[lo:hi]] = stamps[lo:hi]
+            e_lo, e_hi = entry_list[s], entry_list[s + 1]
+            dst_stamp[e_lo:e_hi] = row_of[flat[e_lo:e_hi]]
+        dst_row = dst_stamp - base
+        keep = dst_row >= np.repeat(row_offsets[:-1], np.diff(seg_entry_bounds))
+        kept_dst_row = dst_row[keep]
         kept_owner_row = owner_row[keep]
         kept_slots = flat_slots[keep]
         keep_cum = np.zeros(flat.size + 1, dtype=np.int64)
         np.cumsum(keep, out=keep_cum[1:])
         kept_indptr = keep_cum[entry_bounds]
 
+        # Per-segment sorted balls + disjoint per-segment key ranges give
+        # one globally sorted haystack for the two end rows per segment.
+        haystack = seg_of_row * n_nodes + node_of_row
         a_ids = np.array([g.a_id for g in growths], dtype=np.int64)
         b_ids = np.array([g.b_id for g in growths], dtype=np.int64)
         seg_range = np.arange(n_segments, dtype=np.int64)
@@ -1036,9 +1064,9 @@ class BatchExtractionEngine:
         is_end_row[row_b] = True
         rest_rows = np.flatnonzero(~is_end_row)
 
-        # Round 0: group non-end nodes by restricted-neighbour content per
-        # segment (ascending node order = ascending row order), then pin
-        # the end nodes to local groups 0/1.
+        # Group non-end nodes by restricted-neighbour content per segment
+        # (ascending node order = ascending row order), then pin the end
+        # nodes to local groups 0/1.
         rest_ids, extra_counts = _group_ragged_rows(
             kept_indptr, kept_dst_row, rest_rows, seg_of_row[rest_rows], n_segments
         )
@@ -1050,61 +1078,26 @@ class BatchExtractionEngine:
         grp_row[row_b] = group_offsets[:-1] + 1
         grp_row[rest_rows] = group_offsets[seg_of_row[rest_rows]] + 2 + rest_ids
 
-        # Global merge loop: every segment iterates together.  A converged
-        # segment is at a fixed point of the deterministic merge update, so
-        # recomputing it is a no-op; per-segment rounds are tracked for the
-        # metrics and the global stop condition.  A merge strictly reduces
-        # a segment's group count, so "counts unchanged" == "no merge".
-        rounds_of = np.zeros(n_segments, dtype=np.int64)
-        round_index = 0
-        while True:
-            round_index += 1
-            n_groups_total = int(group_offsets[-1])
-            seg_of_group = np.repeat(seg_range, group_counts)
-            src_group = grp_row[kept_owner_row]
-            dst_group = grp_row[kept_dst_row]
-            distinct = src_group != dst_group
-            codes = src_group[distinct] * n_groups_total + dst_group[distinct]
-            unique_codes = sorted_unique(codes)
-            adj_src = unique_codes // n_groups_total
-            adj_dst = unique_codes % n_groups_total
-            adj_indptr = np.searchsorted(
-                adj_src, np.arange(n_groups_total + 1, dtype=np.int64)
-            )
-            is_end_group = np.zeros(n_groups_total, dtype=bool)
-            is_end_group[group_offsets[:-1]] = True
-            is_end_group[group_offsets[:-1] + 1] = True
-            merge_rows = np.flatnonzero(~is_end_group)
-            merged_ids, merged_extra = _group_ragged_rows(
-                adj_indptr,
-                adj_dst,
-                merge_rows,
-                seg_of_group[merge_rows],
-                n_segments,
-            )
-            new_counts = merged_extra + 2
-            converged = new_counts == group_counts
-            fresh = converged & (rounds_of == 0)
-            rounds_of[fresh] = round_index
-            if bool(converged.all()):
-                break
-            new_offsets = np.zeros(n_segments + 1, dtype=np.int64)
-            np.cumsum(new_counts, out=new_offsets[1:])
-            remap = np.empty(n_groups_total, dtype=np.int64)
-            remap[group_offsets[:-1]] = new_offsets[:-1]
-            remap[group_offsets[:-1] + 1] = new_offsets[:-1] + 1
-            remap[merge_rows] = (
-                new_offsets[seg_of_group[merge_rows]] + 2 + merged_ids
-            )
-            grp_row = remap[grp_row]
-            group_counts = new_counts
-            group_offsets = new_offsets
+        # This grouping is already Alg. 1's fixed point, so the group
+        # adjacency is built once.  Twins r, s (equal restricted
+        # neighbourhoods) satisfy y ∈ N(r) ⟺ y ∈ N(s) for every y, so with
+        # symmetric adjacency each N(r) is a union of whole groups; two
+        # groups with equal group-level neighbourhoods would then have
+        # equal node-level ones and be one group.  Twins are never
+        # adjacent (no self-loops), so no kept edge joins a group to
+        # itself.  The dict reference still iterates, as the oracle.
+        n_groups_total = int(group_offsets[-1])
+        unique_codes = sorted_unique(
+            grp_row[kept_owner_row] * n_groups_total + grp_row[kept_dst_row]
+        )
+        adj_dst = unique_codes % n_groups_total
+        adj_indptr = np.searchsorted(
+            unique_codes // n_groups_total,
+            np.arange(n_groups_total + 1, dtype=np.int64),
+        )
 
         if obs_enabled():
-            observe_many(
-                "structure.merge_rounds",
-                [int(rounds_of[s]) for s in range(n_segments)],
-            )
+            observe_many("structure.merge_rounds", [1] * n_segments)
             nodes_in = [int(ball_sizes[s]) for s in range(n_segments)]
             nodes_out = [int(group_counts[s]) for s in range(n_segments)]
             observe_many("structure.nodes_in", nodes_in)

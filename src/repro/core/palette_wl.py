@@ -181,8 +181,10 @@ def _dense_rank(values: Sequence[float]) -> list[int]:
 # ``adjacency_sorted`` — so segments are disjoint components and every
 # per-subgraph loop of the reference path becomes one flat array pass.
 # Every floating-point reduction below replays the reference path's
-# left-to-right scalar accumulation order exactly (column-major ragged
-# accumulation), keeping batched results bit-identical per segment.
+# left-to-right scalar accumulation order exactly, keeping batched
+# results bit-identical per segment: ragged rows are ranked longest
+# first and their entries laid out column by column (:class:`_ColumnLayout`),
+# so column ``p`` is one contiguous block added into the leading rows.
 # ----------------------------------------------------------------------
 
 
@@ -235,24 +237,44 @@ def _segment_ids(seg_indptr: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(seg_indptr.size - 1, dtype=np.int64), sizes)
 
 
-def _column_plan(
-    indptr: np.ndarray,
-) -> "list[tuple[np.ndarray, np.ndarray]]":
-    """Per-position gather plan for sequential ragged accumulation.
+class _ColumnLayout:
+    """Length-sorted, column-major layout of a ragged CSR for sequential
+    row sums.
 
-    Column ``p`` holds ``(rows, flat_positions)`` — the rows whose length
-    exceeds ``p`` and the flat index of their ``p``-th entry.  Accumulating
-    column by column replays each row's left-to-right scalar summation
-    (starting from 0.0) exactly: a row's entries are added in position
-    order, and rows never collide within one column.
+    Rows are ranked by length, longest first (stable), so the rows longer
+    than ``p`` are exactly the first ``widths[p]`` ranks.  ``entries``
+    lists the CSR entry positions column by column — column ``p`` is the
+    ``p``-th entry of ranks ``0 .. widths[p] - 1``, one contiguous block.
+    :meth:`sums` adds column ``p`` into the leading ``widths[p]``
+    accumulators, so every row adds its entries left to right starting
+    from 0.0 — the reference's scalar ``sum`` order, bit for bit.
     """
-    lengths = indptr[1:] - indptr[:-1]
-    plan: "list[tuple[np.ndarray, np.ndarray]]" = []
-    max_len = int(lengths.max()) if lengths.size else 0
-    for position in range(max_len):
-        rows = np.flatnonzero(lengths > position)
-        plan.append((rows, indptr[rows] + position))
-    return plan
+
+    __slots__ = ("rank", "widths", "entries")
+
+    def __init__(self, indptr: np.ndarray) -> None:
+        lengths = indptr[1:] - indptr[:-1]
+        #: ``rank[r]`` is the row at length rank ``r``
+        self.rank = np.argsort(-lengths, kind="stable")
+        max_len = int(lengths.max()) if lengths.size else 0
+        widths = lengths.size - np.cumsum(np.bincount(lengths))[:max_len]
+        self.widths: "list[int]" = widths.tolist()
+        column = np.repeat(np.arange(max_len, dtype=np.int64), widths)
+        ranks = np.arange(column.size, dtype=np.int64)
+        ranks -= np.repeat(np.cumsum(widths) - widths, widths)
+        self.entries = indptr[self.rank][ranks] + column
+
+    def sums(self, column_values: np.ndarray) -> np.ndarray:
+        """Per-row left-to-right sums of ``column_values``, the entry
+        values gathered in :attr:`entries` order."""
+        acc = np.zeros(self.rank.size, dtype=np.float64)
+        start = 0
+        for width in self.widths:
+            acc[:width] += column_values[start : start + width]
+            start += width
+        out = np.empty_like(acc)
+        out[self.rank] = acc
+        return out
 
 
 def bilateral_distance_scores_many(
@@ -308,40 +330,66 @@ def _initial_colors_many(
     return colors
 
 
-def _dense_rank_many(
-    values: np.ndarray, seg_indptr: np.ndarray, seg_ids: np.ndarray
+def _split_ties(
+    hashes: np.ndarray, colors: np.ndarray, seg_start: np.ndarray
 ) -> np.ndarray:
-    """Batched :func:`_dense_rank` with the same 1e-9 tolerance chain.
+    """Batched :func:`_dense_rank` of one refinement pass's hashes,
+    re-ranking only the tied colour classes.
 
-    A consecutive-diff > 1e-9 in the per-segment sorted values is always a
-    rank boundary of the reference scan (the running rank start can only
-    be ≤ the previous value).  Blocks between such definite boundaries
-    whose total span is ≤ 1e-9 are a single rank; the rare wider block is
-    re-scanned with the reference's exact scalar chain (block starts are
-    rank starts, so blocks are independent).
+    Precondition: ``colors`` are dense ranks ``1..m`` per segment and
+    ``hashes[i] = colors[i] + f`` with ``f`` in ``[0, 1 − log 2/|total|]``
+    (:func:`_refine`'s hash), on segments below 10^6 structure nodes;
+    ``seg_start[i]`` is the flat index of node ``i``'s segment start.
+    Then the last hash of colour ``c`` sits at least ``log 2/|total|`` —
+    over 4e-8 — below the first hash of colour ``c + 1``, so the
+    reference's 1e-9 chain starts a new rank at every class boundary and
+    a pass only splits classes.  A singleton class keeps one rank; only
+    nodes of larger classes (class id ``seg_start + colour − 1``) are
+    sorted, by (class, hash).  A node's new colour is the number of new
+    classes before its class in the segment plus its 1-based rank within
+    the class.
+
+    Within a class the reference chain is replayed exactly: a
+    consecutive difference > 1e-9 is always a rank boundary (the running
+    rank start is never above the previous value).  A block between such
+    definite boundaries whose total span is ≤ 1e-9 is one rank; the rare
+    wider block is re-scanned with the scalar anchored chain (block
+    starts are rank starts, so blocks are independent).
     """
-    n = values.size
-    order = np.lexsort((values, seg_ids))
-    sorted_vals = values[order]
-    boundary = np.empty(n, dtype=bool)
-    boundary[0] = True
-    boundary[1:] = (sorted_vals[1:] - sorted_vals[:-1]) > 1e-9
-    boundary[seg_indptr[:-1]] = True
-    block_starts = np.flatnonzero(boundary)
-    block_ends = np.append(block_starts[1:], n)
-    spans = sorted_vals[block_ends - 1] - sorted_vals[block_starts]
-    for block in np.flatnonzero(spans > 1e-9).tolist():
-        start, end = int(block_starts[block]), int(block_ends[block])
-        previous = sorted_vals[start]
-        for i in range(start + 1, end):
-            if sorted_vals[i] - previous > 1e-9:
-                boundary[i] = True
-                previous = sorted_vals[i]
-    cum = np.cumsum(boundary)
-    rank_sorted = cum - cum[seg_indptr[seg_ids]] + 1
-    ranks = np.empty(n, dtype=np.int64)
-    ranks[order] = rank_sorted
-    return ranks
+    n = hashes.size
+    class_of = seg_start + colors - 1
+    class_size = np.bincount(class_of, minlength=n)
+    #: classes each class id splits into (0 for unused ids)
+    parts = (class_size > 0).astype(np.int64)
+    rank = np.ones(n, dtype=np.int64)
+    tied = np.flatnonzero(class_size[class_of] > 1)
+    if tied.size:
+        order = tied[np.lexsort((hashes[tied], class_of[tied]))]
+        sorted_vals = hashes[order]
+        sorted_class = class_of[order]
+        class_start = np.empty(tied.size, dtype=bool)
+        class_start[0] = True
+        class_start[1:] = sorted_class[1:] != sorted_class[:-1]
+        boundary = class_start.copy()
+        boundary[1:] |= (sorted_vals[1:] - sorted_vals[:-1]) > 1e-9
+        block_starts = np.flatnonzero(boundary)
+        block_ends = np.append(block_starts[1:], tied.size)
+        spans = sorted_vals[block_ends - 1] - sorted_vals[block_starts]
+        for block in np.flatnonzero(spans > 1e-9).tolist():
+            start, end = int(block_starts[block]), int(block_ends[block])
+            previous = sorted_vals[start]
+            for i in range(start + 1, end):
+                if sorted_vals[i] - previous > 1e-9:
+                    boundary[i] = True
+                    previous = sorted_vals[i]
+        cum = np.cumsum(boundary)
+        firsts = np.flatnonzero(class_start)
+        rank_sorted = cum - np.repeat(cum[firsts] - 1, np.diff(firsts, append=tied.size))
+        rank[order] = rank_sorted
+        lasts = np.append(firsts[1:], tied.size) - 1
+        parts[sorted_class[firsts]] = rank_sorted[lasts]
+    before = np.cumsum(parts) - parts
+    return before[class_of] - before[seg_start] + rank
 
 
 def _refine_many(
@@ -365,23 +413,18 @@ def _refine_many(
     table[0] = 0.0
     for color in range(1, max_color + 1):
         table[color] = _log_prime(color)
-    total_plan = _column_plan(seg_indptr)
-    neighbor_plan = _column_plan(nbr_indptr)
-    gathered_plan = [
-        (rows, nbr_indices[positions]) for rows, positions in neighbor_plan
-    ]
+    total_layout = _ColumnLayout(seg_indptr)
+    neighbor_layout = _ColumnLayout(nbr_indptr)
+    neighbor_ids = nbr_indices[neighbor_layout.entries]
+    node_seg_start = seg_starts[seg_ids]
     n_segments = seg_starts.size
     iterations = np.zeros(n_segments, dtype=np.int64)
     for iteration in range(1, _MAX_ITERATIONS + 1):
         log_primes = table[colors]
-        totals = np.zeros(n_segments, dtype=np.float64)
-        for rows, positions in total_plan:
-            totals[rows] += log_primes[positions]
-        neighbor_sums = np.zeros(colors.size, dtype=np.float64)
-        for rows, neighbor_ids in gathered_plan:
-            neighbor_sums[rows] += log_primes[neighbor_ids]
+        totals = total_layout.sums(log_primes[total_layout.entries])
+        neighbor_sums = neighbor_layout.sums(log_primes[neighbor_ids])
         hashes = colors.astype(np.float64) + neighbor_sums / np.abs(totals)[seg_ids]
-        new_colors = _dense_rank_many(hashes, seg_indptr, seg_ids)
+        new_colors = _split_ties(hashes, colors, node_seg_start)
         new_colors[seg_starts] = 1
         new_colors[seg_starts + 1] = 2
         changed = (

@@ -572,9 +572,12 @@ def _combine_structures(
             groups[idx].append(n)
         group_of[n] = idx
 
-    # Iterate the merge at the structure level until a fixed point
-    # (the paper argues one round usually suffices; chains like
-    # leaf -> merged-hub patterns genuinely need a second round).
+    # Iterate the merge at the structure level until a fixed point.  The
+    # first round never merges: twins r, s satisfy y ∈ N(r) ⟺ y ∈ N(s),
+    # so with symmetric adjacency every restricted neighbourhood is a
+    # union of whole groups, and two groups with equal group-level
+    # neighbourhoods would have equal node-level ones — one group.  The
+    # loop stays as the literal Algorithm 1 this reference is checked by.
     rounds = 0
     while True:
         rounds += 1

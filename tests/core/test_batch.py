@@ -91,6 +91,40 @@ class TestBatchedDifferential:
         for mode in ENTRY_MODES:
             assert np.array_equal(expected[mode], actual[mode]), mode
 
+    def test_one_engine_across_many_calls_matches_dict(self):
+        """One engine answers successive calls of random sizes: each call
+        must stamp its combination rows above every earlier call's, or a
+        stale row map would pass off old rows as ball members."""
+        rng = random.Random(23)
+        n = 70
+        network = _random_network(rng, n, 160)
+        for hub in range(3):
+            for v in rng.sample(range(n), 25):
+                if v != hub:
+                    network.add_edge(f"n{hub}", f"n{v}", float(rng.randint(1, 50)))
+        config = SSFConfig(k=8)
+        ref = SSFExtractor(network, config, backend="dict")
+        got = SSFExtractor(network, config, backend="csr")
+        previous = _random_pairs(rng, n, 5)
+        for call in range(14):
+            # overlap: endpoints and whole pairs of the previous call recur
+            pairs = _random_pairs(rng, n, rng.randint(1, 40))
+            pairs[: rng.randint(0, 3)] = previous[:3]
+            if call % 3 == 0:
+                pairs.insert(rng.randrange(len(pairs) + 1), ("missing", "n1"))
+            if call % 4 == 1:
+                pairs.append(pairs[0])
+            if call % 2:
+                expected = ref.extract_multi_batch(pairs, ENTRY_MODES)
+                actual = got.extract_multi_batch(pairs, ENTRY_MODES)
+                for mode in ENTRY_MODES:
+                    assert np.array_equal(expected[mode], actual[mode]), (call, mode)
+            else:
+                assert np.array_equal(
+                    ref.extract_batch(pairs), got.extract_batch(pairs)
+                ), call
+            previous = pairs
+
     def test_batched_matches_per_pair_csr(self):
         rng = random.Random(11)
         network = _random_network(rng, 60, 180)

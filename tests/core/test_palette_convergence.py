@@ -1,8 +1,18 @@
-"""Palette-WL behaviour on crafted symmetric and regular graphs."""
+"""Palette-WL behaviour on crafted symmetric and regular graphs, plus the
+batched path's primitives against their scalar references."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.palette_wl import _dense_rank, _initial_colors, palette_wl_order
+from repro.core.palette_wl import (
+    _ColumnLayout,
+    _dense_rank,
+    _initial_colors,
+    _split_ties,
+    palette_wl_order,
+)
 from repro.core.structure import combine_structures
 from repro.core.subgraph import h_hop_node_set
 from repro.graph.temporal import DynamicNetwork
@@ -86,3 +96,69 @@ class TestRefinementInternals:
         order = palette_wl_order(sub)
         non_end = [order[i] for i in range(2, len(order))]
         assert len(set(non_end)) == len(non_end)
+
+
+class TestBatchedPrimitives:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 300), max_size=16),
+        long_length=st.integers(1000, 1400),
+        at=st.integers(0, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_column_layout_sums_equal_left_to_right_sum(
+        self, lengths, long_length, at, seed
+    ):
+        """Each row's sum is Python's left-to-right ``sum``, bit for bit;
+        positive values spanning 16 decades make any other association
+        (another column order, a pairwise reduction) round differently."""
+        lengths.insert(min(at, len(lengths)), long_length)
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        rng = np.random.default_rng(seed)
+        size = int(indptr[-1])
+        values = (1.0 - rng.random(size)) * 10.0 ** rng.integers(-8, 9, size)
+        layout = _ColumnLayout(indptr)
+        sums = layout.sums(values[layout.entries])
+        for row in range(len(lengths)):
+            expected = sum(values[indptr[row] : indptr[row + 1]].tolist())
+            assert sums[row] == expected, row
+
+    def test_split_ties_equals_scalar_dense_rank_per_segment(self):
+        """Hashes are dense colours plus fractions in [0, 0.999]; some
+        classes hold runs spaced 4e-10 to 1.1e-9 apart, which the 1e-9
+        chain must re-scan from its anchor."""
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            sizes = rng.integers(2, 40, size=rng.integers(1, 6))
+            colors: list = []
+            hashes: list = []
+            for size in sizes.tolist():
+                n_colors = int(rng.integers(1, size + 1))
+                seg_colors = rng.permutation(
+                    np.concatenate(
+                        [
+                            np.arange(1, n_colors + 1),
+                            rng.integers(1, n_colors + 1, size - n_colors),
+                        ]
+                    )
+                )
+                fractions = rng.random(size) * 0.999
+                for color in np.unique(seg_colors).tolist():
+                    members = np.flatnonzero(seg_colors == color)
+                    if members.size > 1 and rng.random() < 0.5:
+                        start = rng.random() * 0.99
+                        steps = rng.uniform(4e-10, 1.1e-9, members.size - 1)
+                        run = start + np.concatenate([[0.0], np.cumsum(steps)])
+                        fractions[members] = np.minimum(run, 0.999)
+                colors.extend(seg_colors.tolist())
+                hashes.extend((seg_colors + fractions).tolist())
+            seg_indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+            np.cumsum(sizes, out=seg_indptr[1:])
+            seg_start = np.repeat(seg_indptr[:-1], sizes)
+            got = _split_ties(
+                np.array(hashes), np.array(colors, dtype=np.int64), seg_start
+            )
+            for s in range(sizes.size):
+                lo, hi = int(seg_indptr[s]), int(seg_indptr[s + 1])
+                assert got[lo:hi].tolist() == _dense_rank(hashes[lo:hi])

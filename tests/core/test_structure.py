@@ -1,10 +1,16 @@
 """Tests for structure combination (Algorithm 1, Defs. 4–6)."""
 
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import obs
 from repro.core.structure import StructureNode, combine_structures
 from repro.core.subgraph import h_hop_node_set
 from repro.graph.temporal import DynamicNetwork
+from repro.obs.metrics import get_registry
 
 
 def _members(subgraph):
@@ -86,10 +92,12 @@ class TestMergeSemantics:
         assert frozenset({"h1", "h2"}) in _members(sub)
 
     def test_second_round_merge(self):
-        # Leaves l1/l2 hang off hubs h1/h2.  Round 1 cannot merge them
-        # (neighbourhoods {h1} vs {h2} differ as raw node sets) but after
-        # h1/h2 merge, l1 and l2 see the same structure-level
-        # neighbourhood and must merge in round 2.
+        # Leaves l1/l2 hang off hubs h1/h2.  The leaves could merge only
+        # after the hubs did, but the hubs are twins only if each sees
+        # both leaves, which would make the leaves twins in the first
+        # grouping already.  Here h1 sees {a, b, l1} and h2 {a, b, l2},
+        # so nothing merges and every node stays a singleton: Algorithm
+        # 1 never needs a second round.
         g = DynamicNetwork(
             [
                 ("a", "h1", 1),
@@ -100,10 +108,6 @@ class TestMergeSemantics:
                 ("l2", "h2", 6),
             ]
         )
-        # NOTE: with the leaves attached, h1 nbrs {a,b,l1} != h2 nbrs
-        # {a,b,l2}, so h1/h2 do NOT merge and neither do the leaves —
-        # the fixed point is all-singletons.  This documents the exact
-        # (conservative) semantics of Algorithm 1.
         sub = combine_structures(
             g, {"a", "b", "h1", "h2", "l1", "l2"}, "a", "b"
         )
@@ -130,6 +134,40 @@ class TestMergeSemantics:
         sub = combine_structures(small_dataset, nodes, a, b)
         adjacency_sets = [frozenset(sub.adjacency(i)) for i in range(len(sub.nodes))]
         non_end = adjacency_sets[2:]
+        assert len(set(non_end)) == len(non_end)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(20, 60),
+        n_hubs=st.integers(0, 4),
+        h=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_round_is_the_fixed_point(self, n, n_hubs, h, seed):
+        """The first same-neighbourhood grouping never merges further:
+        the reference records one merge round, and its non-end
+        structure nodes have pairwise distinct adjacencies."""
+        rng = random.Random(seed)
+        g = DynamicNetwork()
+        for _ in range(rng.randint(n, 3 * n)):
+            u, v = rng.sample(range(n), 2)
+            g.add_edge(u, v, rng.randint(1, 30))
+        for hub in range(n_hubs):
+            for v in rng.sample(range(n), rng.randint(n // 4, n - 1)):
+                if v != hub:
+                    g.add_edge(hub, v, rng.randint(1, 30))
+        a, b = rng.sample(g.nodes, 2)
+        nodes = h_hop_node_set(g, a, b, h)
+        get_registry().reset()
+        obs.enable()
+        try:
+            sub = combine_structures(g, nodes, a, b)
+            rounds = get_registry().snapshot()["histograms"]["structure.merge_rounds"]
+        finally:
+            obs.disable()
+            get_registry().reset()
+        assert (rounds["count"], rounds["max"]) == (1, 1.0)
+        non_end = [frozenset(sub.adjacency(i)) for i in range(2, len(sub.nodes))]
         assert len(set(non_end)) == len(non_end)
 
     def test_topology_conserved(self, fig3_network):

@@ -305,6 +305,62 @@ class TestBadInput:
         assert main(argv) == 0
         assert len(handler_calls) == 1
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["table3", "--epochs", "0"], "--epochs"),
+            (["table3", "--n-jobs", "0"], "--n-jobs"),
+            (["ksweep", "--dataset", "contact", "--epochs", "0"], "--epochs"),
+            (["crossval", "--dataset", "contact", "--n-jobs", "0"], "--n-jobs"),
+            (["report", "--dataset", "contact", "--n-jobs", "0"], "--n-jobs"),
+            (["crossval", "--dataset", "contact", "--folds", "0"], "--folds"),
+            (["patterns", "--dataset", "contact", "--samples", "0"], "--samples"),
+            (
+                ["recommend", "--dataset", "contact", "--user", "1", "--top", "0"],
+                "--top",
+            ),
+            (["stream", "--dataset", "contact", "--refit-every", "0"], "--refit-every"),
+            (["stream", "--dataset", "contact", "--warmup", "1.5"], "--warmup"),
+            (["stream", "--dataset", "contact", "--warmup", "1"], "--warmup"),
+            (["serve", "--replay", "--nodes", "100", "--queries", "0"], "--queries"),
+            (
+                ["serve", "--replay", "--nodes", "100", "--concurrency", "0"],
+                "--concurrency",
+            ),
+            (["serve", "--replay", "--nodes", "100", "--top", "0"], "--top"),
+            (["serve", "--replay", "--nodes", "100", "--hot-users", "0"], "--hot-users"),
+            (
+                ["serve", "--replay", "--nodes", "100", "--event-fraction", "0"],
+                "--event-fraction",
+            ),
+            (
+                ["serve", "--replay", "--nodes", "100", "--event-fraction", "1.5"],
+                "--event-fraction",
+            ),
+            (["serve", "--replay", "--nodes", "0"], "--nodes"),
+            (["bench", "--nodes", "0"], "--nodes"),
+        ],
+    )
+    def test_count_or_fraction_out_of_range(
+        self, capsys, handler_calls, argv, flag
+    ):
+        err = self._assert_usage_error(capsys, handler_calls, argv)
+        assert flag in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stream", "--dataset", "contact", "--warmup", "0", "--refit-every", "1"],
+            ["serve", "--replay", "--nodes", "1", "--event-fraction", "0.999"],
+            ["table3", "--epochs", "1", "--n-jobs", "1"],
+        ],
+    )
+    def test_in_range_counts_and_fractions_reach_the_handler(
+        self, handler_calls, argv
+    ):
+        assert main(argv) == 0
+        assert len(handler_calls) == 1
+
     def test_resume_into_missing_directory(self, capsys, handler_calls, tmp_path):
         missing = tmp_path / "missing"
         err = self._assert_usage_error(
