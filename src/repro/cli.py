@@ -83,6 +83,11 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse ``type=``: an integer >= 0."""
+    return _int_at_least(text, 0)
+
+
 def _k_value(text: str) -> int:
     """argparse ``type=``: an SSF ``K``, at least 3 so the feature is
     non-empty."""
@@ -379,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="extraction throughput benchmark + history + regression gate",
     )
     sub.add_argument("--nodes", type=_positive_int, default=800)
-    sub.add_argument("--pairs", type=int, default=60)
+    sub.add_argument("--pairs", type=_positive_int, default=60)
     sub.add_argument("--k", type=_k_value, default=10)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument(
@@ -424,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--batch-pairs",
-        type=int,
+        type=_positive_int,
         default=None,
         metavar="N",
         help="pair count for the --batch section (default 10x --pairs)",
@@ -477,13 +482,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--max-events",
-        type=int,
+        type=_non_negative_int,
         default=200,
-        help="cap on replayed tail events",
+        help="cap on replayed tail events (0 serves without ingesting)",
     )
     sub.add_argument(
         "--events-per-batch",
-        type=int,
+        type=_positive_int,
         default=8,
         help="edge events per ingest batch",
     )

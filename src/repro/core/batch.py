@@ -26,13 +26,20 @@ through the CSR pipeline at once:
 * **Vectorized Palette-WL** — all structure subgraphs of a batch are laid
   out flat and refined together by
   :func:`repro.core.palette_wl.palette_wl_order_many`; tie-break scores
-  and SSF matrix entries are likewise evaluated as whole-batch array
-  queries against one flat sorted structure-link index.
+  (for tied nodes only) and SSF matrix entries are likewise evaluated as
+  whole-batch array queries.
+* **On-demand link slots** — adjacent structure nodes are completely
+  joined: if ``u ∈ I`` is adjacent to ``v ∈ J``, every twin of ``u``
+  shares ``u``'s restricted neighbourhood and so is adjacent to ``v``,
+  and by the same argument to every twin of ``v``.  A structure link's
+  member-level edges are therefore exactly ``I × J``; each one's directed
+  edge slot is one ``searchsorted`` into the snapshot's sorted
+  ``u·|V| + v`` keys, so only the links a row reads are ever resolved.
 * **Memoized influence** — Eq. 4 decayed influences are read from one
-  per-snapshot ``influence_table``; per-edge-slot influence sums are
-  precomputed once per engine with the reference's exact left-to-right
-  accumulation order, and multi-slot structure links are memoized across
-  pairs.
+  per-snapshot ``influence_table``; per-edge-slot influence sums and the
+  sorted directed-edge keys are built once per engine, the sums with the
+  reference's exact left-to-right accumulation order, and multi-slot
+  structure links are memoized across pairs.
 
 The result is **bit-identical** to looping ``extract`` on the dict
 backend (the untouched reference) — every floating-point reduction below
@@ -43,9 +50,9 @@ randomized batched differential suite enforces it across all entry modes.
 Arena lifetime rules: the engine (and its arena) lives as long as its
 :class:`~repro.core.feature.SSFExtractor` — in pool workers that is the
 whole worker lifetime, so chunks after the first allocate nothing
-|V|-sized.  Ball caches are scoped per batch; slot-sum tables and
-multi-slot memos are scoped per engine; per-pair structures are dropped
-when their batch returns.
+|V|-sized.  Ball caches are scoped per batch; slot-sum tables, edge
+keys and multi-slot memos are scoped per engine; per-pair structures are
+dropped when their batch returns.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.core.palette_wl import (
+    _ColumnLayout,
     _gather_rows,
     flat_hop_distances,
     palette_wl_order_many,
@@ -63,7 +71,6 @@ from repro.core.palette_wl import (
 from repro.graph.csr import (
     CSRSnapshot,
     concatenate_neighbor_slices,
-    concatenate_neighbor_slices_with_slots,
     sorted_unique,
 )
 from repro.obs import enabled as obs_enabled, incr, observe_many, span
@@ -150,14 +157,8 @@ class _Growth:
 
 class _PairJob:
     """One finalized pair: its combined structure subgraph in flat-array
-    form (identical partition / adjacency / member order / slot order to
-    :class:`~repro.core.structure.CSRStructureSubgraph`).
-
-    ``codes_sorted``/``slots_sorted`` index the restricted member-level
-    edge list by ``src_group * n_groups + dst_group`` so a structure
-    link's member edge slots — in the reference's exact small-side scan
-    order — are one ``searchsorted`` away.
-    """
+    form (identical partition / adjacency / member order to
+    :class:`~repro.core.structure.CSRStructureSubgraph`)."""
 
     __slots__ = (
         "row",
@@ -166,8 +167,6 @@ class _PairJob:
         "adj_dst",
         "member_indptr",
         "members_flat",
-        "codes_sorted",
-        "slots_sorted",
     )
 
     def __init__(
@@ -178,8 +177,6 @@ class _PairJob:
         adj_dst: np.ndarray,
         member_indptr: np.ndarray,
         members_flat: np.ndarray,
-        codes_sorted: np.ndarray,
-        slots_sorted: np.ndarray,
     ) -> None:
         self.row = row
         self.n_groups = n_groups
@@ -187,104 +184,83 @@ class _PairJob:
         self.adj_dst = adj_dst
         self.member_indptr = member_indptr
         self.members_flat = members_flat
-        self.codes_sorted = codes_sorted
-        self.slots_sorted = slots_sorted
 
 
 class _PassState:
     """Merge-converged state of one cross-pair combine pass.
 
-    Segment ``s`` (one pair's candidate subgraph) owns global node-rows
-    ``row_offsets[s]:row_offsets[s+1]`` and global structure-group ids
-    ``group_offsets[s]:group_offsets[s+1]``; ``grp_row`` maps every
-    node-row to its (global) group.  The kept restricted member-level
-    edges carry their owning node-row, destination node-row and directed
-    snapshot edge slot.  ``adj_indptr``/``adj_dst`` is the final global
-    group-level adjacency (rows ascending).
+    Segment ``s`` (one pair's candidate subgraph) owns global structure-
+    group ids ``group_offsets[s]:group_offsets[s+1]``; ``grp_row`` maps
+    every node-row (rows in (segment, node) order) to its global group.
+    ``adj_indptr``/``adj_dst`` is the final global group-level adjacency
+    (rows ascending).
     """
 
     __slots__ = (
         "node_of_row",
-        "seg_of_row",
-        "row_offsets",
         "grp_row",
         "group_counts",
         "group_offsets",
-        "kept_owner_row",
-        "kept_dst_row",
-        "kept_slots",
         "adj_indptr",
         "adj_dst",
-        "_final",
+        "_members",
     )
 
     def __init__(
         self,
         node_of_row: np.ndarray,
-        seg_of_row: np.ndarray,
-        row_offsets: np.ndarray,
         grp_row: np.ndarray,
         group_counts: np.ndarray,
         group_offsets: np.ndarray,
-        kept_owner_row: np.ndarray,
-        kept_dst_row: np.ndarray,
-        kept_slots: np.ndarray,
         adj_indptr: np.ndarray,
         adj_dst: np.ndarray,
     ) -> None:
         self.node_of_row = node_of_row
-        self.seg_of_row = seg_of_row
-        self.row_offsets = row_offsets
         self.grp_row = grp_row
         self.group_counts = group_counts
         self.group_offsets = group_offsets
-        self.kept_owner_row = kept_owner_row
-        self.kept_dst_row = kept_dst_row
-        self.kept_slots = kept_slots
         self.adj_indptr = adj_indptr
         self.adj_dst = adj_dst
-        # lazy finalize arrays (built once, on the first _finalize call)
-        self._final: "tuple[np.ndarray, ...] | None" = None
+        # built once, on the first _finalize call
+        self._members: "tuple[np.ndarray, np.ndarray] | None" = None
 
-    def finalize_arrays(self) -> "tuple[np.ndarray, ...]":
-        """Member CSR + per-segment sorted link codes, built lazily.
+    def member_csr(self) -> "tuple[np.ndarray, np.ndarray]":
+        """``(member_indptr, member_nodes)`` over the global groups, built
+        lazily.
 
         Members of each group are its node ids ascending (the reference's
-        ``np.sort`` per group); kept edges are stably sorted by
-        ``(segment, local_src_group * G + local_dst_group)``, which within
-        each segment replays the reference's stable argsort of its local
-        codes — kept entries are generated in (owner node-row ascending,
-        neighbour ascending) order, exactly the reference's scan order.
+        ``np.sort`` per group): rows are already in (segment, node)
+        order, so a stable sort by group keeps each group's nodes
+        ascending.
         """
-        if self._final is None:
+        if self._members is None:
             n_groups_total = int(self.group_offsets[-1])
-            member_order = np.lexsort((self.node_of_row, self.grp_row))
-            member_indptr = np.searchsorted(
-                self.grp_row[member_order],
-                np.arange(n_groups_total + 1, dtype=np.int64),
+            member_order = np.argsort(self.grp_row, kind="stable")
+            member_indptr = np.zeros(n_groups_total + 1, dtype=np.int64)
+            np.cumsum(
+                np.bincount(self.grp_row, minlength=n_groups_total),
+                out=member_indptr[1:],
             )
-            member_nodes = self.node_of_row[member_order]
-            kept_seg = self.seg_of_row[self.kept_owner_row]
-            seg_sizes = self.group_counts[kept_seg]
-            base = self.group_offsets[kept_seg]
-            codes_local = (self.grp_row[self.kept_owner_row] - base) * seg_sizes + (
-                self.grp_row[self.kept_dst_row] - base
-            )
-            max_g = int(self.group_counts.max()) if self.group_counts.size else 1
-            code_order = np.argsort(
-                kept_seg * (max_g * max_g) + codes_local, kind="stable"
-            )
-            kept_counts = np.bincount(kept_seg, minlength=self.group_counts.size)
-            kept_bounds = np.zeros(self.group_counts.size + 1, dtype=np.int64)
-            np.cumsum(kept_counts, out=kept_bounds[1:])
-            self._final = (
-                member_indptr,
-                member_nodes,
-                codes_local[code_order],
-                self.kept_slots[code_order],
-                kept_bounds,
-            )
-        return self._final
+            self._members = (member_indptr, self.node_of_row[member_order])
+        return self._members
+
+
+_MIX_INCREMENT = np.uint64(0x9E3779B97F4A7C15)
+_MIX_FIRST = np.uint64(0xBF58476D1CE4E5B9)
+_MIX_SECOND = np.uint64(0x94D049BB133111EB)
+
+
+def _mix64(values: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer of every (non-negative int) value, as
+    ``uint64`` words; the products wrap modulo 2**64."""
+    z = values.astype(np.uint64)
+    z += _MIX_INCREMENT
+    z ^= z >> np.uint64(30)
+    z *= _MIX_FIRST
+    z ^= z >> np.uint64(27)
+    z *= _MIX_SECOND
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _group_ragged_rows(
@@ -303,11 +279,17 @@ def _group_ragged_rows(
     once); ``counts[s]`` is segment ``s``'s group count.  Rows of
     different segments never group together.
 
-    Rows are first bucketed by the cheap summary ``(segment, length, sum,
-    first, last)``; a bucket of short rows (length <= 2) is fully
-    determined by its summary, and the rare ambiguous bucket (equal
-    summaries, length >= 3) is split exactly by raw bytes.  The result is
-    therefore exact, never merely hash-probable.
+    Precondition: ``segs`` never decreases along ``rows`` (the caller
+    passes ascending rows laid out in (segment, node) order), so one
+    cumulative sum over row order numbers every segment's groups.
+
+    Each row gets one 64-bit word: the wrapping sum of :func:`_mix64`
+    over its (non-negative) entries, XOR-ed with a mix of (length,
+    segment).  Rows are stable-sorted once by word and every row of a run
+    of equal words is compared with the run's first row (its smallest
+    position), entry by entry.  A run holding different contents is a
+    word collision and is split exactly by (segment, raw bytes), so the
+    partition is exact, never merely hash-probable.
     """
     count = int(rows.size)
     if count == 0:
@@ -315,75 +297,53 @@ def _group_ragged_rows(
     lo = bounds[:-1][rows]
     hi = bounds[1:][rows]
     lengths = hi - lo
-    running = np.zeros(flat.size + 1, dtype=np.int64)
-    np.cumsum(flat, out=running[1:])
-    sums = running[hi] - running[lo]
-    firsts = np.full(count, -1, dtype=np.int64)
-    lasts = np.full(count, -1, dtype=np.int64)
-    nonempty = lengths > 0
-    firsts[nonempty] = flat[lo[nonempty]]
-    lasts[nonempty] = flat[hi[nonempty] - 1]
+    running = np.zeros(flat.size + 1, dtype=np.uint64)
+    if flat.size:
+        # entries are small ids: mixing each distinct value once is cheaper
+        mixed = _mix64(np.arange(int(flat.max()) + 1, dtype=np.int64))
+        np.cumsum(mixed[flat], out=running[1:])
+    words = (running[hi] - running[lo]) ^ _mix64((segs << 32) + lengths)
 
-    order = np.lexsort((lasts, firsts, sums, lengths, segs))
-    seg_s = segs[order]
-    length_s = lengths[order]
-    sum_s = sums[order]
-    first_s = firsts[order]
-    last_s = lasts[order]
-    new_bucket = np.empty(count, dtype=bool)
-    new_bucket[0] = True
-    new_bucket[1:] = (
-        (seg_s[1:] != seg_s[:-1])
-        | (length_s[1:] != length_s[:-1])
-        | (sum_s[1:] != sum_s[:-1])
-        | (first_s[1:] != first_s[:-1])
-        | (last_s[1:] != last_s[:-1])
-    )
-    bucket = np.empty(count, dtype=np.int64)
-    bucket[order] = np.cumsum(new_bucket) - 1
-    tokens = bucket
+    order = np.argsort(words, kind="stable")
+    sorted_words = words[order]
+    run_start = np.empty(count, dtype=bool)
+    run_start[0] = True
+    np.not_equal(sorted_words[1:], sorted_words[:-1], out=run_start[1:])
+    run_of = np.empty(count, dtype=np.int64)
+    run_of[order] = np.cumsum(run_start) - 1
+    rep = order[run_start][run_of]
 
-    starts = np.flatnonzero(new_bucket)
-    ends = np.append(starts[1:], count)
-    ambiguous = (ends - starts > 1) & (length_s[starts] >= 3)
-    if bool(ambiguous.any()):
-        tokens = bucket * (count + 1)
-        for which in np.flatnonzero(ambiguous).tolist():
-            members = order[starts[which] : ends[which]]
-            sub: dict[bytes, int] = {}
-            for local in members.tolist():
-                key = flat[lo[local] : hi[local]].tobytes()
-                tokens[local] = tokens[local] + sub.setdefault(key, len(sub))
+    follower = np.flatnonzero(rep != np.arange(count, dtype=np.int64))
+    if follower.size:
+        lead = rep[follower]
+        differs = (lengths[follower] != lengths[lead]) | (
+            segs[follower] != segs[lead]
+        )
+        check = np.flatnonzero(~differs)
+        widths = lengths[follower[check]]
+        n_entries = int(widths.sum())
+        if n_entries:
+            offsets = np.arange(n_entries, dtype=np.int64) - np.repeat(
+                np.cumsum(widths) - widths, widths
+            )
+            mine = flat[np.repeat(lo[follower[check]], widths) + offsets]
+            theirs = flat[np.repeat(lo[lead[check]], widths) + offsets]
+            owner = np.repeat(check, widths)
+            differs[owner[mine != theirs]] = True
+        if bool(differs.any()):
+            run_bounds = np.append(np.flatnonzero(run_start), count).tolist()
+            for run in sorted(set(run_of[follower[differs]].tolist())):
+                members = order[run_bounds[run] : run_bounds[run + 1]]
+                firsts: "dict[tuple[int, bytes], int]" = {}
+                for t in members.tolist():
+                    key = (int(segs[t]), flat[lo[t] : hi[t]].tobytes())
+                    rep[t] = firsts.setdefault(key, t)
 
-    token_order = np.argsort(tokens, kind="stable")
-    token_s = tokens[token_order]
-    run_new = np.empty(count, dtype=bool)
-    run_new[0] = True
-    run_new[1:] = token_s[1:] != token_s[:-1]
-    run_ids = np.cumsum(run_new) - 1
-    # The first member of each token run (stable sort => smallest position
-    # within ``rows``) is the group's representative; numbering groups by
-    # representative position *within each segment* reproduces the
-    # reference's first-occurrence numbering per segment.
-    representatives = token_order[np.flatnonzero(run_new)]
-    rep_seg = segs[representatives]
-    rep_order = np.lexsort((representatives, rep_seg))
-    ordered_seg = rep_seg[rep_order]
-    n_groups = representatives.size
-    first_in_seg = np.empty(n_groups, dtype=bool)
-    first_in_seg[0] = True
-    first_in_seg[1:] = ordered_seg[1:] != ordered_seg[:-1]
-    seg_starts = np.flatnonzero(first_in_seg)
-    run_lengths = np.append(seg_starts[1:], n_groups) - seg_starts
-    rank_in_seg = np.arange(n_groups, dtype=np.int64) - np.repeat(
-        seg_starts, run_lengths
-    )
-    rank = np.empty(n_groups, dtype=np.int64)
-    rank[rep_order] = rank_in_seg
-    out = np.empty(count, dtype=np.int64)
-    out[token_order] = rank[run_ids]
-    counts = np.bincount(rep_seg, minlength=n_segs)
-    return out, counts
+    is_first = rep == np.arange(count, dtype=np.int64)
+    number = np.cumsum(is_first) - 1
+    counts = np.bincount(segs[is_first], minlength=n_segs)
+    seg_base = np.cumsum(counts) - counts
+    return number[rep] - seg_base[segs], counts
 
 
 def _feature_positions(k: int) -> np.ndarray:
@@ -436,7 +396,7 @@ class BatchExtractionEngine:
         self._arena = BatchArena(snapshot.number_of_nodes())
         self._positions = _feature_positions(k)
         self._slot_sums: "np.ndarray | None" = None
-        self._slot_ts_len: "np.ndarray | None" = None
+        self._edge_key_table: "np.ndarray | None" = None
         self._multi_slot_memo: dict[bytes, float] = {}
         self._sort_key_memo: "dict[bytes, tuple[str, ...]]" = {}
         self._single_key_memo: "dict[int, tuple[str, ...]]" = {}
@@ -505,8 +465,7 @@ class BatchExtractionEngine:
         seg_ids = np.repeat(np.arange(n_segments, dtype=np.int64), sizes)
         job_rows = np.array([job.row for job in jobs], dtype=np.int64)
 
-        # Flat structure-graph adjacency (WL input) + member CSR + the
-        # global sorted link-code index used by every influence query.
+        # Flat structure-graph adjacency (WL input) + member CSR.
         degrees = np.concatenate(
             [job.adj_indptr[1:] - job.adj_indptr[:-1] for job in jobs]
         )
@@ -521,58 +480,72 @@ class BatchExtractionEngine:
         member_indptr = np.zeros(total + 1, dtype=np.int64)
         np.cumsum(member_counts, out=member_indptr[1:])
         members_flat = np.concatenate([job.members_flat for job in jobs])
-        code_offsets = np.zeros(n_segments + 1, dtype=np.int64)
-        np.cumsum(sizes * sizes, out=code_offsets[1:])
-        codes_cat = np.concatenate(
-            [job.codes_sorted + code_offsets[s] for s, job in enumerate(jobs)]
-        )
-        slots_cat = np.concatenate([job.slots_sorted for job in jobs])
+        n_nodes = self._snapshot.number_of_nodes()
 
-        def influence_values(
+        def link_slots(
             q_seg: np.ndarray, i_loc: np.ndarray, j_loc: np.ndarray
-        ) -> np.ndarray:
-            """Normalized influences of many (adjacent) structure links."""
+        ) -> "tuple[np.ndarray, np.ndarray]":
+            """Directed edge slots of many adjacent structure links:
+            link ``q``'s are ``slots[bounds[q]:bounds[q + 1]]``.
+
+            A link's member-level edges are all of ``I × J`` (module
+            docstring), listed from the smaller side (the lower index on
+            a tie) with both sides ascending — the reference's scan
+            order."""
             low = np.minimum(i_loc, j_loc)
             high = np.maximum(i_loc, j_loc)
             base = seg_indptr[q_seg]
             swap = member_counts[base + low] > member_counts[base + high]
-            small = np.where(swap, high, low)
-            large = np.where(swap, low, high)
-            q_code = code_offsets[q_seg] + small * sizes[q_seg] + large
-            lo = np.searchsorted(codes_cat, q_code, side="left")
-            hi = np.searchsorted(codes_cat, q_code, side="right")
-            values = np.zeros(q_code.size, dtype=np.float64)
-            single = np.flatnonzero(hi - lo == 1)
-            if single.size:
-                values[single] = self._slot_sum_table()[
-                    slots_cat[lo[single]]
-                ]
-            multi = np.flatnonzero(hi - lo > 1)
-            if multi.size:
-                values[multi] = self._multi_slot_influence_many(
-                    slots_cat, lo[multi], hi[multi]
-                )
-            return values
+            small = base + np.where(swap, high, low)
+            large = base + np.where(swap, low, high)
+            width = member_counts[large]
+            per_link = member_counts[small] * width
+            bounds = np.zeros(q_seg.size + 1, dtype=np.int64)
+            np.cumsum(per_link, out=bounds[1:])
+            offsets = np.arange(int(bounds[-1]), dtype=np.int64)
+            offsets -= np.repeat(bounds[:-1], per_link)
+            width = np.repeat(width, per_link)
+            u = np.repeat(member_indptr[small], per_link) + offsets // width
+            v = np.repeat(member_indptr[large], per_link) + offsets % width
+            keys = members_flat[u] * n_nodes + members_flat[v]
+            return np.searchsorted(self._edge_keys(), keys), bounds
 
-        # Tie-break scores: two whole-batch passes (endpoint 0 then 1),
-        # exactly the reference's per-endpoint subtraction order; indices
-        # within one pass are distinct, so the fancy -= is exact.
-        tie_break: "np.ndarray | None" = None
-        if self._ordering != "hops":
-            tie_break = np.zeros(total, dtype=np.float64)
-            for endpoint in (0, 1):
-                rows_e = seg_indptr[:-1] + endpoint
-                deg_e = nbr_indptr[rows_e + 1] - nbr_indptr[rows_e]
-                neighbors = _gather_rows(nbr_indptr, nbr_indices, rows_e)
-                seg_rep = np.repeat(np.arange(n_segments, dtype=np.int64), deg_e)
-                nb_loc = neighbors - seg_indptr[seg_rep]
-                valid = nb_loc != endpoint
-                q_seg = seg_rep[valid]
-                tie_break[neighbors[valid]] -= influence_values(
-                    q_seg,
-                    nb_loc[valid],
-                    np.full(q_seg.size, endpoint, dtype=np.int64),
+        def tie_break(nodes: np.ndarray) -> np.ndarray:
+            """Eq. 4 tie-break scores of tied structure nodes: from 0.0,
+            minus the influence of the link to end node 0, then minus
+            that to end node 1 — the reference's per-endpoint order.
+
+            Tied nodes are never end nodes (colours 1 and 2 are
+            singleton classes), and rows ascend from the segment's two
+            end nodes, so a row's first two entries say which end nodes
+            it touches."""
+            seg = seg_ids[nodes]
+            start = seg_indptr[seg]
+            row_lo = nbr_indptr[nodes]
+            row_len = nbr_indptr[nodes + 1] - row_lo
+            #: local ids of each row's first two neighbours (−1: none)
+            first_two = np.full((2, nodes.size), -1, dtype=np.int64)
+            for offset in (0, 1):
+                has = row_len > offset
+                first_two[offset, has] = (
+                    nbr_indices[row_lo[has] + offset] - start[has]
                 )
+            adjacent = (
+                first_two[0] == 0,
+                (first_two[0] == 1) | (first_two[1] == 1),
+            )
+            scores = np.zeros(nodes.size, dtype=np.float64)
+            for endpoint in (0, 1):
+                hit = np.flatnonzero(adjacent[endpoint])
+                if hit.size:
+                    scores[hit] -= self._link_influences(
+                        *link_slots(
+                            seg[hit],
+                            nodes[hit] - start[hit],
+                            np.full(hit.size, endpoint, dtype=np.int64),
+                        )
+                    )
+            return scores
 
         # Residual WL ties sort by member-label reprs; the same hub groups
         # recur across pairs and batches, so keys are memoized per engine
@@ -627,7 +600,7 @@ class BatchExtractionEngine:
             seg_indptr,
             nbr_indptr,
             nbr_indices,
-            tie_break,
+            tie_break if self._ordering != "hops" else None,
             sort_key,
             singleton_ranks,
         )
@@ -664,17 +637,24 @@ class BatchExtractionEngine:
         feature_cols = self._positions[link_m - 1, link_n - 1]
 
         compress = self._compress
+        selected_slots: "tuple[np.ndarray, np.ndarray] | None" = None
         link_infl: "np.ndarray | None" = None
         link_dist: "np.ndarray | None" = None
 
-        def influences() -> np.ndarray:
-            nonlocal link_infl
-            if link_infl is None:
-                link_infl = influence_values(
+        def slots_of_links() -> "tuple[np.ndarray, np.ndarray]":
+            nonlocal selected_slots
+            if selected_slots is None:
+                selected_slots = link_slots(
                     link_seg,
                     link_i - seg_indptr[link_seg],
                     link_j - seg_indptr[link_seg],
                 )
+            return selected_slots
+
+        def influences() -> np.ndarray:
+            nonlocal link_infl
+            if link_infl is None:
+                link_infl = self._link_influences(*slots_of_links())
             return link_infl
 
         def distance_entries() -> np.ndarray:
@@ -696,16 +676,15 @@ class BatchExtractionEngine:
                 if mode == "binary":
                     values = np.ones(link_m.size, dtype=np.float64)
                 elif mode == "count":
-                    values = self._link_counts(
-                        link_seg,
-                        link_i - seg_indptr[link_seg],
-                        link_j - seg_indptr[link_seg],
-                        seg_indptr,
-                        sizes,
-                        member_counts,
-                        code_offsets,
-                        codes_cat,
-                        slots_cat,
+                    # member-level link counts: exact integer sums
+                    slots, bounds = slots_of_links()
+                    ts_indptr = self._snapshot.ts_indptr
+                    prefix = np.zeros(slots.size + 1, dtype=np.int64)
+                    np.cumsum(
+                        ts_indptr[slots + 1] - ts_indptr[slots], out=prefix[1:]
+                    )
+                    values = (prefix[bounds[1:]] - prefix[bounds[:-1]]).astype(
+                        np.float64
                     )
                     if compress:
                         values = _log1p_each(values)
@@ -1004,8 +983,8 @@ class BatchExtractionEngine:
 
     def _combine_many(self, growths: "list[_Growth]") -> _PassState:
         """Algorithm 1 over every candidate pair of one level, in shared
-        array passes — same partition, adjacency, member order and slot
-        order per pair as :func:`~repro.core.structure.combine_structures_csr`."""
+        array passes — same partition, adjacency and member order per
+        pair as :func:`~repro.core.structure.combine_structures_csr`."""
         snapshot = self._snapshot
         n_nodes = snapshot.number_of_nodes()
         n_segments = len(growths)
@@ -1017,9 +996,7 @@ class BatchExtractionEngine:
         node_of_row = np.concatenate(ball_list)
         seg_of_row = np.repeat(np.arange(n_segments, dtype=np.int64), ball_sizes)
 
-        flat, flat_slots = concatenate_neighbor_slices_with_slots(
-            snapshot, node_of_row
-        )
+        flat = concatenate_neighbor_slices(snapshot, node_of_row)
         counts = (
             snapshot.indptr[node_of_row + 1] - snapshot.indptr[node_of_row]
         ).astype(np.int64)
@@ -1046,7 +1023,6 @@ class BatchExtractionEngine:
         keep = dst_row >= np.repeat(row_offsets[:-1], np.diff(seg_entry_bounds))
         kept_dst_row = dst_row[keep]
         kept_owner_row = owner_row[keep]
-        kept_slots = flat_slots[keep]
         keep_cum = np.zeros(flat.size + 1, dtype=np.int64)
         np.cumsum(keep, out=keep_cum[1:])
         kept_indptr = keep_cum[entry_bounds]
@@ -1108,14 +1084,9 @@ class BatchExtractionEngine:
             )
         return _PassState(
             node_of_row,
-            seg_of_row,
-            row_offsets,
             grp_row,
             group_counts,
             group_offsets,
-            kept_owner_row,
-            kept_dst_row,
-            kept_slots,
             adj_indptr,
             adj_dst,
         )
@@ -1124,13 +1095,7 @@ class BatchExtractionEngine:
         self, state: _PassState, items: "list[tuple[int, int]]"
     ) -> "list[_PairJob]":
         """Cut per-pair structure arrays out of a pass for finishing pairs."""
-        (
-            member_indptr,
-            member_nodes,
-            codes_sorted,
-            slots_sorted,
-            kept_bounds,
-        ) = state.finalize_arrays()
+        member_indptr, member_nodes = state.member_csr()
         adj_indptr = state.adj_indptr
         adj_dst = state.adj_dst
         group_offsets = state.group_offsets
@@ -1143,8 +1108,6 @@ class BatchExtractionEngine:
             a_hi = int(adj_indptr[g_hi])
             m_lo = int(member_indptr[g_lo])
             m_hi = int(member_indptr[g_hi])
-            k_lo = int(kept_bounds[segment])
-            k_hi = int(kept_bounds[segment + 1])
             jobs.append(
                 _PairJob(
                     row,
@@ -1153,14 +1116,12 @@ class BatchExtractionEngine:
                     adj_dst[a_lo:a_hi] - g_lo,
                     member_indptr[g_lo : g_hi + 1] - m_lo,
                     member_nodes[m_lo:m_hi],
-                    codes_sorted[k_lo:k_hi],
-                    slots_sorted[k_lo:k_hi],
                 )
             )
         return jobs
 
     # ------------------------------------------------------------------
-    # phase 3 helpers: influence + counts
+    # phase 3 helpers: slot sums, edge keys and influence
     # ------------------------------------------------------------------
     def _slot_sum_table(self) -> np.ndarray:
         """Per-edge-slot influence sums, each accumulated left to right
@@ -1168,21 +1129,22 @@ class BatchExtractionEngine:
         if self._slot_sums is None:
             snapshot = self._snapshot
             table = snapshot.influence_table(self._present, self._theta)
-            ts_indptr = snapshot.ts_indptr
-            lengths = ts_indptr[1:] - ts_indptr[:-1]
-            sums = np.zeros(lengths.size, dtype=np.float64)
-            max_len = int(lengths.max()) if lengths.size else 0
-            for position in range(max_len):
-                rows = np.flatnonzero(lengths > position)
-                sums[rows] += table[ts_indptr[rows] + position]
-            self._slot_sums = sums
+            layout = _ColumnLayout(snapshot.ts_indptr)
+            self._slot_sums = layout.sums(table[layout.entries])
         return self._slot_sums
 
-    def _slot_lengths(self) -> np.ndarray:
-        if self._slot_ts_len is None:
-            ts_indptr = self._snapshot.ts_indptr
-            self._slot_ts_len = (ts_indptr[1:] - ts_indptr[:-1]).astype(np.int64)
-        return self._slot_ts_len
+    def _edge_keys(self) -> np.ndarray:
+        """``u * |V| + v`` of every directed edge slot ``u → v``: sorted,
+        because CSR rows ascend by source and each row by target, so a
+        key's position is its slot."""
+        if self._edge_key_table is None:
+            snapshot = self._snapshot
+            n_nodes = snapshot.number_of_nodes()
+            sources = np.repeat(
+                np.arange(n_nodes, dtype=np.int64), np.diff(snapshot.indptr)
+            )
+            self._edge_key_table = sources * n_nodes + snapshot.indices
+        return self._edge_key_table
 
     def _node_repr_rank(self) -> np.ndarray:
         """Rank of each node's label repr among the snapshot's distinct
@@ -1201,18 +1163,35 @@ class BatchExtractionEngine:
             )
         return self._repr_rank
 
+    def _link_influences(
+        self, slots: np.ndarray, bounds: np.ndarray
+    ) -> np.ndarray:
+        """Normalized influences (Eq. 3) of many structure links, link
+        ``q`` owning edge slots ``slots[bounds[q]:bounds[q + 1]]``."""
+        per_link = np.diff(bounds)
+        values = np.zeros(per_link.size, dtype=np.float64)
+        single = np.flatnonzero(per_link == 1)
+        if single.size:
+            values[single] = self._slot_sum_table()[slots[bounds[single]]]
+        multi = np.flatnonzero(per_link > 1)
+        if multi.size:
+            values[multi] = self._multi_slot_influence_many(
+                slots, bounds[multi], bounds[multi + 1]
+            )
+        return values
+
     def _multi_slot_influence_many(
-        self, slots_cat: np.ndarray, lo: np.ndarray, hi: np.ndarray
+        self, slots: np.ndarray, lo: np.ndarray, hi: np.ndarray
     ) -> np.ndarray:
         """Reference multi-slot influences of many queries at once.
 
         The reference concatenates each query's per-slot event lists,
         stable-sorts by timestamp and accumulates scalar left-to-right.
         Here all uncached queries share ONE ragged gather and ONE stable
-        lexsort, and the accumulation runs column-wise — position ``p``
-        adds every query's ``p``-th event in a single vectorized ``+=``,
-        replaying each query's scalar add sequence bit-exactly.  Results
-        are memoized per slot-set across batches (same snapshot table).
+        lexsort, and a :class:`_ColumnLayout` replays each query's scalar
+        add sequence bit-exactly.  Equal timestamps carry equal table
+        values, so the order of a query's slots changes no bit.  Results
+        are memoized per slot list across batches (same snapshot table).
         """
         out = np.empty(lo.size, dtype=np.float64)
         memo = self._multi_slot_memo
@@ -1221,7 +1200,7 @@ class BatchExtractionEngine:
         miss_rows: "list[int]" = []
         miss_keys: "list[bytes]" = []
         for t in range(lo.size):
-            key = slots_cat[lo_list[t] : hi_list[t]].tobytes()
+            key = slots[lo_list[t] : hi_list[t]].tobytes()
             cached = memo.get(key)
             if cached is None:
                 miss_rows.append(t)
@@ -1239,7 +1218,7 @@ class BatchExtractionEngine:
         np.cumsum(n_slots, out=slot_offsets[1:])
         slot_pos = np.arange(int(slot_offsets[-1]), dtype=np.int64)
         slot_pos -= np.repeat(slot_offsets[:-1], n_slots)
-        flat_slots = slots_cat[np.repeat(lo[rows], n_slots) + slot_pos]
+        flat_slots = slots[np.repeat(lo[rows], n_slots) + slot_pos]
         slot_owner = np.repeat(np.arange(rows.size, dtype=np.int64), n_slots)
         ev_counts = ts_indptr[flat_slots + 1] - ts_indptr[flat_slots]
         ev_offsets = np.zeros(flat_slots.size + 1, dtype=np.int64)
@@ -1252,41 +1231,13 @@ class BatchExtractionEngine:
         # over the slot-order concatenation the reference builds.
         order = np.lexsort((self._snapshot.ts[ev_src], ev_owner))
         values_sorted = table[ev_src[order]]
-        per_query = np.bincount(ev_owner, minlength=rows.size)
         query_offsets = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(per_query, out=query_offsets[1:])
-        sums = np.zeros(rows.size, dtype=np.float64)
-        max_events = int(per_query.max()) if rows.size else 0
-        for position in range(max_events):
-            active = np.flatnonzero(per_query > position)
-            sums[active] += values_sorted[query_offsets[active] + position]
+        np.cumsum(
+            np.bincount(ev_owner, minlength=rows.size), out=query_offsets[1:]
+        )
+        layout = _ColumnLayout(query_offsets)
+        sums = layout.sums(values_sorted[layout.entries])
         out[rows] = sums
         for key, value in zip(miss_keys, sums.tolist()):
             memo[key] = value
         return out
-
-    def _link_counts(
-        self,
-        q_seg: np.ndarray,
-        i_loc: np.ndarray,
-        j_loc: np.ndarray,
-        seg_indptr: np.ndarray,
-        sizes: np.ndarray,
-        member_counts: np.ndarray,
-        code_offsets: np.ndarray,
-        codes_cat: np.ndarray,
-        slots_cat: np.ndarray,
-    ) -> np.ndarray:
-        """Member-level link counts (exact integer sums) of many links."""
-        low = np.minimum(i_loc, j_loc)
-        high = np.maximum(i_loc, j_loc)
-        base = seg_indptr[q_seg]
-        swap = member_counts[base + low] > member_counts[base + high]
-        small = np.where(swap, high, low)
-        large = np.where(swap, low, high)
-        q_code = code_offsets[q_seg] + small * sizes[q_seg] + large
-        lo = np.searchsorted(codes_cat, q_code, side="left")
-        hi = np.searchsorted(codes_cat, q_code, side="right")
-        prefix = np.zeros(slots_cat.size + 1, dtype=np.int64)
-        np.cumsum(self._slot_lengths()[slots_cat], out=prefix[1:])
-        return (prefix[hi] - prefix[lo]).astype(np.float64)

@@ -448,7 +448,7 @@ def _refine_many(
 
 def _strict_order_many(
     colors: np.ndarray,
-    tie_break: np.ndarray,
+    tie_break: "Callable[[np.ndarray], np.ndarray] | None",
     seg_indptr: np.ndarray,
     seg_ids: np.ndarray,
     sort_key: "Callable[[int], tuple[str, ...]]",
@@ -456,23 +456,44 @@ def _strict_order_many(
 ) -> np.ndarray:
     """Batched :func:`_strict_order`; ``sort_key`` takes a flat node id.
 
-    ``singleton_ranks``, when given, lazily supplies an int64 array
-    mapping each flat node to a precomputed label-repr rank, or ``-1``
-    where no scalar rank exists (multi-member groups).  Ranks only ever
-    compare *within* one tied run — the (segment, color, tie) columns
-    already separate runs — so runs whose nodes all carry a scalar rank
+    Refined colours are dense ranks ``1..m`` per segment, so a node's
+    order is 1 + the number of its segment's nodes in lower colour
+    classes + its rank inside its own class (class id
+    ``seg_start + colour − 1``).  Only the nodes of classes with more
+    than one member are sorted, by (class, tie-break, label rank), with
+    equal keys kept in flat-id order — the stable sort of the reference.
+
+    ``tie_break``, when given, is called once with the ascending flat ids
+    of those tied nodes and returns their scores (lower = earlier);
+    scores are only ever compared inside one class.  ``singleton_ranks``,
+    when given, lazily supplies an int64 array mapping each flat node to
+    a precomputed label-repr rank, or ``-1`` where no scalar rank exists
+    (multi-member groups).  Ranks, too, only compare within one run of
+    equal (class, tie-break), so runs whose nodes all carry a scalar rank
     skip the Python ``sort_key`` path entirely.
     """
     n = colors.size
-    order = np.lexsort((tie_break, colors, seg_ids))
-    same = np.zeros(n, dtype=bool)
-    same[1:] = (
-        (seg_ids[1:] == seg_ids[:-1])
-        & (colors[order[1:]] == colors[order[:-1]])
-        & (tie_break[order[1:]] == tie_break[order[:-1]])
+    seg_start = seg_indptr[seg_ids]
+    class_of = seg_start + colors - 1
+    class_size = np.bincount(class_of, minlength=n)
+    below = np.cumsum(class_size) - class_size
+    out = below[class_of] - seg_start + 1
+    tied = np.flatnonzero(class_size[class_of] > 1)
+    if tied.size == 0:
+        return out
+    tied_class = class_of[tied]
+    ties = (
+        tie_break(tied)
+        if tie_break is not None
+        else np.zeros(tied.size, dtype=np.float64)
+    )
+    order = np.lexsort((ties, tied_class))
+    same = np.zeros(tied.size, dtype=bool)
+    same[1:] = (tied_class[order[1:]] == tied_class[order[:-1]]) & (
+        ties[order[1:]] == ties[order[:-1]]
     )
     run_starts = np.flatnonzero(~same)
-    run_ends = np.append(run_starts[1:], n)
+    run_ends = np.append(run_starts[1:], tied.size)
     ambiguous = np.flatnonzero(run_ends - run_starts > 1)
     if ambiguous.size:
         # Residual ties resolve by label key.  Interning every tied
@@ -482,24 +503,23 @@ def _strict_order_many(
         # keep first-lexsort order, matching sorted()'s stability.
         lengths = run_ends[ambiguous] - run_starts[ambiguous]
         offsets = np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(
-            np.concatenate([[0], np.cumsum(lengths)[:-1]]), lengths
+            np.cumsum(lengths) - lengths, lengths
         )
-        tied_nodes = order[np.repeat(run_starts[ambiguous], lengths) + offsets]
-        ranks = np.zeros(n, dtype=np.int64)
-        slow = tied_nodes
-        vec = singleton_ranks() if singleton_ranks is not None else None
-        if vec is not None:
-            tied_ranks = vec[tied_nodes]
+        #: positions in ``tied`` of every node of an ambiguous run
+        slow = order[np.repeat(run_starts[ambiguous], lengths) + offsets]
+        ranks = np.zeros(tied.size, dtype=np.int64)
+        if singleton_ranks is not None:
+            slow_ranks = singleton_ranks()[tied[slow]]
             run_of = np.repeat(
                 np.arange(ambiguous.size, dtype=np.int64), lengths
             )
             run_ok = np.ones(ambiguous.size, dtype=bool)
-            run_ok[run_of[tied_ranks < 0]] = False
+            run_ok[run_of[slow_ranks < 0]] = False
             ok = run_ok[run_of]
-            ranks[tied_nodes[ok]] = tied_ranks[ok]
-            slow = tied_nodes[~ok]
+            ranks[slow[ok]] = slow_ranks[ok]
+            slow = slow[~ok]
         if slow.size:
-            keys = [sort_key(int(node)) for node in slow.tolist()]
+            keys = [sort_key(node) for node in tied[slow].tolist()]
             rank_of = {
                 key: rank for rank, key in enumerate(sorted(set(keys)))
             }
@@ -508,9 +528,15 @@ def _strict_order_many(
                 dtype=np.int64,
                 count=len(keys),
             )
-        order = np.lexsort((ranks, tie_break, colors, seg_ids))
-    out = np.empty(n, dtype=np.int64)
-    out[order] = np.arange(n, dtype=np.int64) - seg_indptr[seg_ids] + 1
+        order = np.lexsort((ranks, ties, tied_class))
+    sorted_class = tied_class[order]
+    class_start = np.empty(tied.size, dtype=bool)
+    class_start[0] = True
+    np.not_equal(sorted_class[1:], sorted_class[:-1], out=class_start[1:])
+    position = np.arange(tied.size, dtype=np.int64)
+    out[tied[order]] += position - np.maximum.accumulate(
+        np.where(class_start, position, 0)
+    )
     return out
 
 
@@ -518,7 +544,7 @@ def palette_wl_order_many(
     seg_indptr: np.ndarray,
     nbr_indptr: np.ndarray,
     nbr_indices: np.ndarray,
-    tie_break: "np.ndarray | None",
+    tie_break: "Callable[[np.ndarray], np.ndarray] | None",
     sort_key: "Callable[[int], tuple[str, ...]]",
     singleton_ranks: "Callable[[], np.ndarray] | None" = None,
 ) -> np.ndarray:
@@ -536,8 +562,11 @@ def palette_wl_order_many(
         seg_indptr: int64 ``(S + 1,)`` flat node offsets per subgraph.
         nbr_indptr: int64 ``(N + 1,)`` flat adjacency offsets.
         nbr_indices: int64 flat neighbour ids, ascending within each row.
-        tie_break: optional float64 ``(N,)`` WL-tie scores (lower =
-            earlier), as in :func:`palette_wl_order`.
+        tie_break: optional lazy WL-tie scores, as in
+            :func:`palette_wl_order`: maps the ascending flat ids of the
+            nodes the refinement leaves in a shared colour class to their
+            float64 scores (lower = earlier).  Called at most once, and
+            never for a node alone in its class.
         sort_key: label key of a flat node id, breaking residual ties.
         singleton_ranks: optional lazy per-flat-node scalar key ranks
             (``-1`` = no scalar rank); see :func:`_strict_order_many`.
@@ -546,8 +575,6 @@ def palette_wl_order_many(
     sizes = seg_indptr[1:] - seg_indptr[:-1]
     if sizes.size and int(sizes.min()) < 2:
         raise ValueError("structure subgraph must contain both end nodes")
-    if tie_break is not None and tie_break.size != n:
-        raise ValueError(f"expected {n} tie-break scores, got {tie_break.size}")
     seg_ids = _segment_ids(seg_indptr)
     with span("palette_wl", nodes=n, segments=int(sizes.size)):
         scores = bilateral_distance_scores_many(
@@ -557,13 +584,8 @@ def palette_wl_order_many(
         colors = _refine_many(
             colors, seg_indptr, seg_ids, nbr_indptr, nbr_indices
         )
-        ties = (
-            tie_break
-            if tie_break is not None
-            else np.zeros(n, dtype=np.float64)
-        )
         return _strict_order_many(
-            colors, ties, seg_indptr, seg_ids, sort_key, singleton_ranks
+            colors, tie_break, seg_indptr, seg_ids, sort_key, singleton_ranks
         )
 
 

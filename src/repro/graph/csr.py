@@ -483,31 +483,3 @@ def concatenate_neighbor_slices(
     flat += np.repeat(starts - offsets, counts)
     return snapshot.indices[flat]
 
-
-def concatenate_neighbor_slices_with_slots(
-    snapshot: CSRSnapshot, frontier: np.ndarray
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Like :func:`concatenate_neighbor_slices`, but also return the
-    directed edge-slot index of every gathered entry.
-
-    ``slots[i]`` is the global position of entry ``i`` in ``indices`` —
-    i.e. the directed ``u → neighbors[i]`` edge slot whose timestamp
-    segment is ``ts[ts_indptr[slots[i]]:ts_indptr[slots[i] + 1]]``.  The
-    batched extraction engine uses this to resolve structure-link
-    timestamps without re-probing rows with ``searchsorted``.
-    """
-    if len(frontier) == 1:
-        u = int(frontier[0])
-        lo, hi = int(snapshot.indptr[u]), int(snapshot.indptr[u + 1])
-        return snapshot.indices[lo:hi], np.arange(lo, hi, dtype=np.int64)
-    starts = snapshot.indptr[frontier]
-    counts = snapshot.indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return np.zeros(0, dtype=snapshot.indices.dtype), empty
-    offsets = np.zeros(len(frontier), dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    flat = np.arange(total, dtype=np.int64)
-    flat += np.repeat(starts - offsets, counts)
-    return snapshot.indices[flat], flat

@@ -135,6 +135,81 @@ class TestBatchedDifferential:
         assert np.array_equal(single, extractor.extract_batch(pairs))
 
 
+class TestJoinedStructureLinks:
+    """Structure links whose member-level links the engine enumerates as
+    all of I × J, checked against the dict reference."""
+
+    @staticmethod
+    def _two_group_network() -> DynamicNetwork:
+        """{u1, u2} and {v1, v2} are twin groups joined by six links."""
+        return DynamicNetwork(
+            [
+                ("a", "u1", 1.0),
+                ("a", "u2", 2.0),
+                ("u1", "v1", 3.0),
+                ("u1", "v1", 5.0),
+                ("u1", "v2", 4.0),
+                ("u2", "v1", 3.0),
+                ("u2", "v2", 2.0),
+                ("u2", "v2", 7.0),
+                ("a", "b", 3.0),
+                ("b", "w", 4.0),
+                ("w", "x", 5.0),
+                ("b", "y", 6.0),
+            ]
+        )
+
+    def test_case_joins_two_multi_member_groups(self):
+        network = self._two_group_network()
+        sub = combine_structures(
+            network, h_hop_node_set(network, "a", "x", 2), "a", "x"
+        )
+        u = sub.structure_node_of("u1")
+        v = sub.structure_node_of("v1")
+        assert set(sub.nodes[u].members) == {"u1", "u2"}
+        assert set(sub.nodes[v].members) == {"v1", "v2"}
+        assert sub.has_structure_link(u, v)
+        assert sub.link_count(u, v) == 6
+
+    @pytest.mark.parametrize("ordering", ["influence", "hops"])
+    @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+    def test_two_multi_member_groups_match_dict(self, k, ordering):
+        network = self._two_group_network()
+        pairs = [("a", "x"), ("x", "a"), ("u1", "v2")]
+        for compress in (True, False):
+            config = SSFConfig(k=k, ordering=ordering, compress=compress)
+            expected = SSFExtractor(network, config, backend="dict").extract_multi_batch(
+                pairs, ENTRY_MODES
+            )
+            actual = SSFExtractor(network, config, backend="csr").extract_multi_batch(
+                pairs, ENTRY_MODES
+            )
+            for mode in ENTRY_MODES:
+                assert np.array_equal(expected[mode], actual[mode]), mode
+
+    @pytest.fixture(scope="class")
+    def digg(self):
+        from repro.datasets.catalog import get_dataset
+        from repro.obs.profile import workload_pairs
+
+        network = get_dataset("digg").generate(seed=0, scale=0.5)
+        return network, workload_pairs(network, 100, seed=0)
+
+    @pytest.mark.parametrize("ordering", ["influence", "hops"])
+    def test_digg_matches_dict(self, digg, ordering):
+        """The graph offline-hub measures, at half scale."""
+        network, pairs = digg
+        config = SSFConfig(k=10, ordering=ordering)
+        expected = SSFExtractor(network, config, backend="dict").extract_multi_batch(
+            pairs, ENTRY_MODES
+        )
+        actual = SSFExtractor(network, config, backend="csr").extract_multi_batch(
+            pairs, ENTRY_MODES
+        )
+        for mode in ENTRY_MODES:
+            assert np.array_equal(expected[mode], actual[mode]), mode
+
+
 class TestFootprints:
     """Each row's footprint is the pair's final grown Def. 3 ball."""
 

@@ -1,21 +1,36 @@
 """Palette-WL behaviour on crafted symmetric and regular graphs, plus the
 batched path's primitives against their scalar references."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import batch
 from repro.core.palette_wl import (
     _ColumnLayout,
     _dense_rank,
     _initial_colors,
     _split_ties,
+    _strict_order,
+    _strict_order_many,
     palette_wl_order,
 )
 from repro.core.structure import combine_structures
 from repro.core.subgraph import h_hop_node_set
 from repro.graph.temporal import DynamicNetwork
+
+
+class _LabelledNodes:
+    """Stand-in subgraph for :func:`_strict_order`: keys from a list."""
+
+    def __init__(self, keys):
+        self._keys = keys
+
+    def sort_key(self, index):
+        return self._keys[index]
 
 
 def _order(network, a, b, h=3):
@@ -162,3 +177,139 @@ class TestBatchedPrimitives:
             for s in range(sizes.size):
                 lo, hi = int(seg_indptr[s]), int(seg_indptr[s + 1])
                 assert got[lo:hi].tolist() == _dense_rank(hashes[lo:hi])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_group_ragged_rows_equals_first_occurrence_dict(self, data):
+        """Groups equal a dict keyed by (segment, row bytes), numbered by
+        first occurrence in each segment — once with the real mixer, and
+        once with a mixer that maps everything to zero, so that every
+        row collides and only the exact byte split can tell rows apart."""
+        pool = data.draw(
+            st.lists(
+                st.lists(st.integers(0, 5), max_size=6), min_size=1, max_size=6
+            )
+        )
+        pick = st.one_of(
+            st.sampled_from(pool), st.lists(st.integers(0, 5), max_size=6)
+        )
+        #: per segment: (row content, grouped?) — ungrouped rows stand for
+        #: the end rows the engine leaves out of ``rows``
+        segments = data.draw(
+            st.lists(
+                st.lists(st.tuples(pick, st.booleans()), max_size=10),
+                min_size=1,
+                max_size=5,
+            )
+        )
+        contents: list = []
+        rows: list = []
+        segs: list = []
+        for seg, entries in enumerate(segments):
+            for content, grouped in entries:
+                if grouped:
+                    rows.append(len(contents))
+                    segs.append(seg)
+                contents.append(content)
+        bounds = np.zeros(len(contents) + 1, dtype=np.int64)
+        np.cumsum([len(c) for c in contents], out=bounds[1:])
+        flat = np.array([v for c in contents for v in c], dtype=np.int64)
+        rows_arr = np.array(rows, dtype=np.int64)
+        segs_arr = np.array(segs, dtype=np.int64)
+
+        first: dict = {}
+        expected_counts = [0] * len(segments)
+        expected_ids = []
+        for row, seg in zip(rows, segs):
+            key = (seg, flat[bounds[row] : bounds[row + 1]].tobytes())
+            if key not in first:
+                first[key] = expected_counts[seg]
+                expected_counts[seg] += 1
+            expected_ids.append(first[key])
+
+        def zeros(values):
+            return np.zeros(np.shape(values), dtype=np.uint64)
+
+        for mixer in (batch._mix64, zeros):
+            with mock.patch.object(batch, "_mix64", mixer):
+                ids, counts = batch._group_ragged_rows(
+                    bounds, flat, rows_arr, segs_arr, len(segments)
+                )
+            assert ids.tolist() == expected_ids
+            assert counts.tolist() == expected_counts
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_strict_order_many_equals_scalar_per_segment(self, data):
+        """Dense colourings with repeated colours, tie-break scores and
+        label keys with repeats; the tie-break callable only ever sees
+        nodes of colour classes with more than one member."""
+        sizes = data.draw(st.lists(st.integers(2, 12), min_size=1, max_size=5))
+        keys = [("a",), ("b",), ("a", "b"), ("b", "a"), ("c",), ("a", "c", "c")]
+        colors: list = []
+        scores: list = []
+        labels: list = []
+        for size in sizes:
+            n_colors = data.draw(st.integers(1, size))
+            seg_colors = list(range(1, n_colors + 1)) + data.draw(
+                st.lists(
+                    st.integers(1, n_colors),
+                    min_size=size - n_colors,
+                    max_size=size - n_colors,
+                )
+            )
+            colors.extend(data.draw(st.permutations(seg_colors)))
+            scores.extend(
+                data.draw(
+                    st.lists(
+                        st.sampled_from([0.0, -0.5, -1.25, -2.0]),
+                        min_size=size,
+                        max_size=size,
+                    )
+                )
+            )
+            labels.extend(
+                data.draw(
+                    st.lists(st.sampled_from(keys), min_size=size, max_size=size)
+                )
+            )
+        use_ties = data.draw(st.booleans())
+        use_ranks = data.draw(st.booleans())
+        seg_indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=seg_indptr[1:])
+        seg_ids = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        color_arr = np.array(colors, dtype=np.int64)
+        class_of = seg_indptr[seg_ids] + color_arr - 1
+        class_size = np.bincount(class_of, minlength=color_arr.size)
+        calls: list = []
+
+        def tie_break(nodes):
+            assert (class_size[class_of[nodes]] > 1).all()
+            calls.append(nodes)
+            return np.array(scores, dtype=np.float64)[nodes]
+
+        singles = sorted(key for key in set(keys) if len(key) == 1)
+
+        def singleton_ranks():
+            return np.array(
+                [singles.index(key) if len(key) == 1 else -1 for key in labels],
+                dtype=np.int64,
+            )
+
+        got = _strict_order_many(
+            color_arr,
+            tie_break if use_ties else None,
+            seg_indptr,
+            seg_ids,
+            lambda flat: labels[flat],
+            singleton_ranks if use_ranks else None,
+        )
+        assert len(calls) <= 1
+        for s in range(len(sizes)):
+            lo, hi = int(seg_indptr[s]), int(seg_indptr[s + 1])
+            expected = _strict_order(
+                _LabelledNodes(labels[lo:hi]),
+                colors[lo:hi],
+                scores[lo:hi] if use_ties else None,
+            )
+            assert got[lo:hi].tolist() == expected

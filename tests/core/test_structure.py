@@ -17,6 +17,19 @@ def _members(subgraph):
     return {frozenset(node.members) for node in subgraph.nodes}
 
 
+def _random_hub_network(rng: random.Random, n: int, n_hubs: int) -> DynamicNetwork:
+    """Random multigraph on ``n`` nodes; nodes ``0..n_hubs-1`` are hubs."""
+    g = DynamicNetwork()
+    for _ in range(rng.randint(n, 3 * n)):
+        u, v = rng.sample(range(n), 2)
+        g.add_edge(u, v, rng.randint(1, 30))
+    for hub in range(n_hubs):
+        for v in rng.sample(range(n), rng.randint(n // 4, n - 1)):
+            if v != hub:
+                g.add_edge(hub, v, rng.randint(1, 30))
+    return g
+
+
 class TestStructureNode:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -148,14 +161,7 @@ class TestMergeSemantics:
         the reference records one merge round, and its non-end
         structure nodes have pairwise distinct adjacencies."""
         rng = random.Random(seed)
-        g = DynamicNetwork()
-        for _ in range(rng.randint(n, 3 * n)):
-            u, v = rng.sample(range(n), 2)
-            g.add_edge(u, v, rng.randint(1, 30))
-        for hub in range(n_hubs):
-            for v in rng.sample(range(n), rng.randint(n // 4, n - 1)):
-                if v != hub:
-                    g.add_edge(hub, v, rng.randint(1, 30))
+        g = _random_hub_network(rng, n, n_hubs)
         a, b = rng.sample(g.nodes, 2)
         nodes = h_hop_node_set(g, a, b, h)
         get_registry().reset()
@@ -169,6 +175,33 @@ class TestMergeSemantics:
         assert (rounds["count"], rounds["max"]) == (1, 1.0)
         non_end = [frozenset(sub.adjacency(i)) for i in range(2, len(sub.nodes))]
         assert len(set(non_end)) == len(non_end)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(20, 60),
+        n_hubs=st.integers(0, 4),
+        h=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_adjacent_structure_nodes_are_completely_joined(
+        self, n, n_hubs, h, seed
+    ):
+        """Every member of one structure node links to every member of an
+        adjacent one (twins share restricted neighbourhoods), so a
+        structure link's member-level links are exactly I × J — what the
+        batched engine's on-demand slot lookup relies on."""
+        rng = random.Random(seed)
+        g = _random_hub_network(rng, n, n_hubs)
+        a, b = rng.sample(g.nodes, 2)
+        sub = combine_structures(g, h_hop_node_set(g, a, b, h), a, b)
+        for i, j in sub.structure_link_pairs():
+            total = 0
+            for u in sub.nodes[i].members:
+                row = g.neighbor_view(u)
+                for v in sub.nodes[j].members:
+                    assert v in row, (u, v)
+                    total += len(row[v])
+            assert sub.link_count(i, j) == total
 
     def test_topology_conserved(self, fig3_network):
         """Member-level adjacency is recoverable from the structure level."""

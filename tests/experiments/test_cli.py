@@ -339,6 +339,21 @@ class TestBadInput:
             ),
             (["serve", "--replay", "--nodes", "0"], "--nodes"),
             (["bench", "--nodes", "0"], "--nodes"),
+            (["bench", "--pairs", "0"], "--pairs"),
+            (["bench", "--pairs", "-3"], "--pairs"),
+            (["bench", "--batch", "--batch-pairs", "0"], "--batch-pairs"),
+            (
+                ["serve", "--replay", "--nodes", "100", "--events-per-batch", "0"],
+                "--events-per-batch",
+            ),
+            (
+                ["serve", "--replay", "--nodes", "100", "--events-per-batch", "-3"],
+                "--events-per-batch",
+            ),
+            (
+                ["serve", "--replay", "--nodes", "100", "--max-events", "-1"],
+                "--max-events",
+            ),
         ],
     )
     def test_count_or_fraction_out_of_range(
@@ -353,6 +368,11 @@ class TestBadInput:
             ["stream", "--dataset", "contact", "--warmup", "0", "--refit-every", "1"],
             ["serve", "--replay", "--nodes", "1", "--event-fraction", "0.999"],
             ["table3", "--epochs", "1", "--n-jobs", "1"],
+            ["bench", "--pairs", "1", "--batch", "--batch-pairs", "1"],
+            [
+                "serve", "--replay", "--nodes", "100",
+                "--max-events", "0", "--events-per-batch", "1",
+            ],
         ],
     )
     def test_in_range_counts_and_fractions_reach_the_handler(
