@@ -1859,8 +1859,8 @@ class HashSetOpRule(Rule):
     through a hash table, and ``union1d``/``setdiff1d``/``intersect1d``
     call it.  On the engine's nearly sorted integer codes that path is
     one to two orders of magnitude slower than
-    :func:`repro.graph.csr.sorted_unique` (a stable sort plus a neighbour
-    mask) with the same output.  A ``return_*`` keyword sends
+    :func:`repro.graph.csr.sorted_unique` (a sort plus a neighbour mask)
+    with the same output.  A ``return_*`` keyword sends
     ``np.unique`` down numpy's sort path, so such calls are not flagged.
     """
 

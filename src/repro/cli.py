@@ -110,9 +110,11 @@ def _scale(text: str) -> float:
     return value
 
 
-def _warmup_fraction(text: str) -> float:
-    """argparse ``type=``: ``stream --warmup`` in [0, 1), as
-    :func:`~repro.streaming.prequential.prequential_evaluate` requires."""
+def _fraction(text: str) -> float:
+    """argparse ``type=``: a fraction in [0, 1) — ``stream --warmup``, as
+    :func:`~repro.streaming.prequential.prequential_evaluate` requires,
+    and ``bench --max-regression``, whose gate a negative value flips and
+    a value of 1 or more (or NaN) disables."""
     value = _float_value(text)
     if not 0.0 <= value < 1.0:
         raise argparse.ArgumentTypeError(f"must be in [0, 1), got {text}")
@@ -125,6 +127,17 @@ def _event_fraction(text: str) -> float:
     value = _float_value(text)
     if not 0.0 < value < 1.0:
         raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse ``type=``: a positive, finite number of seconds, as
+    :class:`~repro.robust.policy.RetryPolicy` requires of a deadline."""
+    value = _float_value(text)
+    if not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, got {text}"
+        )
     return value
 
 
@@ -177,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--k", type=_k_value, default=10)
         sub.add_argument(
             "--max-positives",
-            type=int,
+            type=_non_negative_int,
             default=300,
             help="cap on positive pairs (0 = no cap, the faithful protocol)",
         )
@@ -345,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_dataset_args(sub)
     sub.add_argument("--k", type=_k_value, default=10)
     sub.add_argument("--model", choices=("linear", "neural"), default="linear")
-    sub.add_argument("--warmup", type=_warmup_fraction, default=0.5)
+    sub.add_argument("--warmup", type=_fraction, default=0.5)
     sub.add_argument("--refit-every", type=_positive_int, default=2)
     sub.add_argument(
         "--drift-threshold",
@@ -409,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--max-regression",
-        type=float,
+        type=_fraction,
         default=0.30,
-        help="tolerated pairs/sec drop as a fraction of baseline (noise "
-        "threshold, default 0.30)",
+        help="tolerated pairs/sec drop as a fraction of baseline, in "
+        "[0, 1) (noise threshold, default 0.30)",
     )
     sub.add_argument(
         "--tag",
@@ -494,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument(
         "--timeout",
-        type=float,
+        type=_positive_seconds,
         default=None,
         metavar="SECONDS",
         help="per-attempt request deadline (default: the robustness "

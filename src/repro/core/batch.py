@@ -72,6 +72,7 @@ from repro.graph.csr import (
     CSRSnapshot,
     concatenate_neighbor_slices,
     sorted_unique,
+    stable_argsort,
 )
 from repro.obs import enabled as obs_enabled, incr, observe_many, span
 
@@ -235,7 +236,7 @@ class _PassState:
         """
         if self._members is None:
             n_groups_total = int(self.group_offsets[-1])
-            member_order = np.argsort(self.grp_row, kind="stable")
+            member_order = stable_argsort(self.grp_row, n_groups_total)
             member_indptr = np.zeros(n_groups_total + 1, dtype=np.int64)
             np.cumsum(
                 np.bincount(self.grp_row, minlength=n_groups_total),
@@ -285,11 +286,13 @@ def _group_ragged_rows(
 
     Each row gets one 64-bit word: the wrapping sum of :func:`_mix64`
     over its (non-negative) entries, XOR-ed with a mix of (length,
-    segment).  Rows are stable-sorted once by word and every row of a run
-    of equal words is compared with the run's first row (its smallest
-    position), entry by entry.  A run holding different contents is a
-    word collision and is split exactly by (segment, raw bytes), so the
-    partition is exact, never merely hash-probable.
+    segment).  Rows are sorted once by word (in any tie order) and every
+    row of a run of equal words is compared with the run's smallest
+    position, entry by entry.  A run holding different contents is a
+    word collision and is split exactly by (segment, raw bytes), visiting
+    its rows in ascending position, so the partition is exact, never
+    merely hash-probable, and each group's representative is its first
+    row.
     """
     count = int(rows.size)
     if count == 0:
@@ -304,14 +307,16 @@ def _group_ragged_rows(
         np.cumsum(mixed[flat], out=running[1:])
     words = (running[hi] - running[lo]) ^ _mix64((segs << 32) + lengths)
 
-    order = np.argsort(words, kind="stable")
+    # repro-lint: disable=R602 -- tie order inside a run is never read
+    order = np.argsort(words)
     sorted_words = words[order]
     run_start = np.empty(count, dtype=bool)
     run_start[0] = True
     np.not_equal(sorted_words[1:], sorted_words[:-1], out=run_start[1:])
+    run_starts = np.flatnonzero(run_start)
     run_of = np.empty(count, dtype=np.int64)
     run_of[order] = np.cumsum(run_start) - 1
-    rep = order[run_start][run_of]
+    rep = np.minimum.reduceat(order, run_starts)[run_of]
 
     follower = np.flatnonzero(rep != np.arange(count, dtype=np.int64))
     if follower.size:
@@ -331,11 +336,11 @@ def _group_ragged_rows(
             owner = np.repeat(check, widths)
             differs[owner[mine != theirs]] = True
         if bool(differs.any()):
-            run_bounds = np.append(np.flatnonzero(run_start), count).tolist()
+            run_bounds = np.append(run_starts, count).tolist()
             for run in sorted(set(run_of[follower[differs]].tolist())):
                 members = order[run_bounds[run] : run_bounds[run + 1]]
                 firsts: "dict[tuple[int, bytes], int]" = {}
-                for t in members.tolist():
+                for t in sorted(members.tolist()):
                     key = (int(segs[t]), flat[lo[t] : hi[t]].tobytes())
                     rep[t] = firsts.setdefault(key, t)
 
@@ -1020,12 +1025,15 @@ class BatchExtractionEngine:
             e_lo, e_hi = entry_list[s], entry_list[s + 1]
             dst_stamp[e_lo:e_hi] = row_of[flat[e_lo:e_hi]]
         dst_row = dst_stamp - base
-        keep = dst_row >= np.repeat(row_offsets[:-1], np.diff(seg_entry_bounds))
-        kept_dst_row = dst_row[keep]
-        kept_owner_row = owner_row[keep]
-        keep_cum = np.zeros(flat.size + 1, dtype=np.int64)
-        np.cumsum(keep, out=keep_cum[1:])
-        kept_indptr = keep_cum[entry_bounds]
+        kept = np.flatnonzero(
+            dst_row >= np.repeat(row_offsets[:-1], np.diff(seg_entry_bounds))
+        )
+        kept_dst_row = dst_row[kept]
+        kept_owner_row = owner_row[kept]
+        kept_indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(kept_owner_row, minlength=n_rows), out=kept_indptr[1:]
+        )
 
         # Per-segment sorted balls + disjoint per-segment key ranges give
         # one globally sorted haystack for the two end rows per segment.
@@ -1066,10 +1074,11 @@ class BatchExtractionEngine:
         unique_codes = sorted_unique(
             grp_row[kept_owner_row] * n_groups_total + grp_row[kept_dst_row]
         )
-        adj_dst = unique_codes % n_groups_total
-        adj_indptr = np.searchsorted(
-            unique_codes // n_groups_total,
-            np.arange(n_groups_total + 1, dtype=np.int64),
+        adj_src = unique_codes // n_groups_total
+        adj_dst = unique_codes - adj_src * n_groups_total
+        adj_indptr = np.zeros(n_groups_total + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(adj_src, minlength=n_groups_total), out=adj_indptr[1:]
         )
 
         if obs_enabled():

@@ -32,12 +32,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.core.structure import StructureSubgraph
-from repro.graph.csr import sorted_unique
+from repro.graph.csr import sorted_unique, stable_argsort
 from repro.obs import enabled as obs_enabled, incr, observe, observe_many, span
 from repro.utils.primes import nth_prime
 
@@ -124,18 +124,30 @@ def _initial_colors(scores: Sequence[float]) -> list[int]:
     return [1, 2] + [rank_of[s] for s in sortable[2:]]
 
 
+def _left_to_right_sum(values: Iterable[float]) -> float:
+    """``0.0 + v0 + v1 + ...`` in order — the accumulation the batched
+    path's :class:`_ColumnLayout` replays.  The builtin ``sum()`` does this
+    on Python 3.10/3.11 but compensates the rounding of float sums since
+    3.12, so it is not used here."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _refine(subgraph: StructureSubgraph, colors: list[int]) -> list[int]:
     """Iterate the prime-log hash until the colouring stops changing."""
     n = len(colors)
     for iteration in range(_MAX_ITERATIONS):
         log_primes = [_log_prime(c) for c in colors]
-        total = sum(log_primes)
+        total = _left_to_right_sum(log_primes)
         # `total` > 0 always (log 2 > 0 for every node).  Neighbour
         # contributions are summed in sorted-index order so the floating
         # accumulation is canonical (set-iteration order is not).
         hashes = [
             colors[i]
-            + sum(log_primes[j] for j in subgraph.adjacency_sorted(i)) / abs(total)
+            + _left_to_right_sum(log_primes[j] for j in subgraph.adjacency_sorted(i))
+            / abs(total)
             for i in range(n)
         ]
         new_colors = _dense_rank(hashes)
@@ -241,22 +253,23 @@ class _ColumnLayout:
     """Length-sorted, column-major layout of a ragged CSR for sequential
     row sums.
 
-    Rows are ranked by length, longest first (stable), so the rows longer
-    than ``p`` are exactly the first ``widths[p]`` ranks.  ``entries``
-    lists the CSR entry positions column by column — column ``p`` is the
-    ``p``-th entry of ranks ``0 .. widths[p] - 1``, one contiguous block.
+    Rows are ranked by length, longest first (equal lengths in row
+    order), so the rows longer than ``p`` are exactly the first
+    ``widths[p]`` ranks.  ``entries`` lists the CSR entry positions
+    column by column — column ``p`` is the ``p``-th entry of ranks
+    ``0 .. widths[p] - 1``, one contiguous block.
     :meth:`sums` adds column ``p`` into the leading ``widths[p]``
     accumulators, so every row adds its entries left to right starting
-    from 0.0 — the reference's scalar ``sum`` order, bit for bit.
+    from 0.0 — the reference's :func:`_left_to_right_sum`, bit for bit.
     """
 
     __slots__ = ("rank", "widths", "entries")
 
     def __init__(self, indptr: np.ndarray) -> None:
         lengths = indptr[1:] - indptr[:-1]
-        #: ``rank[r]`` is the row at length rank ``r``
-        self.rank = np.argsort(-lengths, kind="stable")
         max_len = int(lengths.max()) if lengths.size else 0
+        #: ``rank[r]`` is the row at length rank ``r``
+        self.rank = stable_argsort(max_len - lengths, max_len + 1)
         widths = lengths.size - np.cumsum(np.bincount(lengths))[:max_len]
         self.widths: "list[int]" = widths.tolist()
         column = np.repeat(np.arange(max_len, dtype=np.int64), widths)
@@ -345,9 +358,11 @@ def _split_ties(
     reference's 1e-9 chain starts a new rank at every class boundary and
     a pass only splits classes.  A singleton class keeps one rank; only
     nodes of larger classes (class id ``seg_start + colour − 1``) are
-    sorted, by (class, hash).  A node's new colour is the number of new
-    classes before its class in the segment plus its 1-based rank within
-    the class.
+    sorted, by (class, hash).  A colour-``c`` hash lies in ``[c, c + 1)``,
+    so inside one segment hash order already is (class, hash) order: the
+    tied nodes are sorted by hash, then stably by segment start.  A
+    node's new colour is the number of new classes before its class in
+    the segment plus its 1-based rank within the class.
 
     Within a class the reference chain is replayed exactly: a
     consecutive difference > 1e-9 is always a rank boundary (the running
@@ -364,7 +379,9 @@ def _split_ties(
     rank = np.ones(n, dtype=np.int64)
     tied = np.flatnonzero(class_size[class_of] > 1)
     if tied.size:
-        order = tied[np.lexsort((hashes[tied], class_of[tied]))]
+        # repro-lint: disable=R602 -- exactly equal hashes share one rank; their order is never read
+        by_hash = tied[np.argsort(hashes[tied])]
+        order = by_hash[stable_argsort(seg_start[by_hash], n)]
         sorted_vals = hashes[order]
         sorted_class = class_of[order]
         class_start = np.empty(tied.size, dtype=bool)

@@ -33,6 +33,7 @@ refcount-touched), and under ``spawn`` the :meth:`CSRSnapshot.to_shared`
 
 from __future__ import annotations
 
+import itertools
 import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -119,32 +120,29 @@ class CSRSnapshot:
             id_of = {label: i for i, label in enumerate(labels)}
             n = len(labels)
 
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            for i, label in enumerate(labels):
-                indptr[i + 1] = len(network.neighbor_view(label))
-            np.cumsum(indptr, out=indptr)
-            nnz = int(indptr[-1])
-
-            indices = np.empty(nnz, dtype=np.int32)
-            ts_counts = np.empty(nnz, dtype=np.int64)
+            degrees: list[int] = []
+            ids: list[int] = []
+            ts_counts: list[int] = []
             ts_chunks: list[list[float]] = []
-            pos = 0
             for label in labels:
                 row = network.neighbor_view(label)
-                entries = sorted(
+                degrees.append(len(row))
+                for nbr_id, stamps in sorted(
                     (id_of[nbr], stamps) for nbr, stamps in row.items()
-                )
-                for nbr_id, stamps in entries:
-                    indices[pos] = nbr_id
-                    ts_counts[pos] = len(stamps)
+                ):
+                    ids.append(nbr_id)
+                    ts_counts.append(len(stamps))
                     ts_chunks.append(stamps)
-                    pos += 1
+            nnz = len(ids)
+            indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(degrees, out=indptr[1:])
+            indices = np.array(ids, dtype=np.int32)
             ts_indptr = np.zeros(nnz + 1, dtype=np.int64)
             np.cumsum(ts_counts, out=ts_indptr[1:])
-            ts = (
-                np.concatenate([np.asarray(c, dtype=np.float64) for c in ts_chunks])
-                if ts_chunks
-                else np.zeros(0, dtype=np.float64)
+            ts = np.fromiter(
+                itertools.chain.from_iterable(ts_chunks),
+                dtype=np.float64,
+                count=int(ts_indptr[-1]),
             )
         snapshot = cls(labels, indptr, indices, ts_indptr, ts)
         observe("csr.nodes", n)
@@ -447,17 +445,36 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
 
     Same values and dtype as ``np.unique(values)``, which since numpy 2.3
     de-duplicates through a hash table (as do ``union1d`` and
-    ``setdiff1d``, which call it).  A stable sort plus a neighbour mask
-    beats that path several times over on random integers, and by one to
-    two orders of magnitude on the nearly sorted node and edge codes the
-    engine builds, where the stable sort runs close to linear time.  The
-    sorted set of an integer array depends only on its values, so the two
-    agree bit for bit.
+    ``setdiff1d``, which call it).  A sort plus a neighbour mask beats
+    that path several times over on random integers and on the nearly
+    sorted node and edge codes the engine builds.  The sorted set of an
+    integer array depends only on its values, so the two agree bit for
+    bit, and the sort may use numpy's default (SIMD) kind.
     """
-    ordered = np.sort(values, kind="stable")
+    # repro-lint: disable=R602 -- equal integers are indistinguishable; only distinct values leave
+    ordered = np.sort(values)
     keep = np.ones(ordered.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     return ordered[keep]
+
+
+def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` for integer keys in
+    ``[0, bound)``, through numpy's default (SIMD) sort.
+
+    The composites ``key * n + position`` are unique, so any sort of them
+    has no ties, and their order is exactly the stable order of
+    ``keys``; ``composite % n`` recovers the positions.  Raises
+    ``OverflowError`` when a composite could leave int64.
+    """
+    n = int(keys.size)
+    if int(bound) * n >= 2**63:
+        raise OverflowError(f"stable_argsort: {bound} keys x {n} rows overflow int64")
+    composite = keys.astype(np.int64)
+    composite *= n
+    composite += np.arange(n, dtype=np.int64)
+    # repro-lint: disable=R602 -- composite keys are unique
+    return np.sort(composite) % n
 
 
 def concatenate_neighbor_slices(

@@ -1,6 +1,7 @@
 """Palette-WL behaviour on crafted symmetric and regular graphs, plus the
 batched path's primitives against their scalar references."""
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import batch
+from repro.core import batch, palette_wl
 from repro.core.palette_wl import (
     _ColumnLayout,
     _dense_rank,
     _initial_colors,
+    _log_prime,
+    _refine,
     _split_ties,
     _strict_order,
     _strict_order_many,
@@ -21,6 +24,37 @@ from repro.core.palette_wl import (
 from repro.core.structure import combine_structures
 from repro.core.subgraph import h_hop_node_set
 from repro.graph.temporal import DynamicNetwork
+
+
+def _left_to_right_sum(values):
+    """``0.0 + v0 + v1 + ...`` in order: the oracle for every Palette-WL
+    float sum (the builtin ``sum()`` compensates since Python 3.12)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+class _Adjacency:
+    """Stand-in subgraph for :func:`_refine`: sorted neighbour lists."""
+
+    def __init__(self, rows):
+        self._rows = rows
+
+    def adjacency_sorted(self, index):
+        return self._rows[index]
+
+
+def _assert_split_ties_is_dense_rank(sizes, colors, hashes):
+    """:func:`_split_ties` over segments of ``sizes`` equals the scalar
+    :func:`_dense_rank` of each segment's hashes."""
+    seg_indptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=seg_indptr[1:])
+    seg_start = np.repeat(seg_indptr[:-1], sizes)
+    got = _split_ties(np.array(hashes), np.array(colors, dtype=np.int64), seg_start)
+    for s in range(sizes.size):
+        lo, hi = int(seg_indptr[s]), int(seg_indptr[s + 1])
+        assert got[lo:hi].tolist() == _dense_rank(hashes[lo:hi])
 
 
 class _LabelledNodes:
@@ -96,6 +130,30 @@ class TestRefinementInternals:
         ranks = _dense_rank([1.0, 1.0 + 1e-12, 2.0])
         assert ranks[0] == ranks[1]
 
+    def test_refine_sums_log_primes_left_to_right(self):
+        """The WL hash divides left-to-right sums, bit for bit, as the
+        batched :class:`_ColumnLayout` does.  On K7 with colours 1..7 the
+        total and node 2's neighbour sum differ from their correctly
+        rounded values, which Python 3.12's compensated ``sum()`` returns
+        here."""
+        colors = list(range(1, 8))
+        rows = [[j for j in range(7) if j != i] for i in range(7)]
+        log_primes = [_log_prime(c) for c in colors]
+        total = _left_to_right_sum(log_primes)
+        assert total != math.fsum(log_primes)
+        neighbour_2 = [log_primes[j] for j in rows[2]]
+        assert _left_to_right_sum(neighbour_2) != math.fsum(neighbour_2)
+        expected = [
+            colors[i] + _left_to_right_sum(log_primes[j] for j in rows[i]) / total
+            for i in range(7)
+        ]
+        with mock.patch.object(
+            palette_wl, "_dense_rank", wraps=_dense_rank
+        ) as ranked:
+            assert _refine(_Adjacency(rows), colors) == colors
+        hashes = ranked.call_args_list[0].args[0]
+        assert hashes == expected
+
     def test_initial_colors_band_structure(self):
         colors = _initial_colors([0.0, 0.0, 2.0, 2.0, 3.0, -1.0])
         assert colors[:2] == [1, 2]
@@ -124,7 +182,7 @@ class TestBatchedPrimitives:
     def test_column_layout_sums_equal_left_to_right_sum(
         self, lengths, long_length, at, seed
     ):
-        """Each row's sum is Python's left-to-right ``sum``, bit for bit;
+        """Each row's sum is the explicit left-to-right sum, bit for bit;
         positive values spanning 16 decades make any other association
         (another column order, a pairwise reduction) round differently."""
         lengths.insert(min(at, len(lengths)), long_length)
@@ -136,7 +194,7 @@ class TestBatchedPrimitives:
         layout = _ColumnLayout(indptr)
         sums = layout.sums(values[layout.entries])
         for row in range(len(lengths)):
-            expected = sum(values[indptr[row] : indptr[row + 1]].tolist())
+            expected = _left_to_right_sum(values[indptr[row] : indptr[row + 1]].tolist())
             assert sums[row] == expected, row
 
     def test_split_ties_equals_scalar_dense_rank_per_segment(self):
@@ -168,15 +226,37 @@ class TestBatchedPrimitives:
                         fractions[members] = np.minimum(run, 0.999)
                 colors.extend(seg_colors.tolist())
                 hashes.extend((seg_colors + fractions).tolist())
-            seg_indptr = np.zeros(sizes.size + 1, dtype=np.int64)
-            np.cumsum(sizes, out=seg_indptr[1:])
-            seg_start = np.repeat(seg_indptr[:-1], sizes)
-            got = _split_ties(
-                np.array(hashes), np.array(colors, dtype=np.int64), seg_start
-            )
-            for s in range(sizes.size):
-                lo, hi = int(seg_indptr[s]), int(seg_indptr[s + 1])
-                assert got[lo:hi].tolist() == _dense_rank(hashes[lo:hi])
+            _assert_split_ties_is_dense_rank(sizes, colors, hashes)
+
+    def test_split_ties_with_equal_hashes_and_large_classes(self):
+        """Classes of 16 to 60 nodes (numpy's default sort reorders ties
+        from 16 elements up) holding exactly equal hashes, in several
+        segments whose hash ranges interleave: the tied nodes must be
+        reordered by segment, stably, after the sort by hash."""
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            sizes = rng.integers(16, 61, size=rng.integers(2, 5))
+            colors: list = []
+            hashes: list = []
+            for size in sizes.tolist():
+                n_colors = int(rng.integers(1, 4))
+                seg_colors = rng.permutation(
+                    np.concatenate(
+                        [
+                            np.arange(1, n_colors + 1),
+                            rng.integers(1, n_colors + 1, size - n_colors),
+                        ]
+                    )
+                )
+                fractions = rng.random(size) * 0.999
+                repeated = rng.random(size) < 0.5
+                pool = rng.random(int(rng.integers(1, 6))) * 0.999
+                fractions[repeated] = pool[
+                    rng.integers(0, pool.size, int(repeated.sum()))
+                ]
+                colors.extend(seg_colors.tolist())
+                hashes.extend((seg_colors + fractions).tolist())
+            _assert_split_ties_is_dense_rank(sizes, colors, hashes)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

@@ -354,6 +354,19 @@ class TestBadInput:
                 ["serve", "--replay", "--nodes", "100", "--max-events", "-1"],
                 "--max-events",
             ),
+            (["serve", "--replay", "--nodes", "100", "--timeout", "0"], "--timeout"),
+            (["serve", "--replay", "--nodes", "100", "--timeout", "-1"], "--timeout"),
+            (["serve", "--replay", "--nodes", "100", "--timeout", "nan"], "--timeout"),
+            (["serve", "--replay", "--nodes", "100", "--timeout", "inf"], "--timeout"),
+            (["bench", "--max-regression", "-0.5"], "--max-regression"),
+            (["bench", "--max-regression", "nan"], "--max-regression"),
+            (["bench", "--max-regression", "1.5"], "--max-regression"),
+            (["bench", "--max-regression", "1"], "--max-regression"),
+            (["table3", "--max-positives", "-5"], "--max-positives"),
+            (
+                ["crossval", "--dataset", "contact", "--max-positives", "-1"],
+                "--max-positives",
+            ),
         ],
     )
     def test_count_or_fraction_out_of_range(
@@ -373,6 +386,9 @@ class TestBadInput:
                 "serve", "--replay", "--nodes", "100",
                 "--max-events", "0", "--events-per-batch", "1",
             ],
+            ["serve", "--replay", "--nodes", "100", "--timeout", "0.5"],
+            ["bench", "--max-regression", "0"],
+            ["table3", "--max-positives", "0"],
         ],
     )
     def test_in_range_counts_and_fractions_reach_the_handler(

@@ -2,11 +2,16 @@
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.influence import influence_array, normalized_influence
-from repro.graph.csr import CSRSnapshot, concatenate_neighbor_slices, sorted_unique
+from repro.graph.csr import (
+    CSRSnapshot,
+    concatenate_neighbor_slices,
+    sorted_unique,
+    stable_argsort,
+)
 from repro.graph.temporal import DynamicNetwork
 
 
@@ -67,6 +72,87 @@ class TestConstruction:
         snap = CSRSnapshot.from_dynamic(DynamicNetwork())
         assert snap.number_of_nodes() == 0
         assert snap.number_of_links() == 0
+
+
+def _freeze_per_entry(network):
+    """The freeze as one numpy scalar store per slot and one
+    ``np.asarray`` per stamp list — the oracle for
+    :meth:`CSRSnapshot.from_dynamic`'s list-built arrays."""
+    labels = list(network)
+    id_of = {label: i for i, label in enumerate(labels)}
+    n = len(labels)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    for i, label in enumerate(labels):
+        indptr[i + 1] = len(network.neighbor_view(label))
+    np.cumsum(indptr, out=indptr)
+    nnz = int(indptr[-1])
+    indices = np.empty(nnz, dtype=np.int32)
+    ts_counts = np.empty(nnz, dtype=np.int64)
+    ts_chunks = []
+    pos = 0
+    for label in labels:
+        row = network.neighbor_view(label)
+        for nbr_id, stamps in sorted(
+            (id_of[nbr], stamps) for nbr, stamps in row.items()
+        ):
+            indices[pos] = nbr_id
+            ts_counts[pos] = len(stamps)
+            ts_chunks.append(stamps)
+            pos += 1
+    ts_indptr = np.zeros(nnz + 1, dtype=np.int64)
+    np.cumsum(ts_counts, out=ts_indptr[1:])
+    ts = (
+        np.concatenate([np.asarray(c, dtype=np.float64) for c in ts_chunks])
+        if ts_chunks
+        else np.zeros(0, dtype=np.float64)
+    )
+    return labels, indptr, indices, ts_indptr, ts
+
+
+@st.composite
+def dynamic_networks(draw):
+    """Networks over int and string labels with multi-links, isolated
+    nodes (a drawn self-pair only adds its node) and int or float
+    stamps; the empty network included."""
+    labels = draw(
+        st.lists(
+            st.one_of(st.integers(-5, 40), st.text(max_size=3)),
+            unique=True,
+            max_size=10,
+        )
+    )
+    network = DynamicNetwork()
+    if not labels:
+        return network
+    stamps = st.one_of(
+        st.integers(-10, 10),
+        st.floats(-10, 10, allow_nan=False, allow_infinity=False),
+    )
+    node = st.sampled_from(labels)
+    for u, v, t in draw(st.lists(st.tuples(node, node, stamps), max_size=40)):
+        if u == v:
+            network.add_node(u)
+        else:
+            network.add_edge(u, v, t)
+    return network
+
+
+class TestFreezeEqualsPerEntryLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(dynamic_networks())
+    @example(DynamicNetwork())
+    def test_arrays_dtypes_and_labels(self, network):
+        snap = CSRSnapshot.from_dynamic(network)
+        labels, *arrays = _freeze_per_entry(network)
+        assert snap.labels == labels
+        assert [type(label) for label in snap.labels] == [
+            type(label) for label in labels
+        ]
+        got = [snap.indptr, snap.indices, snap.ts_indptr, snap.ts]
+        for mine, theirs in zip(got, arrays):
+            assert mine.dtype == theirs.dtype
+            assert mine.shape == theirs.shape
+            assert mine.tobytes() == theirs.tobytes()
 
 
 class TestRoundtrip:
@@ -207,3 +293,29 @@ class TestSortedUnique:
         assert got.dtype == expected.dtype
         assert np.array_equal(got, expected)
         assert np.array_equal(values, before)  # the input is not sorted in place
+
+
+class TestStableArgsort:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        size=st.integers(0, 3000),
+        bound=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        dtype=st.sampled_from([np.int32, np.int64]),
+    )
+    @example(size=0, bound=1, seed=0, dtype=np.int64)
+    @example(size=3000, bound=2, seed=0, dtype=np.int64)
+    def test_matches_stable_argsort(self, size, bound, seed, dtype):
+        """Keys from a small range, so ties are heavy; numpy's default
+        sort already reorders ties from 16 elements up."""
+        keys = np.random.default_rng(seed).integers(0, bound, size).astype(dtype)
+        got = stable_argsort(keys, bound)
+        expected = np.argsort(keys, kind="stable")
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+    def test_rejects_composites_beyond_int64(self):
+        keys = np.zeros(4, dtype=np.int64)
+        with pytest.raises(OverflowError):
+            stable_argsort(keys, 2**61)  # 4 * 2**61 == 2**63
+        assert stable_argsort(keys, 2**61 - 1).tolist() == [0, 1, 2, 3]
