@@ -141,6 +141,26 @@ def _positive_seconds(text: str) -> float:
     return value
 
 
+def _non_negative_seconds(text: str) -> float:
+    """argparse ``type=``: a non-negative, finite number of seconds —
+    ``--telemetry-linger``, which ``time.sleep`` rejects when negative
+    and a NaN would silently skip."""
+    value = _float_value(text)
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative finite number, got {text}"
+        )
+    return value
+
+
+def _port(text: str) -> int:
+    """argparse ``type=``: a TCP port in [0, 65535] (0 = ephemeral)."""
+    value = _int_at_least(text, 0)
+    if value > 65535:
+        raise argparse.ArgumentTypeError(f"must be <= 65535, got {value}")
+    return value
+
+
 def _method_name(text: str) -> str:
     """argparse ``type=``: a Table III method name."""
     try:
@@ -178,7 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument("--file", help="timestamped edge-list file instead")
         sub.add_argument(
-            "--span", type=int, help="normalise file timestamps onto 1..SPAN"
+            "--span",
+            type=_positive_int,
+            help="normalise file timestamps onto 1..SPAN",
         )
         sub.add_argument(
             "--scale", type=_scale, default=1.0, help="dataset scale (0, 1]"
@@ -217,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--telemetry-port",
-            type=int,
+            type=_port,
             metavar="PORT",
             help="serve live OpenMetrics exposition on 127.0.0.1:PORT "
             "(/metrics; /healthz returns run phase) for the duration "
@@ -231,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--telemetry-linger",
-            type=float,
+            type=_non_negative_seconds,
             default=0.0,
             metavar="SECONDS",
             help="keep the --telemetry-port endpoint serving this long "

@@ -156,37 +156,6 @@ class _Growth:
         self.prev_size = 2
 
 
-class _PairJob:
-    """One finalized pair: its combined structure subgraph in flat-array
-    form (identical partition / adjacency / member order to
-    :class:`~repro.core.structure.CSRStructureSubgraph`)."""
-
-    __slots__ = (
-        "row",
-        "n_groups",
-        "adj_indptr",
-        "adj_dst",
-        "member_indptr",
-        "members_flat",
-    )
-
-    def __init__(
-        self,
-        row: int,
-        n_groups: int,
-        adj_indptr: np.ndarray,
-        adj_dst: np.ndarray,
-        member_indptr: np.ndarray,
-        members_flat: np.ndarray,
-    ) -> None:
-        self.row = row
-        self.n_groups = n_groups
-        self.adj_indptr = adj_indptr
-        self.adj_dst = adj_dst
-        self.member_indptr = member_indptr
-        self.members_flat = members_flat
-
-
 class _PassState:
     """Merge-converged state of one cross-pair combine pass.
 
@@ -204,7 +173,6 @@ class _PassState:
         "group_offsets",
         "adj_indptr",
         "adj_dst",
-        "_members",
     )
 
     def __init__(
@@ -222,28 +190,35 @@ class _PassState:
         self.group_offsets = group_offsets
         self.adj_indptr = adj_indptr
         self.adj_dst = adj_dst
-        # built once, on the first _finalize call
-        self._members: "tuple[np.ndarray, np.ndarray] | None" = None
 
-    def member_csr(self) -> "tuple[np.ndarray, np.ndarray]":
-        """``(member_indptr, member_nodes)`` over the global groups, built
-        lazily.
+    def block(
+        self, segments: np.ndarray, first_group: int
+    ) -> "tuple[np.ndarray, ...]":
+        """The structure subgraphs of ``segments`` as one flat block,
+        ``(group_counts, degrees, adjacency, member_counts, members)``.
 
-        Members of each group are its node ids ascending (the reference's
-        ``np.sort`` per group): rows are already in (segment, node)
-        order, so a stable sort by group keeps each group's nodes
-        ascending.
+        The segments' groups are renumbered ``first_group, first_group +
+        1, ...`` in segment order.  Adjacency is intra-segment and a
+        segment's groups keep their relative order, so each group's
+        neighbours stay ascending.  Each group's members are its node ids
+        ascending (the reference's ``np.sort`` per group): rows are in
+        (segment, node) order, so a stable sort by group keeps them so.
         """
-        if self._members is None:
-            n_groups_total = int(self.group_offsets[-1])
-            member_order = stable_argsort(self.grp_row, n_groups_total)
-            member_indptr = np.zeros(n_groups_total + 1, dtype=np.int64)
-            np.cumsum(
-                np.bincount(self.grp_row, minlength=n_groups_total),
-                out=member_indptr[1:],
-            )
-            self._members = (member_indptr, self.node_of_row[member_order])
-        return self._members
+        counts = self.group_counts[segments]
+        n_groups = int(counts.sum())
+        groups = np.arange(n_groups, dtype=np.int64) + np.repeat(
+            self.group_offsets[segments] - (np.cumsum(counts) - counts), counts
+        )
+        renumber = np.full(int(self.group_offsets[-1]), -1, dtype=np.int64)
+        renumber[groups] = np.arange(n_groups, dtype=np.int64)
+        degrees = self.adj_indptr[groups + 1] - self.adj_indptr[groups]
+        adjacency = renumber[_gather_rows(self.adj_indptr, self.adj_dst, groups)]
+        row_group = renumber[self.grp_row]
+        rows = np.flatnonzero(row_group >= 0)
+        row_group = row_group[rows]
+        members = self.node_of_row[rows[stable_argsort(row_group, n_groups)]]
+        member_counts = np.bincount(row_group, minlength=n_groups)
+        return counts, degrees, adjacency + first_group, member_counts, members
 
 
 _MIX_INCREMENT = np.uint64(0x9E3779B97F4A7C15)
@@ -351,6 +326,12 @@ def _group_ragged_rows(
     return number[rep] - seg_base[segs], counts
 
 
+def _nearest(d_x: np.ndarray, d_y: np.ndarray) -> np.ndarray:
+    """Element-wise min of two hop-distance arrays, −1 (unreachable) only
+    where both are −1: a BFS from both sources at once."""
+    return np.where(d_x < 0, d_y, np.where(d_y < 0, d_x, np.minimum(d_x, d_y)))
+
+
 def _feature_positions(k: int) -> np.ndarray:
     """(k, k) map from 0-based (row, col) to Eq. 5 feature position."""
     from repro.core.feature import unfold_indices
@@ -403,9 +384,6 @@ class BatchExtractionEngine:
         self._slot_sums: "np.ndarray | None" = None
         self._edge_key_table: "np.ndarray | None" = None
         self._multi_slot_memo: dict[bytes, float] = {}
-        self._sort_key_memo: "dict[bytes, tuple[str, ...]]" = {}
-        self._single_key_memo: "dict[int, tuple[str, ...]]" = {}
-        self._label_reprs: dict[int, str] = {}
         self._repr_rank: "np.ndarray | None" = None
 
     # ------------------------------------------------------------------
@@ -455,36 +433,27 @@ class BatchExtractionEngine:
         grown: "list[np.ndarray] | None" = (
             [_EMPTY_LEVEL] * len(pairs) if footprints is not None else None
         )
-        jobs = self._grow_and_combine(pairs, grown)
+        blocks = self._grow_and_combine(pairs, grown)
         if footprints is not None and grown is not None:
             footprints.extend(grown)
-        if not jobs:
+        if not blocks:
             return out
 
+        # One flat layout for the batch: structure-graph adjacency (WL
+        # input) and member CSR, segments in pass order.
         k = self._k
-        n_segments = len(jobs)
-        sizes = np.array([job.n_groups for job in jobs], dtype=np.int64)
+        job_rows, sizes, degrees, nbr_indices, member_counts, members_flat = (
+            np.concatenate(column) for column in zip(*blocks)
+        )
+        n_segments = sizes.size
         seg_indptr = np.zeros(n_segments + 1, dtype=np.int64)
         np.cumsum(sizes, out=seg_indptr[1:])
         total = int(seg_indptr[-1])
         seg_ids = np.repeat(np.arange(n_segments, dtype=np.int64), sizes)
-        job_rows = np.array([job.row for job in jobs], dtype=np.int64)
-
-        # Flat structure-graph adjacency (WL input) + member CSR.
-        degrees = np.concatenate(
-            [job.adj_indptr[1:] - job.adj_indptr[:-1] for job in jobs]
-        )
         nbr_indptr = np.zeros(total + 1, dtype=np.int64)
         np.cumsum(degrees, out=nbr_indptr[1:])
-        nbr_indices = np.concatenate(
-            [job.adj_dst + seg_indptr[s] for s, job in enumerate(jobs)]
-        )
-        member_counts = np.concatenate(
-            [job.member_indptr[1:] - job.member_indptr[:-1] for job in jobs]
-        )
         member_indptr = np.zeros(total + 1, dtype=np.int64)
         np.cumsum(member_counts, out=member_indptr[1:])
-        members_flat = np.concatenate([job.members_flat for job in jobs])
         n_nodes = self._snapshot.number_of_nodes()
 
         def link_slots(
@@ -552,44 +521,15 @@ class BatchExtractionEngine:
                     )
             return scores
 
-        # Residual WL ties sort by member-label reprs; the same hub groups
-        # recur across pairs and batches, so keys are memoized per engine
-        # (singleton groups — the common case — by member id, larger ones
-        # by member-id bytes) with reprs cached per node id.
-        labels = self._snapshot.labels
-        key_memo = self._sort_key_memo
-        single_memo = self._single_key_memo
-        repr_memo = self._label_reprs
-        bounds_list = member_indptr.tolist()
-        members_list = members_flat.tolist()
-
-        def sort_key(flat_index: int) -> "tuple[str, ...]":
-            m_lo = bounds_list[flat_index]
-            m_hi = bounds_list[flat_index + 1]
-            if m_hi - m_lo == 1:
-                m = members_list[m_lo]
-                key = single_memo.get(m)
-                if key is None:
-                    text = repr_memo.get(m)
-                    if text is None:
-                        text = repr(labels[m])
-                        repr_memo[m] = text
-                    key = (text,)
-                    single_memo[m] = key
-                return key
-            member_bytes = members_flat[m_lo:m_hi].tobytes()
-            key = key_memo.get(member_bytes)
-            if key is None:
-                parts: "list[str]" = []
-                for m in members_list[m_lo:m_hi]:
-                    text = repr_memo.get(m)
-                    if text is None:
-                        text = repr(labels[m])
-                        repr_memo[m] = text
-                    parts.append(text)
-                key = tuple(sorted(parts))
-                key_memo[member_bytes] = key
-            return key
+        def sort_key(flat_index: int) -> "tuple[int, ...]":
+            """Label key of a tied group: its members' ranks in the
+            engine's repr order, ascending.  Rank order is repr order and
+            equal reprs share a rank, so these tuples compare exactly
+            like the reference's sorted repr tuples."""
+            members = members_flat[
+                member_indptr[flat_index] : member_indptr[flat_index + 1]
+            ]
+            return tuple(sorted(self._node_repr_rank()[members].tolist()))
 
         def singleton_ranks() -> np.ndarray:
             """Scalar sort-key ranks: singleton groups (the common case)
@@ -601,17 +541,24 @@ class BatchExtractionEngine:
                 member_counts == 1, rank[first], np.int64(-1)
             )
 
-        orders = palette_wl_order_many(
-            seg_indptr,
-            nbr_indptr,
-            nbr_indices,
-            tie_break if self._ordering != "hops" else None,
-            sort_key,
-            singleton_ranks,
-        )
-
-        sources = np.concatenate([seg_indptr[:-1], seg_indptr[:-1] + 1])
-        distances = flat_hop_distances(nbr_indptr, nbr_indices, sources)
+        # Each structure node's hop distances to the two end nodes: the
+        # Palette-WL initial key, and (their element-wise min) the Eq. 5
+        # distance to the target link.
+        with span("palette_wl", nodes=total, segments=n_segments):
+            from_a = flat_hop_distances(nbr_indptr, nbr_indices, seg_indptr[:-1])
+            from_b = flat_hop_distances(
+                nbr_indptr, nbr_indices, seg_indptr[:-1] + 1
+            )
+            orders = palette_wl_order_many(
+                seg_indptr,
+                nbr_indptr,
+                nbr_indices,
+                from_a,
+                from_b,
+                tie_break if self._ordering != "hops" else None,
+                sort_key,
+                singleton_ranks,
+            )
 
         # Top-K selection: orders are a 1-based permutation per segment,
         # so "order <= k" IS the reference's stable top-min(k, size) pick.
@@ -665,14 +612,10 @@ class BatchExtractionEngine:
         def distance_entries() -> np.ndarray:
             nonlocal link_dist
             if link_dist is None:
-                d_m = distances[link_i]
-                d_n = distances[link_j]
-                both_unreachable = (d_m < 0) & (d_n < 0)
-                nearest = np.where(
-                    d_m < 0, d_n, np.where(d_n < 0, d_m, np.minimum(d_m, d_n))
-                )
+                to_link = _nearest(from_a, from_b)
+                nearest = _nearest(to_link[link_i], to_link[link_j])
                 link_dist = np.where(
-                    both_unreachable, 0.0, 1.0 / np.maximum(nearest, 1)
+                    nearest < 0, 0.0, 1.0 / np.maximum(nearest, 1)
                 )
             return link_dist
 
@@ -722,18 +665,26 @@ class BatchExtractionEngine:
     # ------------------------------------------------------------------
     def _grow_and_combine(
         self, pairs: "Sequence[Pair]", grown: "list[np.ndarray] | None"
-    ) -> "list[_PairJob]":
+    ) -> "list[tuple[np.ndarray, ...]]":
         """Def. 3 growth + Alg. 1 for every pair; a finishing pair's union
         (its final radius-h ball) lands in ``grown[row]`` when asked.
 
+        Returns one flat block per combine pass that finished pairs:
+        ``(rows, group_counts, degrees, adjacency, member_counts,
+        members)`` (see :meth:`_PassState.block`), with group ids
+        numbered across the blocks in order, so concatenating each field
+        gives the batch's flat layout.  Segments come in pass order;
+        ``rows`` says which output row each one fills.
+
         Ball extension and the per-pair merges run under
-        ``subgraph_growth`` spans, ``_combine_many`` and ``_finalize``
+        ``subgraph_growth`` spans, combination and block extraction
         under ``structure_combination`` spans, so the two stage
         histograms time disjoint work."""
         k = self._k
         with span("subgraph_growth", h=1, pairs=len(pairs)):
             active = self._start_growth(pairs)
-        jobs: "list[_PairJob]" = []
+        blocks: "list[tuple[np.ndarray, ...]]" = []
+        n_groups = 0  # groups in the blocks so far
         h = 1
         while active:
             if obs_enabled():
@@ -772,38 +723,41 @@ class BatchExtractionEngine:
             if grown is not None:
                 for growth, _segment in done_segments + forced:
                     grown[growth.row] = growth.union
-            finishing = done_segments + [
+            finishing: "list[tuple[_Growth, int]]" = done_segments + [
                 (growth, segment)
                 for growth, segment in forced
                 if segment is not None
             ]
             small = [growth for growth, segment in forced if segment is None]
-            if (state is not None and finishing) or small:
+            if finishing or small:
                 with span(
                     "structure_combination", h=h, pairs=len(finishing) + len(small)
                 ):
-                    if state is not None and finishing:
-                        jobs.extend(
-                            self._finalize(
-                                state,
-                                [(g.row, segment) for g, segment in finishing],
-                            )
-                        )
+                    passes: "list[tuple[_PassState, list[tuple[_Growth, int]]]]" = []
+                    if finishing:
+                        assert state is not None
+                        passes.append((state, finishing))
                     if small:
-                        small_state = self._combine_many(small)
-                        jobs.extend(
-                            self._finalize(
-                                small_state,
-                                [(g.row, i) for i, g in enumerate(small)],
+                        passes.append(
+                            (
+                                self._combine_many(small),
+                                [(g, i) for i, g in enumerate(small)],
                             )
                         )
+                    for pass_state, finished in passes:
+                        block = pass_state.block(
+                            np.array([s for _, s in finished], dtype=np.int64),
+                            n_groups,
+                        )
+                        n_groups += int(block[0].sum())
+                        rows = np.array([g.row for g, _ in finished], dtype=np.int64)
+                        blocks.append((rows,) + block)
             observe_many(
                 "subgraph.growth_h", [h] * (len(done_segments) + len(forced))
             )
             active = growing
             h += 1
-        jobs.sort(key=lambda job: job.row)
-        return jobs
+        return blocks
 
     def _start_growth(self, pairs: "Sequence[Pair]") -> "list[_Growth]":
         """Radius-1 growth state for every pair with both end nodes in the
@@ -1099,35 +1053,6 @@ class BatchExtractionEngine:
             adj_indptr,
             adj_dst,
         )
-
-    def _finalize(
-        self, state: _PassState, items: "list[tuple[int, int]]"
-    ) -> "list[_PairJob]":
-        """Cut per-pair structure arrays out of a pass for finishing pairs."""
-        member_indptr, member_nodes = state.member_csr()
-        adj_indptr = state.adj_indptr
-        adj_dst = state.adj_dst
-        group_offsets = state.group_offsets
-        group_counts = state.group_counts
-        jobs: "list[_PairJob]" = []
-        for row, segment in items:
-            g_lo = int(group_offsets[segment])
-            g_hi = g_lo + int(group_counts[segment])
-            a_lo = int(adj_indptr[g_lo])
-            a_hi = int(adj_indptr[g_hi])
-            m_lo = int(member_indptr[g_lo])
-            m_hi = int(member_indptr[g_hi])
-            jobs.append(
-                _PairJob(
-                    row,
-                    g_hi - g_lo,
-                    adj_indptr[g_lo : g_hi + 1] - a_lo,
-                    adj_dst[a_lo:a_hi] - g_lo,
-                    member_indptr[g_lo : g_hi + 1] - m_lo,
-                    member_nodes[m_lo:m_hi],
-                )
-            )
-        return jobs
 
     # ------------------------------------------------------------------
     # phase 3 helpers: slot sums, edge keys and influence

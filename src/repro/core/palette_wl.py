@@ -291,15 +291,13 @@ class _ColumnLayout:
 
 
 def bilateral_distance_scores_many(
-    seg_indptr: np.ndarray,
-    nbr_indptr: np.ndarray,
-    nbr_indices: np.ndarray,
+    seg_indptr: np.ndarray, from_a: np.ndarray, from_b: np.ndarray
 ) -> np.ndarray:
-    """Batched :func:`bilateral_distance_scores` (unit lengths) per segment."""
+    """Batched :func:`bilateral_distance_scores` (unit lengths) per
+    segment, from each flat node's hop distances to its segment's end
+    nodes 0 (``from_a``) and 1 (``from_b``), −1 where unreachable."""
     seg_ids = _segment_ids(seg_indptr)
     seg_starts = seg_indptr[:-1]
-    from_a = flat_hop_distances(nbr_indptr, nbr_indices, seg_starts)
-    from_b = flat_hop_distances(nbr_indptr, nbr_indices, seg_starts + 1)
     # max over the finite distances of both arrays: −1 sentinels sit below
     # the source's 0, so a plain per-segment int max is the finite max.
     max_a = np.maximum.reduceat(from_a, seg_starts)
@@ -468,7 +466,7 @@ def _strict_order_many(
     tie_break: "Callable[[np.ndarray], np.ndarray] | None",
     seg_indptr: np.ndarray,
     seg_ids: np.ndarray,
-    sort_key: "Callable[[int], tuple[str, ...]]",
+    sort_key: "Callable[[int], tuple]",
     singleton_ranks: "Callable[[], np.ndarray] | None" = None,
 ) -> np.ndarray:
     """Batched :func:`_strict_order`; ``sort_key`` takes a flat node id.
@@ -561,8 +559,10 @@ def palette_wl_order_many(
     seg_indptr: np.ndarray,
     nbr_indptr: np.ndarray,
     nbr_indices: np.ndarray,
+    from_a: np.ndarray,
+    from_b: np.ndarray,
     tie_break: "Callable[[np.ndarray], np.ndarray] | None",
-    sort_key: "Callable[[int], tuple[str, ...]]",
+    sort_key: "Callable[[int], tuple]",
     singleton_ranks: "Callable[[], np.ndarray] | None" = None,
 ) -> np.ndarray:
     """Strict Palette-WL orders for many structure subgraphs at once.
@@ -579,31 +579,30 @@ def palette_wl_order_many(
         seg_indptr: int64 ``(S + 1,)`` flat node offsets per subgraph.
         nbr_indptr: int64 ``(N + 1,)`` flat adjacency offsets.
         nbr_indices: int64 flat neighbour ids, ascending within each row.
+        from_a, from_b: int64 ``(N,)`` hop distances of each node to its
+            segment's end node 0 and 1 (−1 = unreachable), as
+            :func:`flat_hop_distances` from ``seg_indptr[:-1]`` and from
+            ``seg_indptr[:-1] + 1`` returns them.
         tie_break: optional lazy WL-tie scores, as in
             :func:`palette_wl_order`: maps the ascending flat ids of the
             nodes the refinement leaves in a shared colour class to their
             float64 scores (lower = earlier).  Called at most once, and
             never for a node alone in its class.
-        sort_key: label key of a flat node id, breaking residual ties.
+        sort_key: label key of a flat node id, breaking residual ties;
+            any tuples that compare as the reference's repr tuples do.
         singleton_ranks: optional lazy per-flat-node scalar key ranks
             (``-1`` = no scalar rank); see :func:`_strict_order_many`.
     """
-    n = int(seg_indptr[-1])
     sizes = seg_indptr[1:] - seg_indptr[:-1]
     if sizes.size and int(sizes.min()) < 2:
         raise ValueError("structure subgraph must contain both end nodes")
     seg_ids = _segment_ids(seg_indptr)
-    with span("palette_wl", nodes=n, segments=int(sizes.size)):
-        scores = bilateral_distance_scores_many(
-            seg_indptr, nbr_indptr, nbr_indices
-        )
-        colors = _initial_colors_many(scores, seg_indptr, seg_ids)
-        colors = _refine_many(
-            colors, seg_indptr, seg_ids, nbr_indptr, nbr_indices
-        )
-        return _strict_order_many(
-            colors, tie_break, seg_indptr, seg_ids, sort_key, singleton_ranks
-        )
+    scores = bilateral_distance_scores_many(seg_indptr, from_a, from_b)
+    colors = _initial_colors_many(scores, seg_indptr, seg_ids)
+    colors = _refine_many(colors, seg_indptr, seg_ids, nbr_indptr, nbr_indices)
+    return _strict_order_many(
+        colors, tie_break, seg_indptr, seg_ids, sort_key, singleton_ranks
+    )
 
 
 def _strict_order(

@@ -207,33 +207,26 @@ def _initialize(
     _WORKER.init_seconds = time.perf_counter() - started
 
 
-def _extract_rows(
+def _extract_block(
     extractor: SSFExtractor,
     pairs: "Sequence[Pair]",
     modes: "tuple[str, ...] | None",
-) -> "list[np.ndarray | dict[str, np.ndarray]]":
-    """One batched-driver call for a whole chunk, split back into rows.
-
-    The row-list shape (one entry per pair, dict-of-rows under multi-mode)
-    is what the chunk assembly and retry bookkeeping already speak; the
-    rows are views into the batch driver's preallocated output matrices.
-    """
+) -> "np.ndarray | dict[str, np.ndarray]":
+    """One batched-driver call for a whole chunk: its feature matrix, or
+    ``{mode: matrix}`` under multi-mode."""
     pair_list = list(pairs)
     if modes is None:
-        return list(extractor.extract_batch(pair_list))
-    multi = extractor.extract_multi_batch(pair_list, modes)
-    return [
-        {mode: multi[mode][i] for mode in modes}
-        for i in range(len(pair_list))
-    ]
+        return extractor.extract_batch(pair_list)
+    return extractor.extract_multi_batch(pair_list, modes)
 
 
 def _extract_chunk(
     task: ChunkTask,
-) -> "tuple[int, list[np.ndarray | dict[str, np.ndarray]], dict | None]":
+) -> "tuple[int, np.ndarray | dict[str, np.ndarray], dict | None]":
     """Worker entry point: extract one indexed chunk of pairs.
 
-    Returns ``(chunk index, rows, observability payload)``; the payload
+    Returns ``(chunk index, block, observability payload)``: the block is
+    the chunk's feature matrix (or ``{mode: matrix}``), and the payload
     is the worker's metrics delta + recorded spans since its previous
     chunk (``None`` when observability is off), merged parent-side by
     :func:`repro.obs.aggregate.merge_worker_payload`.
@@ -242,7 +235,6 @@ def _extract_chunk(
     if _WORKER.init_error is not None:
         raise _WorkerInitError(*_WORKER.init_error)
     faults.maybe_slow_chunk(index)
-    rows: "list[np.ndarray | dict[str, np.ndarray]]" = []
     with span(
         "parallel.worker_chunk",
         ctx=TraceContext.from_wire(wire),
@@ -256,9 +248,9 @@ def _extract_chunk(
         for position in range(len(pairs)):
             faults.maybe_crash_worker(offset + position)
         assert _WORKER.extractor is not None
-        rows = _extract_rows(_WORKER.extractor, pairs, _WORKER.modes)
+        block = _extract_block(_WORKER.extractor, pairs, _WORKER.modes)
         incr("parallel.pairs_extracted", len(pairs))
-    return index, rows, collect_worker_payload()
+    return index, block, collect_worker_payload()
 
 
 def _init_probe(_index: int) -> tuple[int, float]:
@@ -413,7 +405,8 @@ def parallel_extract_batch(
             workers=workers,
             backend=resolved_backend,
         ):
-            results: "dict[int, list[Any]]" = {}
+            #: chunk index → its matrix, or ``{mode: matrix}``
+            results: "dict[int, Any]" = {}
             retries_left = policy.max_retries
             degraded = False
 
@@ -497,24 +490,27 @@ def parallel_extract_batch(
                         chunk=index,
                         pairs=len(chunk_pairs),
                     ):
-                        results[index] = _extract_rows(
+                        results[index] = _extract_block(
                             reference, chunk_pairs, modes
                         )
                     incr("parallel.pairs_extracted", len(chunk_pairs))
                     _on_chunk(len(chunk_pairs))
-            rows = [row for index in sorted(results) for row in results[index]]
+            # an empty batch dispatches no chunk: its block is the
+            # reference's empty matrix
+            blocks = [results[index] for index in sorted(results)] or [
+                _extract_block(reference, [], modes)
+            ]
     finally:
         if handle is not None:
             handle.unlink()
     _record_throughput(pair_list, started, workers=workers)
 
     if modes is None:
-        return (
-            np.stack(rows)
-            if rows
-            else np.zeros((0, reference.feature_dim))
-        )
-    return _stack_multi(rows, modes, reference.feature_dim)
+        return np.concatenate(blocks)
+    return {
+        mode: np.concatenate([block[mode] for block in blocks])
+        for mode in modes
+    }
 
 
 def _degraded_init_args(
@@ -558,7 +554,7 @@ def _run_pool_round(
     tasks: "list[ChunkTask]",
     chunk_timeout: "float | None",
     on_chunk: "Callable[[int], None] | None" = None,
-) -> "tuple[dict[int, list[Any]], _WorkerInitError | None]":
+) -> "tuple[dict[int, Any], _WorkerInitError | None]":
     """Run one pool round over ``tasks``; never raises for chunk loss.
 
     Returns the chunks that landed and, when worker initialisation
@@ -569,7 +565,8 @@ def _run_pool_round(
     ``on_chunk(n_pairs)`` is invoked as each chunk lands (progress
     heartbeats).
     """
-    received: "dict[int, list[Any]]" = {}
+    received: "dict[int, Any]" = {}
+    chunk_pairs = {task[0]: len(task[2]) for task in tasks}
     init_error: "_WorkerInitError | None" = None
     pool = context.Pool(
         processes=workers,
@@ -598,7 +595,7 @@ def _run_pool_round(
         iterator = pool.imap_unordered(_extract_chunk, tasks, chunksize=1)
         for _ in range(len(tasks)):
             try:
-                index, rows, obs_payload = iterator.next(chunk_timeout)
+                index, block, obs_payload = iterator.next(chunk_timeout)
             except mp.TimeoutError:
                 _LOG.warning(
                     "no chunk result within %.1fs; declaring the round hung",
@@ -616,10 +613,10 @@ def _run_pool_round(
                     "pool round aborted by %s: %s", type(exc).__name__, exc
                 )
                 break
-            received[index] = rows
+            received[index] = block
             merge_worker_payload(obs_payload)
             if on_chunk is not None:
-                on_chunk(len(rows))
+                on_chunk(chunk_pairs[index])
     finally:
         pool.terminate()
         pool.join()
@@ -639,18 +636,3 @@ def _record_throughput(pair_list: Sequence[Pair], started: float, workers: int) 
         "parallel.pairs_per_second_per_worker",
         len(pair_list) / elapsed / max(1, workers),
     )
-
-
-def _stack_multi(
-    rows: "Sequence[dict[str, np.ndarray]]",
-    modes: "tuple[str, ...]",
-    dim: int,
-) -> dict[str, np.ndarray]:
-    return {
-        mode: (
-            np.stack([row[mode] for row in rows])
-            if rows
-            else np.zeros((0, dim))
-        )
-        for mode in modes
-    }

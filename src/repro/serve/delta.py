@@ -21,12 +21,12 @@ holds this across all six entry modes, because every downstream feature
 guarantee (dict ≡ csr bit-parity) is inherited from it.
 
 **Incremental influence.**  A :class:`DecayedInfluenceIndex` maintains
-per-link and per-node decayed influence *summaries* under new stamps: a
-stamp on link ``(u, v)`` rescales only that link's running sum by the
-θ-decay factor.  The serving recommender ranks hub candidates by this
-decayed activity instead of the static degree the offline recommender
-uses.  Each materialised snapshot builds its own Eq. 2 influence table
-on first use (:meth:`CSRSnapshot.influence_table`).
+per-node decayed activity *summaries* under new stamps: a stamp on link
+``(u, v)`` rescales only its two end nodes' running sums by the θ-decay
+factor.  The serving recommender ranks hub candidates by this decayed
+activity instead of the static degree the offline recommender uses.
+Each materialised snapshot builds its own Eq. 2 influence table on
+first use (:meth:`CSRSnapshot.influence_table`).
 """
 
 from __future__ import annotations
@@ -52,14 +52,14 @@ _LOG = get_logger("serve.delta")
 
 
 class DecayedInfluenceIndex:
-    """Numerically stable incremental decayed-influence summaries.
+    """Numerically stable incremental decayed-activity summaries.
 
-    Per undirected link and per node, stores ``(t_ref, S)`` where
-    ``t_ref`` is the newest stamp seen and ``S = Σ_i exp(-θ·(t_ref −
-    t_i))`` — the Eq. 3 influence sum referenced to that stamp.  A new
-    stamp ``t`` on link ``(u, v)`` touches only that link's entry (and
-    the two endpoint entries): when the stamp advances the reference,
-    the running sum is rescaled once by the θ-decay factor,
+    Per node, stores ``(t_ref, S)`` where ``t_ref`` is the newest stamp
+    on any of its links and ``S = Σ_i exp(-θ·(t_ref − t_i))`` — the Eq. 3
+    influence sum over all its incident links, referenced to that stamp.
+    A new stamp ``t`` on link ``(u, v)`` touches only the two endpoint
+    entries: when the stamp advances the reference, the running sum is
+    rescaled once by the θ-decay factor,
 
         ``S ← S·exp(-θ·(t − t_ref)) + 1``,  ``t_ref ← t``
 
@@ -75,12 +75,11 @@ class DecayedInfluenceIndex:
     preserved.
     """
 
-    __slots__ = ("_theta", "_pairs", "_nodes")
+    __slots__ = ("_theta", "_nodes")
 
     def __init__(self, theta: float = DEFAULT_THETA) -> None:
         _check_theta(theta)
         self._theta = float(theta)
-        self._pairs: dict[tuple[int, int], tuple[float, float]] = {}
         self._nodes: dict[int, tuple[float, float]] = {}
 
     @property
@@ -88,9 +87,7 @@ class DecayedInfluenceIndex:
         return self._theta
 
     def observe(self, u_id: int, v_id: int, stamp: float) -> None:
-        """Absorb one edge event: three O(1) entry updates."""
-        a, b = (u_id, v_id) if u_id < v_id else (v_id, u_id)
-        self._pairs[(a, b)] = self._bump(self._pairs.get((a, b)), stamp)
+        """Absorb one edge event: two O(1) entry updates."""
         self._nodes[u_id] = self._bump(self._nodes.get(u_id), stamp)
         self._nodes[v_id] = self._bump(self._nodes.get(v_id), stamp)
 
@@ -113,11 +110,6 @@ class DecayedInfluenceIndex:
                 f"present time {present} is before the newest stamp {t_ref}"
             )
         return total * math.exp(-self._theta * (present - t_ref))
-
-    def pair_influence(self, u_id: int, v_id: int, present: float) -> float:
-        """Decayed influence sum of one link at ``present`` (0.0 if absent)."""
-        a, b = (u_id, v_id) if u_id < v_id else (v_id, u_id)
-        return self._at(self._pairs.get((a, b)), present)
 
     def node_activity(self, node_id: int, present: float) -> float:
         """Decayed activity (influence over all incident links) of a node."""

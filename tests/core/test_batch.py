@@ -17,7 +17,11 @@ import pytest
 
 from repro import obs
 from repro.core.feature import ENTRY_MODES, SSFConfig, SSFExtractor
-from repro.core.palette_wl import palette_wl_order, palette_wl_order_many
+from repro.core.palette_wl import (
+    flat_hop_distances,
+    palette_wl_order,
+    palette_wl_order_many,
+)
 from repro.core.parallel import parallel_extract_batch
 from repro.core.structure import combine_structures
 from repro.core.subgraph import h_hop_node_set
@@ -275,6 +279,74 @@ class TestFootprints:
             assert got.tobytes() == rows.tobytes()
             assert [f.tolist() for f in served] == [f.tolist() for f in direct]
 
+    @pytest.mark.parametrize("ordering", ["influence", "hops"])
+    def test_mixed_finish_rows_land_at_their_own_positions(self, ordering):
+        """One batch whose segments finish in an order unlike their rows:
+        at radius 3, 1 and 2, a pair whose component holds fewer than K
+        nodes (the separate small-pair combine), a missing end node and a
+        duplicate.  Every row and footprint equals the dict reference's
+        at its own position."""
+        network = DynamicNetwork(
+            # path: (p0, p1) reaches K = 5 structure nodes at radius 3
+            [(f"p{i}", f"p{i + 1}", float(i + 1)) for i in range(8)]
+            # dense: (a, b) reaches them at radius 1, with twins x1, x2
+            + [
+                ("a", "b", 2.0),
+                ("a", "x1", 3.0),
+                ("a", "x2", 5.0),
+                ("b", "x3", 4.0),
+                ("a", "x4", 6.0),
+                ("b", "x4", 1.0),
+                ("x1", "z", 7.0),
+                ("x2", "z", 8.0),
+            ]
+            # (q0, q1) reaches them at radius 2, with twins q3, q4
+            + [
+                ("q0", "q1", 1.0),
+                ("q1", "q2", 2.0),
+                ("q2", "q3", 3.0),
+                ("q2", "q4", 4.0),
+                ("q0", "q5", 5.0),
+            ]
+            # a 3-node component
+            + [("t0", "t1", 1.0), ("t1", "t2", 2.0)]
+        )
+        pairs = [
+            ("p0", "p1"),
+            ("missing", "a"),
+            ("a", "b"),
+            ("t2", "t0"),
+            ("q0", "q1"),
+            ("p0", "p1"),
+            ("b", "a"),
+        ]
+        config = SSFConfig(k=5, ordering=ordering)
+        reference = SSFExtractor(network, config, backend="dict")
+        radii = [
+            reference.k_structure_subgraph(a, b).h
+            for a, b in pairs
+            if (a, b) != ("missing", "a")
+        ]
+        assert radii == [3, 1, 1, 2, 3, 1]
+        assert reference.k_structure_subgraph("t2", "t0").number_selected() < 5
+
+        expected = reference.extract_multi_batch(pairs, ENTRY_MODES)
+        engine = SSFExtractor(network, config, backend="csr")
+        actual = engine.extract_multi_batch(pairs, ENTRY_MODES)
+        for mode in ENTRY_MODES:
+            assert np.array_equal(expected[mode], actual[mode]), mode
+        footprints: list = []
+        rows = engine.extract_batch(pairs, footprints)
+        assert np.array_equal(rows, reference.extract_batch(pairs))
+        snapshot = engine.snapshot
+        for (a, b), footprint in zip(pairs, footprints):
+            if a == "missing":
+                assert footprint.size == 0
+                continue
+            h = reference.k_structure_subgraph(a, b).h
+            ball = _snapshot_ids(snapshot, h_hop_node_set(network, a, b, h))
+            assert np.array_equal(footprint, ball), (a, b)
+
     def test_dict_backend_refuses_footprints(self):
         network = _random_network(random.Random(71), 10, 20)
         extractor = SSFExtractor(network, SSFConfig(k=4), backend="dict")
@@ -475,8 +547,11 @@ class TestPaletteWLManyParity:
             seg = int(np.searchsorted(seg_indptr, flat, side="right")) - 1
             return subgraphs[seg].sort_key(flat - int(seg_indptr[seg]))
 
+        ends = seg_indptr[:-1]
+        from_a = flat_hop_distances(nbr_indptr, nbr_indices, ends)
+        from_b = flat_hop_distances(nbr_indptr, nbr_indices, ends + 1)
         batched = palette_wl_order_many(
-            seg_indptr, nbr_indptr, nbr_indices, None, sort_key
+            seg_indptr, nbr_indptr, nbr_indices, from_a, from_b, None, sort_key
         )
         expected = np.concatenate(
             [

@@ -320,6 +320,41 @@ class TestBatchedPrimitives:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
+    def test_two_source_bfs_is_min_of_single_source_runs(self, data):
+        """Random multi-segment flat CSRs, sparse enough to leave nodes
+        unreachable from one or both end nodes: a BFS from both end nodes
+        at once is the element-wise min of the two single-source runs."""
+        sizes = data.draw(st.lists(st.integers(2, 9), min_size=1, max_size=5))
+        seg_indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=seg_indptr[1:])
+        rows: list = [set() for _ in range(int(seg_indptr[-1]))]
+        for s, size in enumerate(sizes):
+            start = int(seg_indptr[s])
+            for u, v in data.draw(
+                st.lists(
+                    st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                    max_size=size,
+                )
+            ):
+                if u != v:
+                    rows[start + u].add(start + v)
+                    rows[start + v].add(start + u)
+        nbr_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum([len(row) for row in rows], out=nbr_indptr[1:])
+        nbr_indices = np.array(
+            [v for row in rows for v in sorted(row)], dtype=np.int64
+        )
+        ends = seg_indptr[:-1]
+        from_a = palette_wl.flat_hop_distances(nbr_indptr, nbr_indices, ends)
+        from_b = palette_wl.flat_hop_distances(nbr_indptr, nbr_indices, ends + 1)
+        both = palette_wl.flat_hop_distances(
+            nbr_indptr, nbr_indices, np.concatenate([ends, ends + 1])
+        )
+        assert batch._nearest(from_a, from_b).tolist() == both.tolist()
+        assert ((both < 0) == ((from_a < 0) & (from_b < 0))).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
     def test_strict_order_many_equals_scalar_per_segment(self, data):
         """Dense colourings with repeated colours, tie-break scores and
         label keys with repeats; the tie-break callable only ever sees

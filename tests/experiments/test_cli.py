@@ -367,6 +367,13 @@ class TestBadInput:
                 ["crossval", "--dataset", "contact", "--max-positives", "-1"],
                 "--max-positives",
             ),
+            (["table3", "--telemetry-port", "70000"], "--telemetry-port"),
+            (["table3", "--telemetry-port", "-5"], "--telemetry-port"),
+            (["stats", "--file", "net.tsv", "--span", "0"], "--span"),
+            (["stats", "--file", "net.tsv", "--span", "-3"], "--span"),
+            (["table3", "--telemetry-linger", "-1"], "--telemetry-linger"),
+            (["table3", "--telemetry-linger", "nan"], "--telemetry-linger"),
+            (["table3", "--telemetry-linger", "inf"], "--telemetry-linger"),
         ],
     )
     def test_count_or_fraction_out_of_range(
@@ -389,6 +396,8 @@ class TestBadInput:
             ["serve", "--replay", "--nodes", "100", "--timeout", "0.5"],
             ["bench", "--max-regression", "0"],
             ["table3", "--max-positives", "0"],
+            ["stats", "--file", "net.tsv", "--span", "1"],
+            ["table3", "--telemetry-linger", "0"],
         ],
     )
     def test_in_range_counts_and_fractions_reach_the_handler(

@@ -122,12 +122,10 @@ class TestDecayedInfluenceIndex:
             index.observe(0, 1, ts)
         present = 9.0
         expected = sum(math.exp(-0.5 * (present - t)) for t in stamps)
-        assert index.pair_influence(0, 1, present) == pytest.approx(
+        assert index.node_activity(0, present) == pytest.approx(
             expected, rel=1e-12
         )
-        assert index.pair_influence(1, 0, present) == index.pair_influence(
-            0, 1, present
-        )
+        assert index.node_activity(1, present) == index.node_activity(0, present)
 
     def test_node_activity_sums_links(self):
         index = DecayedInfluenceIndex(theta=0.5)
@@ -141,7 +139,7 @@ class TestDecayedInfluenceIndex:
         index = DecayedInfluenceIndex(theta=0.5)
         for ts in (2_000.0, 2_001.0, 2_002.0):
             index.observe(0, 1, ts)
-        value = index.pair_influence(0, 1, 2_003.0)
+        value = index.node_activity(0, 2_003.0)
         assert math.isfinite(value)
         expected = sum(math.exp(-0.5 * (2_003.0 - t)) for t in (2000.0, 2001.0, 2002.0))
         assert value == pytest.approx(expected, rel=1e-12)
@@ -156,7 +154,7 @@ class TestDecayedInfluenceIndex:
         index = DecayedInfluenceIndex()
         index.observe(0, 1, 5.0)
         with pytest.raises(ValueError, match="before the newest stamp"):
-            index.pair_influence(0, 1, 4.0)
+            index.node_activity(0, 4.0)
 
 
 class TestIngestValidation:
