@@ -968,6 +968,18 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     metrics_out = getattr(args, "metrics_out", None)
     trace_out = getattr(args, "trace_out", None)
     telemetry_port = getattr(args, "telemetry_port", None)
+    publisher = None
+    if telemetry_port is not None:
+        # bound before any global state changes, so a taken port is a
+        # plain usage error
+        try:
+            publisher = obs.TelemetryPublisher(telemetry_port).start()
+        except OSError as exc:
+            parser.error(
+                f"--telemetry-port {telemetry_port}: cannot bind "
+                f"({exc.strerror or exc})"
+            )
+        _LOG.info("live telemetry at %s/metrics", publisher.url)
     heartbeat_path = getattr(args, "heartbeat", None)
     profile_out = getattr(args, "continuous_profile", None)
     # observability records only when something will consume it: a
@@ -1000,10 +1012,6 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     if profile_out:
         profiler = obs.ContinuousProfiler()
         profiler.start()
-    publisher = None
-    if telemetry_port is not None:
-        publisher = obs.TelemetryPublisher(telemetry_port).start()
-        _LOG.info("live telemetry at %s/metrics", publisher.url)
     if heartbeat_path:
         obs.configure_heartbeat(heartbeat_path)
         obs.heartbeat_tick(args.command, force=True)

@@ -40,6 +40,14 @@ through the CSR pipeline at once:
   sorted directed-edge keys are built once per engine, the sums with the
   reference's exact left-to-right accumulation order, and multi-slot
   structure links are memoized across pairs.
+* **Slabs** — a combine pass gathers the snapshot row of every node in
+  every pair's ball, so its arrays grow with that volume, not with the
+  pair count.  Each pass's pairs are cut into chunks of at most
+  :data:`SLAB_ENTRIES` gathered entries, counted from ``indptr`` before
+  the gather; finished pairs are finished (Palette-WL, top-K, Eq. 4/5)
+  as soon as they reach the same budget.  No chunk's pass state and no
+  finished block outlives its slab; the call's ball cache, the slot-sum
+  table and the multi-slot memo are shared by every slab.
 
 The result is **bit-identical** to looping ``extract`` on the dict
 backend (the untouched reference) — every floating-point reduction below
@@ -52,13 +60,13 @@ Arena lifetime rules: the engine (and its arena) lives as long as its
 whole worker lifetime, so chunks after the first allocate nothing
 |V|-sized.  Ball caches are scoped per batch; slot-sum tables, edge
 keys and multi-slot memos are scoped per engine; per-pair structures are
-dropped when their batch returns.
+dropped when their slab is finished.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Hashable, Sequence
+from typing import Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -78,6 +86,14 @@ from repro.obs import enabled as obs_enabled, incr, observe_many, span
 
 Node = Hashable
 Pair = "tuple[Node, Node]"
+
+#: Gathered neighbour entries per slab: a combine pass's pairs are cut
+#: into chunks whose balls' snapshot degrees sum to at most this (a pair
+#: over it runs alone), and finished pairs are finished once their
+#: entries reach it.  A call under it runs as one slab.  Chosen from the
+#: throughput-versus-budget sweep over the seven catalog graphs in
+#: docs/PERFORMANCE.md ("Slabs").
+SLAB_ENTRIES = 1_000_000
 
 
 class BatchArena:
@@ -219,6 +235,66 @@ class _PassState:
         members = self.node_of_row[rows[stable_argsort(row_group, n_groups)]]
         member_counts = np.bincount(row_group, minlength=n_groups)
         return counts, degrees, adjacency + first_group, member_counts, members
+
+
+class _Chunk:
+    """Pairs of one combine pass whose balls gather at most
+    :data:`SLAB_ENTRIES` neighbour entries in total (or one pair over it).
+
+    ``nodes`` lays the pairs' unions out back to back, pair ``s`` owning
+    rows ``row_offsets[s]:row_offsets[s + 1]``; ``degrees`` holds each
+    row's snapshot degree and ``entry_bounds`` their running sum from 0,
+    so row ``r`` gathers entries ``entry_bounds[r]:entry_bounds[r + 1]``.
+    """
+
+    __slots__ = ("growths", "row_offsets", "nodes", "degrees", "entry_bounds")
+
+    def __init__(
+        self,
+        growths: "list[_Growth]",
+        row_offsets: np.ndarray,
+        nodes: np.ndarray,
+        degrees: np.ndarray,
+        entry_bounds: np.ndarray,
+    ) -> None:
+        self.growths = growths
+        self.row_offsets = row_offsets
+        self.nodes = nodes
+        self.degrees = degrees
+        self.entry_bounds = entry_bounds
+
+    def entries(self, segments: np.ndarray) -> int:
+        """Neighbour entries the pairs ``segments`` gather."""
+        bounds = self.entry_bounds[self.row_offsets]
+        return int((bounds[segments + 1] - bounds[segments]).sum())
+
+
+class _Slab:
+    """Finished structure subgraphs awaiting the finish.
+
+    ``blocks`` holds one flat block per pass, ``(rows, group_counts,
+    degrees, adjacency, member_counts, members)`` (see
+    :meth:`_PassState.block`), with group ids numbered across the blocks
+    in order, so concatenating each field gives the slab's flat layout;
+    ``rows`` says which output row each segment fills.  ``entries``
+    counts the neighbour entries the slab's pairs gathered.
+    """
+
+    __slots__ = ("blocks", "groups", "entries")
+
+    def __init__(self) -> None:
+        self.blocks: "list[tuple[np.ndarray, ...]]" = []
+        self.groups = 0
+        self.entries = 0
+
+    def add(self, state: _PassState, chunk: _Chunk, segments: "list[int]") -> None:
+        """Add the finished ``segments`` of ``chunk``'s pass ``state``."""
+        picked = np.array(segments, dtype=np.int64)
+        block = state.block(picked, self.groups)
+        self.groups += int(block[0].sum())
+        self.entries += chunk.entries(picked)
+        rows = np.array([chunk.growths[s].row for s in segments], dtype=np.int64)
+        self.blocks.append((rows,) + block)
 
 
 _MIX_INCREMENT = np.uint64(0x9E3779B97F4A7C15)
@@ -433,18 +509,31 @@ class BatchExtractionEngine:
         grown: "list[np.ndarray] | None" = (
             [_EMPTY_LEVEL] * len(pairs) if footprints is not None else None
         )
-        blocks = self._grow_and_combine(pairs, grown)
+        for slab in self._grow_and_combine(pairs, grown):
+            self._finish(slab, modes, shared, out)
         if footprints is not None and grown is not None:
             footprints.extend(grown)
-        if not blocks:
-            return out
+        return out
 
-        # One flat layout for the batch: structure-graph adjacency (WL
+    def _finish(
+        self,
+        slab: _Slab,
+        modes: "tuple[str, ...]",
+        shared: bool,
+        out: "dict[str, np.ndarray]",
+    ) -> None:
+        """Alg. 2 Palette-WL, top-K selection and the Eq. 4/5 entries of
+        one slab's structure subgraphs, written into their rows of
+        ``out``.  The slab's blocks are released first."""
+        incr("batch.slabs")
+        blocks, slab.blocks = slab.blocks, []
+        # One flat layout for the slab: structure-graph adjacency (WL
         # input) and member CSR, segments in pass order.
         k = self._k
         job_rows, sizes, degrees, nbr_indices, member_counts, members_flat = (
             np.concatenate(column) for column in zip(*blocks)
         )
+        del blocks
         n_segments = sizes.size
         seg_indptr = np.zeros(n_segments + 1, dtype=np.int64)
         np.cumsum(sizes, out=seg_indptr[1:])
@@ -558,10 +647,12 @@ class BatchExtractionEngine:
                 tie_break if self._ordering != "hops" else None,
                 sort_key,
                 singleton_ranks,
+                limit=k,
             )
 
-        # Top-K selection: orders are a 1-based permutation per segment,
-        # so "order <= k" IS the reference's stable top-min(k, size) pick.
+        # Top-K selection: orders up to K are the reference's 1-based
+        # strict orders (larger ones only compare above K), so
+        # "order <= k" IS the reference's stable top-min(k, size) pick.
         selected_mask = orders <= k
         sel_sizes = np.minimum(sizes, k)
         sel_indptr = np.zeros(n_segments + 1, dtype=np.int64)
@@ -620,7 +711,7 @@ class BatchExtractionEngine:
             return link_dist
 
         def fill(mode: str) -> None:
-            with span("influence_matrix", mode=mode, pairs=len(pairs)):
+            with span("influence_matrix", mode=mode, pairs=n_segments):
                 if mode == "binary":
                     values = np.ones(link_m.size, dtype=np.float64)
                 elif mode == "count":
@@ -653,38 +744,36 @@ class BatchExtractionEngine:
         for mode in modes:
             if shared:
                 # extract_batch opens the one feature.<mode> span of its
-                # call; a shared multi-mode pass opens one per mode here
-                with span(f"feature.{mode}", k=k, pairs=len(pairs), shared=True):
+                # call; a shared multi-mode pass opens one per mode and
+                # slab here
+                with span(f"feature.{mode}", k=k, pairs=n_segments, shared=True):
                     fill(mode)
             else:
                 fill(mode)
-        return out
 
     # ------------------------------------------------------------------
     # phase 1: level-synchronous growth + cross-pair combination
     # ------------------------------------------------------------------
     def _grow_and_combine(
         self, pairs: "Sequence[Pair]", grown: "list[np.ndarray] | None"
-    ) -> "list[tuple[np.ndarray, ...]]":
-        """Def. 3 growth + Alg. 1 for every pair; a finishing pair's union
-        (its final radius-h ball) lands in ``grown[row]`` when asked.
+    ) -> "Iterator[_Slab]":
+        """Def. 3 growth + Alg. 1 for every pair, yielding the finished
+        pairs in slabs of about :data:`SLAB_ENTRIES` gathered entries; a
+        finishing pair's union (its final radius-h ball) lands in
+        ``grown[row]`` when asked.
 
-        Returns one flat block per combine pass that finished pairs:
-        ``(rows, group_counts, degrees, adjacency, member_counts,
-        members)`` (see :meth:`_PassState.block`), with group ids
-        numbered across the blocks in order, so concatenating each field
-        gives the batch's flat layout.  Segments come in pass order;
-        ``rows`` says which output row each one fills.
-
-        Ball extension and the per-pair merges run under
+        Each level cuts its combine pass into chunks by gather volume
+        (:meth:`_chunks`) and runs them one by one through
+        :meth:`_advance_chunk`, so a chunk's pass state is gone before
+        the next chunk gathers.  A slab is yielded between chunks, never
+        inside a span.  Ball extension and the per-pair merges run under
         ``subgraph_growth`` spans, combination and block extraction
         under ``structure_combination`` spans, so the two stage
         histograms time disjoint work."""
         k = self._k
         with span("subgraph_growth", h=1, pairs=len(pairs)):
             active = self._start_growth(pairs)
-        blocks: "list[tuple[np.ndarray, ...]]" = []
-        n_groups = 0  # groups in the blocks so far
+        slab = _Slab()
         h = 1
         while active:
             if obs_enabled():
@@ -694,70 +783,125 @@ class BatchExtractionEngine:
                     "subgraph.frontier_size",
                     [size - g.prev_size for size, g in zip(sizes, active)],
                 )
-            candidates = [g for g in active if g.union.size >= k]
-            state: "_PassState | None" = None
-            if candidates:
-                with span("structure_combination", h=h, pairs=len(candidates)):
-                    state = self._combine_many(candidates)
-            done_segments: "list[tuple[_Growth, int]]" = []
-            pending: "list[tuple[_Growth, int | None]]" = []
-            if state is not None:
-                for segment, growth in enumerate(candidates):
-                    if int(state.group_counts[segment]) >= k:
-                        done_segments.append((growth, segment))
-                    else:
-                        pending.append((growth, segment))
-            for growth in active:
-                if growth.union.size < k:
-                    pending.append((growth, None))
-
-            forced: "list[tuple[_Growth, int | None]]" = []
+            # pairs whose ball holds fewer than K nodes cannot reach K
+            # structure nodes: they only grow, alongside the first chunk
+            small = [g for g in active if g.union.size < k]
+            chunks: "list[_Chunk | None]" = []
+            chunks += self._chunks([g for g in active if g.union.size >= k])
             growing: "list[_Growth]" = []
-            if pending:
-                if self._max_hop is not None and h >= self._max_hop:
-                    forced = pending
-                else:
-                    with span("subgraph_growth", h=h + 1, pairs=len(pending)):
-                        forced, growing = self._grow_pending(pending, h)
-
-            if grown is not None:
-                for growth, _segment in done_segments + forced:
-                    grown[growth.row] = growth.union
-            finishing: "list[tuple[_Growth, int]]" = done_segments + [
-                (growth, segment)
-                for growth, segment in forced
-                if segment is not None
-            ]
-            small = [growth for growth, segment in forced if segment is None]
-            if finishing or small:
-                with span(
-                    "structure_combination", h=h, pairs=len(finishing) + len(small)
-                ):
-                    passes: "list[tuple[_PassState, list[tuple[_Growth, int]]]]" = []
-                    if finishing:
-                        assert state is not None
-                        passes.append((state, finishing))
-                    if small:
-                        passes.append(
-                            (
-                                self._combine_many(small),
-                                [(g, i) for i, g in enumerate(small)],
-                            )
-                        )
-                    for pass_state, finished in passes:
-                        block = pass_state.block(
-                            np.array([s for _, s in finished], dtype=np.int64),
-                            n_groups,
-                        )
-                        n_groups += int(block[0].sum())
-                        rows = np.array([g.row for g, _ in finished], dtype=np.int64)
-                        blocks.append((rows,) + block)
-            observe_many(
-                "subgraph.growth_h", [h] * (len(done_segments) + len(forced))
-            )
+            finished = 0
+            for index, chunk in enumerate(chunks or [None]):
+                grew, count = self._advance_chunk(
+                    chunk, small if index == 0 else [], h, slab, grown
+                )
+                growing += grew
+                finished += count
+                if slab.entries >= SLAB_ENTRIES:
+                    yield slab
+                    slab = _Slab()
+            observe_many("subgraph.growth_h", [h] * finished)
             active = growing
             h += 1
-        return blocks
+        if slab.blocks:
+            yield slab
+
+    def _advance_chunk(
+        self,
+        chunk: "_Chunk | None",
+        small: "list[_Growth]",
+        h: int,
+        slab: _Slab,
+        grown: "list[np.ndarray] | None",
+    ) -> "tuple[list[_Growth], int]":
+        """One chunk of level ``h``: Alg. 1 over its pairs, growth to
+        ``h + 1`` of those short of K structure nodes (and of ``small``),
+        and every pair that finishes at ``h`` added to ``slab``.
+
+        Returns ``(growing, finished)``: the pairs whose ball grew, and
+        how many pairs finished.  The pass state dies on return."""
+        k = self._k
+        done: "list[int]" = []
+        pending: "list[tuple[_Growth, int | None]]" = []
+        state: "_PassState | None" = None
+        if chunk is not None:
+            with span("structure_combination", h=h, pairs=len(chunk.growths)):
+                state = self._combine_many(chunk)
+            for segment, count in enumerate(state.group_counts.tolist()):
+                if count >= k:
+                    done.append(segment)
+                else:
+                    pending.append((chunk.growths[segment], segment))
+        pending += [(growth, None) for growth in small]
+
+        forced: "list[tuple[_Growth, int | None]]" = []
+        growing: "list[_Growth]" = []
+        if pending:
+            if self._max_hop is not None and h >= self._max_hop:
+                forced = pending
+            else:
+                with span("subgraph_growth", h=h + 1, pairs=len(pending)):
+                    forced, growing = self._grow_pending(pending, h)
+        done += [segment for _growth, segment in forced if segment is not None]
+        leftover = [growth for growth, segment in forced if segment is None]
+        if grown is not None:
+            if chunk is not None:
+                for segment in done:
+                    growth = chunk.growths[segment]
+                    grown[growth.row] = growth.union
+            for growth in leftover:
+                grown[growth.row] = growth.union
+        if done or leftover:
+            with span("structure_combination", h=h, pairs=len(done) + len(leftover)):
+                if done:
+                    assert state is not None and chunk is not None
+                    slab.add(state, chunk, done)
+                for part in self._chunks(leftover):
+                    slab.add(
+                        self._combine_many(part),
+                        part,
+                        list(range(len(part.growths))),
+                    )
+        return growing, len(done) + len(leftover)
+
+    def _chunks(self, growths: "list[_Growth]") -> "list[_Chunk]":
+        """Cut one combine pass's pairs, in order, into chunks of at most
+        :data:`SLAB_ENTRIES` gathered entries (a pair over the budget
+        alone).  The volume is each union's snapshot degree sum, read from
+        ``indptr`` before any gather; a pass under the budget is one
+        chunk."""
+        if not growths:
+            return []
+        indptr = self._snapshot.indptr
+        sizes = np.array([g.union.size for g in growths], dtype=np.int64)
+        row_offsets = np.zeros(len(growths) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=row_offsets[1:])
+        nodes = np.concatenate([g.union for g in growths])
+        degrees = (indptr[nodes + 1] - indptr[nodes]).astype(np.int64)
+        entry_bounds = np.zeros(nodes.size + 1, dtype=np.int64)
+        np.cumsum(degrees, out=entry_bounds[1:])
+        budget = SLAB_ENTRIES
+        if int(entry_bounds[-1]) <= budget:
+            return [_Chunk(growths, row_offsets, nodes, degrees, entry_bounds)]
+        #: entries gathered before each pair
+        before = entry_bounds[row_offsets]
+        chunks: "list[_Chunk]" = []
+        start = 0
+        while start < len(growths):
+            limit = int(before[start]) + budget
+            end = int(np.searchsorted(before, limit, side="right")) - 1
+            end = max(end, start + 1)
+            lo, hi = int(row_offsets[start]), int(row_offsets[end])
+            chunks.append(
+                _Chunk(
+                    growths[start:end],
+                    row_offsets[start : end + 1] - lo,
+                    nodes[lo:hi],
+                    degrees[lo:hi],
+                    entry_bounds[lo : hi + 1] - entry_bounds[lo],
+                )
+            )
+            start = end
+        return chunks
 
     def _start_growth(self, pairs: "Sequence[Pair]") -> "list[_Growth]":
         """Radius-1 growth state for every pair with both end nodes in the
@@ -940,28 +1084,23 @@ class BatchExtractionEngine:
                 if not ball.exhausted and len(ball.levels) - 1 < depth
             ]
 
-    def _combine_many(self, growths: "list[_Growth]") -> _PassState:
-        """Algorithm 1 over every candidate pair of one level, in shared
-        array passes — same partition, adjacency and member order per
-        pair as :func:`~repro.core.structure.combine_structures_csr`."""
+    def _combine_many(self, chunk: _Chunk) -> _PassState:
+        """Algorithm 1 over every pair of one chunk, in shared array
+        passes — same partition, adjacency and member order per pair as
+        :func:`~repro.core.structure.combine_structures_csr`."""
         snapshot = self._snapshot
         n_nodes = snapshot.number_of_nodes()
+        growths = chunk.growths
         n_segments = len(growths)
-        ball_list = [g.union for g in growths]
-        ball_sizes = np.array([b.size for b in ball_list], dtype=np.int64)
-        row_offsets = np.zeros(n_segments + 1, dtype=np.int64)
-        np.cumsum(ball_sizes, out=row_offsets[1:])
+        row_offsets = chunk.row_offsets
+        ball_sizes = np.diff(row_offsets)
         n_rows = int(row_offsets[-1])
-        node_of_row = np.concatenate(ball_list)
+        node_of_row = chunk.nodes
         seg_of_row = np.repeat(np.arange(n_segments, dtype=np.int64), ball_sizes)
 
         flat = concatenate_neighbor_slices(snapshot, node_of_row)
-        counts = (
-            snapshot.indptr[node_of_row + 1] - snapshot.indptr[node_of_row]
-        ).astype(np.int64)
-        entry_bounds = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=entry_bounds[1:])
-        owner_row = np.repeat(np.arange(n_rows, dtype=np.int64), counts)
+        entry_bounds = chunk.entry_bounds
+        owner_row = np.repeat(np.arange(n_rows, dtype=np.int64), chunk.degrees)
         # Membership AND destination row of every gathered neighbour from
         # the arena's row map: stamp a segment's rows, then read its
         # entries.  Earlier segments and calls left only stamps below the

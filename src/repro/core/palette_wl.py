@@ -238,9 +238,15 @@ def flat_hop_distances(
         fresh = neighbors[dist[neighbors] == -1]
         if fresh.size == 0:
             break
-        fresh = sorted_unique(fresh)
         dist[fresh] = depth
-        frontier = fresh
+        # The next frontier is the set of nodes just stamped; its order
+        # never changes a level.  A level of more than n/8 entries is
+        # read back with one scan of the node range, which beats sorting
+        # it; a smaller one is de-duplicated by a sort.
+        if fresh.size * 8 > n:
+            frontier = np.flatnonzero(dist == depth)
+        else:
+            frontier = sorted_unique(fresh)
     return dist
 
 
@@ -428,16 +434,24 @@ def _refine_many(
     table[0] = 0.0
     for color in range(1, max_color + 1):
         table[color] = _log_prime(color)
-    total_layout = _ColumnLayout(seg_indptr)
-    neighbor_layout = _ColumnLayout(nbr_indptr)
-    neighbor_ids = nbr_indices[neighbor_layout.entries]
-    node_seg_start = seg_starts[seg_ids]
     n_segments = seg_starts.size
+    # One layout serves both ragged sums: rows 0..S-1 are the segments
+    # (their nodes in index order, for the totals), rows S.. the nodes'
+    # neighbour lists.  Its column loop runs as long as the longer of
+    # the two kinds of row, not as long as both together.
+    layout = _ColumnLayout(
+        np.concatenate([seg_indptr, nbr_indptr[1:] + seg_indptr[-1]])
+    )
+    summed_ids = np.concatenate(
+        [np.arange(colors.size, dtype=np.int64), nbr_indices]
+    )[layout.entries]
+    node_seg_start = seg_starts[seg_ids]
     iterations = np.zeros(n_segments, dtype=np.int64)
     for iteration in range(1, _MAX_ITERATIONS + 1):
         log_primes = table[colors]
-        totals = total_layout.sums(log_primes[total_layout.entries])
-        neighbor_sums = neighbor_layout.sums(log_primes[neighbor_ids])
+        row_sums = layout.sums(log_primes[summed_ids])
+        totals = row_sums[:n_segments]
+        neighbor_sums = row_sums[n_segments:]
         hashes = colors.astype(np.float64) + neighbor_sums / np.abs(totals)[seg_ids]
         new_colors = _split_ties(hashes, colors, node_seg_start)
         new_colors[seg_starts] = 1
@@ -468,6 +482,7 @@ def _strict_order_many(
     seg_ids: np.ndarray,
     sort_key: "Callable[[int], tuple]",
     singleton_ranks: "Callable[[], np.ndarray] | None" = None,
+    limit: "int | None" = None,
 ) -> np.ndarray:
     """Batched :func:`_strict_order`; ``sort_key`` takes a flat node id.
 
@@ -486,6 +501,11 @@ def _strict_order_many(
     (multi-member groups).  Ranks, too, only compare within one run of
     equal (class, tie-break), so runs whose nodes all carry a scalar rank
     skip the Python ``sort_key`` path entirely.
+
+    ``limit``, when given, sorts only the classes whose first order is
+    at most ``limit``: every order ``<= limit`` is the full call's, and
+    every other node keeps its class's first order, above ``limit``
+    (orders are then no longer a permutation past ``limit``).
     """
     n = colors.size
     seg_start = seg_indptr[seg_ids]
@@ -493,7 +513,10 @@ def _strict_order_many(
     class_size = np.bincount(class_of, minlength=n)
     below = np.cumsum(class_size) - class_size
     out = below[class_of] - seg_start + 1
-    tied = np.flatnonzero(class_size[class_of] > 1)
+    tied = class_size[class_of] > 1
+    if limit is not None:
+        tied &= out <= limit
+    tied = np.flatnonzero(tied)
     if tied.size == 0:
         return out
     tied_class = class_of[tied]
@@ -564,6 +587,7 @@ def palette_wl_order_many(
     tie_break: "Callable[[np.ndarray], np.ndarray] | None",
     sort_key: "Callable[[int], tuple]",
     singleton_ranks: "Callable[[], np.ndarray] | None" = None,
+    limit: "int | None" = None,
 ) -> np.ndarray:
     """Strict Palette-WL orders for many structure subgraphs at once.
 
@@ -592,6 +616,8 @@ def palette_wl_order_many(
             any tuples that compare as the reference's repr tuples do.
         singleton_ranks: optional lazy per-flat-node scalar key ranks
             (``-1`` = no scalar rank); see :func:`_strict_order_many`.
+        limit: optional highest order the caller reads exactly (the
+            top-K pick passes K); see :func:`_strict_order_many`.
     """
     sizes = seg_indptr[1:] - seg_indptr[:-1]
     if sizes.size and int(sizes.min()) < 2:
@@ -601,7 +627,7 @@ def palette_wl_order_many(
     colors = _initial_colors_many(scores, seg_indptr, seg_ids)
     colors = _refine_many(colors, seg_indptr, seg_ids, nbr_indptr, nbr_indices)
     return _strict_order_many(
-        colors, tie_break, seg_indptr, seg_ids, sort_key, singleton_ranks
+        colors, tie_break, seg_indptr, seg_ids, sort_key, singleton_ranks, limit
     )
 
 

@@ -519,6 +519,110 @@ class TestBallReuse:
             obs.disable()
 
 
+class TestSlabs:
+    """A call cut into slabs of a few thousand gathered entries returns
+    the uncut call's rows, footprints and ball sharing."""
+
+    BUDGET = 2048
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = random.Random(83)
+        network = _random_network(rng, 300, 1500)
+        # a hub whose radius-1 ball alone gathers more than the budget
+        network.add_edges_from(
+            [
+                ("hub", f"n{v}", float(rng.randint(1, 50)))
+                for v in rng.sample(range(300), 200)
+            ]
+        )
+        # a path (finishes late) and a 3-node component (never reaches K)
+        network.add_edges_from([(f"p{i}", f"p{i + 1}", float(i + 1)) for i in range(8)])
+        network.add_edges_from([("t0", "t1", 1.0), ("t1", "t2", 2.0)])
+        # 9-cliques: their pairs never reach K = 10 and finish together,
+        # gathering more than the budget between them
+        for c in range(4):
+            network.add_edges_from(
+                [
+                    (f"c{c}_{i}", f"c{c}_{j}", float(1 + (i * j) % 7))
+                    for i in range(9)
+                    for j in range(i + 1, 9)
+                ]
+            )
+        pairs = _random_pairs(rng, 300, 40)
+        pairs += [
+            ("hub", "n1"),
+            ("missing", "n0"),
+            pairs[0],
+            pairs[2][::-1],
+            ("p0", "p1"),
+            ("t2", "t0"),
+        ]
+        pairs += [(f"c{c}_{i}", f"c{c}_{i + 1}") for c in range(4) for i in range(8)]
+        return network, pairs
+
+    def _run(self, network, pairs):
+        extractor = SSFExtractor(network, SSFConfig(k=10), backend="csr")
+        get_registry().reset()
+        obs.enable()
+        try:
+            multi = extractor.extract_multi_batch(pairs, ENTRY_MODES)
+            footprints: list = []
+            rows = extractor.extract_batch(pairs, footprints)
+            counters = get_registry().snapshot()["counters"]
+        finally:
+            obs.disable()
+            get_registry().reset()
+        return multi, rows, footprints, counters, extractor.snapshot
+
+    def test_forced_budget_changes_nothing(self, case, monkeypatch):
+        from repro.core import batch
+
+        network, pairs = case
+        multi, rows, footprints, counters, snapshot = self._run(network, pairs)
+
+        chunks: list = []
+        cut = batch.BatchExtractionEngine._chunks
+
+        def recording(engine, growths):
+            parts = cut(engine, growths)
+            assert [g for part in parts for g in part.growths] == growths
+            chunks.extend(parts)
+            return parts
+
+        monkeypatch.setattr(batch, "SLAB_ENTRIES", self.BUDGET)
+        monkeypatch.setattr(batch.BatchExtractionEngine, "_chunks", recording)
+        slab_multi, slab_rows, slab_footprints, slab_counters, _ = self._run(
+            network, pairs
+        )
+
+        for mode in ENTRY_MODES:
+            assert slab_multi[mode].tobytes() == multi[mode].tobytes(), mode
+        assert slab_rows.tobytes() == rows.tobytes()
+        assert [f.tolist() for f in slab_footprints] == [f.tolist() for f in footprints]
+        for name in ("batch.ball_reuse_hits", "batch.ball_reuse_misses"):
+            assert slab_counters[name] == counters[name], name
+        # one slab per uncut call; many once cut
+        assert counters["batch.slabs"] == 2
+        assert slab_counters["batch.slabs"] > 2 * 4
+        for chunk in chunks:
+            volume = chunk.entries(np.arange(len(chunk.growths)))
+            assert len(chunk.growths) == 1 or volume <= self.BUDGET
+
+        # the batch covers what slabbing must keep apart
+        indptr = snapshot.indptr
+        gathers = [int((indptr[f + 1] - indptr[f]).sum()) for f in footprints]
+        assert max(gathers) > self.BUDGET
+        reference = SSFExtractor(network, SSFConfig(k=10), backend="dict")
+        radii = {
+            reference.k_structure_subgraph(a, b).h
+            for a, b in pairs
+            if a != "missing"
+        }
+        assert len(radii) >= 3, radii
+        assert footprints[pairs.index(("missing", "n0"))].size == 0
+
+
 class TestPaletteWLManyParity:
     def test_matches_per_subgraph_reference(self):
         rng = random.Random(41)

@@ -57,6 +57,32 @@ def _assert_split_ties_is_dense_rank(sizes, colors, hashes):
         assert got[lo:hi].tolist() == _dense_rank(hashes[lo:hi])
 
 
+def _draw_flat_csr(data, max_size, density):
+    """A random flat CSR of 1–5 segments of 2..``max_size`` nodes each,
+    with up to ``density`` × size undirected edges per segment (no
+    self-loops), rows ascending: ``(seg_indptr, nbr_indptr,
+    nbr_indices)``."""
+    sizes = data.draw(st.lists(st.integers(2, max_size), min_size=1, max_size=5))
+    seg_indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=seg_indptr[1:])
+    rows: list = [set() for _ in range(int(seg_indptr[-1]))]
+    for s, size in enumerate(sizes):
+        start = int(seg_indptr[s])
+        for u, v in data.draw(
+            st.lists(
+                st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
+                max_size=size * density,
+            )
+        ):
+            if u != v:
+                rows[start + u].add(start + v)
+                rows[start + v].add(start + u)
+    nbr_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(row) for row in rows], out=nbr_indptr[1:])
+    nbr_indices = np.array([v for row in rows for v in sorted(row)], dtype=np.int64)
+    return seg_indptr, nbr_indptr, nbr_indices
+
+
 class _LabelledNodes:
     """Stand-in subgraph for :func:`_strict_order`: keys from a list."""
 
@@ -324,26 +350,7 @@ class TestBatchedPrimitives:
         """Random multi-segment flat CSRs, sparse enough to leave nodes
         unreachable from one or both end nodes: a BFS from both end nodes
         at once is the element-wise min of the two single-source runs."""
-        sizes = data.draw(st.lists(st.integers(2, 9), min_size=1, max_size=5))
-        seg_indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=seg_indptr[1:])
-        rows: list = [set() for _ in range(int(seg_indptr[-1]))]
-        for s, size in enumerate(sizes):
-            start = int(seg_indptr[s])
-            for u, v in data.draw(
-                st.lists(
-                    st.tuples(st.integers(0, size - 1), st.integers(0, size - 1)),
-                    max_size=size,
-                )
-            ):
-                if u != v:
-                    rows[start + u].add(start + v)
-                    rows[start + v].add(start + u)
-        nbr_indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum([len(row) for row in rows], out=nbr_indptr[1:])
-        nbr_indices = np.array(
-            [v for row in rows for v in sorted(row)], dtype=np.int64
-        )
+        seg_indptr, nbr_indptr, nbr_indices = _draw_flat_csr(data, 9, 1)
         ends = seg_indptr[:-1]
         from_a = palette_wl.flat_hop_distances(nbr_indptr, nbr_indices, ends)
         from_b = palette_wl.flat_hop_distances(nbr_indptr, nbr_indices, ends + 1)
@@ -352,6 +359,34 @@ class TestBatchedPrimitives:
         )
         assert batch._nearest(from_a, from_b).tolist() == both.tolist()
         assert ((both < 0) == ((from_a < 0) & (from_b < 0))).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bfs_levels_equal_sorted_frontier_bfs(self, data):
+        """Random multi-segment flat CSRs, from sparse (unreachable
+        nodes) to dense (many duplicate fresh neighbours per level), and
+        sources of one or both end nodes: levels equal a BFS whose next
+        frontier is the sorted set of fresh neighbours."""
+        seg_indptr, nbr_indptr, nbr_indices = _draw_flat_csr(
+            data, 16, data.draw(st.integers(1, 4))
+        )
+        ends = seg_indptr[:-1]
+        sources = data.draw(
+            st.sampled_from([ends, ends + 1, np.concatenate([ends, ends + 1])])
+        )
+        expected = np.full(int(seg_indptr[-1]), -1, dtype=np.int64)
+        expected[sources] = 0
+        frontier = np.unique(sources)
+        depth = 0
+        while frontier.size:
+            depth += 1
+            neighbors = np.concatenate(
+                [nbr_indices[nbr_indptr[u] : nbr_indptr[u + 1]] for u in frontier]
+            )
+            frontier = np.unique(neighbors[expected[neighbors] == -1])
+            expected[frontier] = depth
+        got = palette_wl.flat_hop_distances(nbr_indptr, nbr_indices, sources)
+        assert got.tolist() == expected.tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -428,3 +463,27 @@ class TestBatchedPrimitives:
                 scores[lo:hi] if use_ties else None,
             )
             assert got[lo:hi].tolist() == expected
+
+        # With a limit, every order up to it is the full call's, every
+        # other order lies above it, and only classes starting at or
+        # below it reach the tie-break.
+        limit = data.draw(st.integers(1, 13))
+        calls.clear()
+        limited = _strict_order_many(
+            color_arr,
+            tie_break if use_ties else None,
+            seg_indptr,
+            seg_ids,
+            lambda flat: labels[flat],
+            singleton_ranks if use_ranks else None,
+            limit,
+        )
+        low = got <= limit
+        assert np.array_equal(limited[low], got[low])
+        assert (limited[~low] > limit).all()
+        first_order = got.copy()
+        for node in range(got.size):
+            same = class_of == class_of[node]
+            first_order[node] = got[same].min()
+        for nodes in calls:
+            assert (first_order[nodes] <= limit).all()

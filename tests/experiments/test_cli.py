@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import socket
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -415,6 +417,24 @@ class TestBadInput:
         )
         assert "--resume" in err
         assert not missing.exists()
+
+    def test_telemetry_port_already_bound(self, capsys, handler_calls):
+        from repro import obs
+
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            err = self._assert_usage_error(
+                capsys,
+                handler_calls,
+                [
+                    "profile", "--dataset", "contact", "--scale", "0.05",
+                    "--pairs", "2", "--telemetry-port", str(port),
+                ],
+            )
+        assert f"--telemetry-port {port}: cannot bind" in err
+        assert not obs.enabled()
 
     def test_unknown_recommend_user(self, capsys):
         # the handler has to load the network before it can check the node
