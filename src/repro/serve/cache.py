@@ -18,6 +18,15 @@ event can change the row only if an endpoint lies in the footprint;
 :meth:`invalidate_nodes` drops exactly those entries.  Rows with an
 empty footprint (an end node missing from the snapshot) are not stored.
 
+The store is a handful of arrays, not one object per entry.  Each entry
+owns a slot: its row is a row of one float64 block and its clock and
+footprint bounds are per-slot array elements.  Footprints live back to
+back in one flat int32 id array, each entry owning a contiguous run;
+a dropped entry's run stays behind as dead ids until the dead ids
+outnumber the live ones, when one vectorised pass closes the gaps.  A
+k = 10 entry with a 37-id footprint costs 44·8 + 37·4 bytes (up to
+twice the ids while dead runs wait), plus its key and LRU link.
+
 ``max_staleness`` (default ``0.0``) bounds how far the serving clock may
 move after extraction before an entry is a miss; at ``0.0`` every served
 row equals a cold extraction.  A positive bound, or ``None`` for none,
@@ -41,15 +50,20 @@ import numpy as np
 
 from repro.graph.csr import CSRSnapshot
 from repro.graph.hashing import subgraph_fingerprint
-from repro.obs import incr, span
+from repro.obs import incr, set_gauge, span
+from repro.obs.trace import enabled as obs_enabled
 
 Node = Hashable
 PairKey = tuple[str, str]
 
 #: default bound on cached pair entries.  On the co-author serving
-#: benchmark (k = 10, 32-id footprints) an entry takes about 3 KB by
-#: ``sys.getsizeof``, so 10k hold about 30 MB
+#: benchmark (k = 10, 37-id footprints) an entry's row and ids take 500
+#: bytes (648 while dead runs wait), so 10k take 5-6.5 MB plus the keys
 DEFAULT_CACHE_ENTRIES = 10_000
+
+#: slots and ids the first put reserves; both double as they fill
+_FIRST_SLOTS = 64
+_FIRST_IDS = 1024
 
 
 def pair_key(u: Node, v: Node) -> PairKey:
@@ -60,10 +74,10 @@ def pair_key(u: Node, v: Node) -> PairKey:
 
 @dataclass
 class CacheEntry:
-    """One cached pair: the feature row and the node ids it depends on."""
+    """One cache hit: a copy of the feature row and the clock it was
+    extracted at."""
 
     features: np.ndarray
-    footprint: "frozenset[int]"
     present_time: float
     fingerprint: "str | None" = None
 
@@ -74,7 +88,9 @@ class FeatureCache:
     Counters (gated behind ``obs.enable``): ``serve.cache.hits``,
     ``serve.cache.misses``, ``serve.cache.evictions``,
     ``serve.cache.invalidations``, ``serve.cache.stale_drops``,
-    ``serve.cache.verify_drops``.
+    ``serve.cache.verify_drops``; gauges ``serve.cache.entries`` and
+    ``serve.cache.bytes`` (the row block plus the id array), set on each
+    put and invalidation.
     """
 
     def __init__(
@@ -89,14 +105,14 @@ class FeatureCache:
             raise ValueError(f"max_staleness must be >= 0, got {max_staleness}")
         self.max_entries = max_entries
         self.max_staleness = max_staleness
-        self._entries: OrderedDict[PairKey, CacheEntry] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
+        self.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._slot_of)
 
     # ------------------------------------------------------------------
     # probe / insert
@@ -113,34 +129,38 @@ class FeatureCache:
 
         ``present_time`` applies the ``max_staleness`` bound;
         ``verify=True`` (with ``snapshot``) recomputes the footprint
-        fingerprint and drops the entry on mismatch.
+        fingerprint and drops the entry on mismatch.  The entry's row is
+        a copy, so later puts cannot change it.
         """
-        entry = self._entries.get(key)
-        if entry is None:
+        slot = self._slot_of.get(key)
+        if slot is None:
             self.misses += 1
             incr("serve.cache.misses")
             return None
+        extracted_at = self._times.item(slot)
         if (
             self.max_staleness is not None
             and present_time is not None
-            and abs(present_time - entry.present_time) > self.max_staleness
+            and abs(present_time - extracted_at) > self.max_staleness
         ):
-            del self._entries[key]
+            self._drop(key, slot)
             self.misses += 1
             incr("serve.cache.stale_drops")
             incr("serve.cache.misses")
             return None
-        if verify and snapshot is not None and entry.fingerprint is not None:
-            if subgraph_fingerprint(snapshot, entry.footprint) != entry.fingerprint:
-                del self._entries[key]
+        digest = self._digests[slot]
+        if verify and snapshot is not None and digest is not None:
+            footprint = self._ids[self._lo[slot] : self._hi[slot]].tolist()
+            if subgraph_fingerprint(snapshot, footprint) != digest:
+                self._drop(key, slot)
                 self.misses += 1
                 incr("serve.cache.verify_drops")
                 incr("serve.cache.misses")
                 return None
-        self._entries.move_to_end(key)
+        self._slot_of.move_to_end(key)
         self.hits += 1
         incr("serve.cache.hits")
-        return entry
+        return CacheEntry(self._rows[slot].copy(), extracted_at, digest)
 
     def put(
         self,
@@ -153,30 +173,53 @@ class FeatureCache:
         fingerprint: bool = False,
     ) -> None:
         """Insert/replace one entry (none for an empty ``footprint``);
-        evicts LRU entries past the bound."""
-        self._entries.pop(key, None)
-        node_ids = (
+        evicts the LRU entry past the bound.
+
+        ``footprint`` holds snapshot node ids (int32, like CSR indices);
+        an array is copied in as it is, duplicates and order included.
+        """
+        ids = (
             footprint
-            if isinstance(footprint, frozenset)
-            else frozenset(map(int, footprint))
+            if isinstance(footprint, np.ndarray)
+            else np.fromiter(map(int, footprint), dtype=np.int64)
         )
-        if not node_ids:
+        row = np.asarray(features)
+        if ids.size and row.shape != self._rows.shape[1:]:
+            self._reshape_rows(row)
+        slot = self._slot_of.pop(key, None)
+        if slot is not None:
+            self._release(slot)
+        if not ids.size:
+            self._compact_if_sparse()
             return
-        digest = (
-            subgraph_fingerprint(snapshot, node_ids)
+        if len(self._slot_of) >= self.max_entries:
+            _, lru = self._slot_of.popitem(last=False)
+            self._release(lru)
+            self.evictions += 1
+            incr("serve.cache.evictions")
+        self._compact_if_sparse()
+        slot = self._free.pop() if self._free else self._new_slot()
+        lo = self._end
+        hi = lo + ids.size
+        if hi > self._ids.size:
+            self._ids = _regrown(
+                self._ids, max(2 * self._ids.size, hi, _FIRST_IDS), lo
+            )
+        self._ids[lo:hi] = ids
+        self._end = hi
+        self._lo[slot] = lo
+        self._hi[slot] = hi
+        self._rows[slot] = row
+        self._times[slot] = present_time
+        self._keys[slot] = key
+        self._digests[slot] = (
+            subgraph_fingerprint(snapshot, ids.tolist())
             if fingerprint and snapshot is not None
             else None
         )
-        self._entries[key] = CacheEntry(
-            features=features,
-            footprint=node_ids,
-            present_time=float(present_time),
-            fingerprint=digest,
-        )
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            incr("serve.cache.evictions")
+        self._slot_of[key] = slot
+        if obs_enabled():
+            self._set_gauges()
 
     # ------------------------------------------------------------------
     # invalidation
@@ -189,32 +232,120 @@ class FeatureCache:
         in the row's footprint.  Returns the dropped keys (sorted) so
         callers can cascade the invalidation to derived caches.
 
-        One pass over the entries, each a set-disjointness test of at
-        most ``len(node_ids)`` lookups.  An inverted node index would
-        visit only the dropped entries, but it charges every put and
-        drop one set update per footprint node.  On the co-author
-        serving benchmark (about 8k entries, 4 events per ingest) the
-        pass plus the puts cost about 20 ms per ingest period; the index
-        upkeep cost about 65 ms.
+        One membership pass over the id array (live and dead runs) finds
+        the positions holding a touched id; two binary searches per slot
+        count each run's hits.  On the co-author serving benchmark (about
+        7k entries, 4 events per ingest) a traced ingest spends about
+        8 ms here, against about 19 ms for a set-disjointness test per
+        entry on frozenset footprints (docs/PERFORMANCE.md, "Serving
+        memory").  An inverted node index would visit only the dropped
+        entries, but would charge every put and drop one update per
+        footprint node.
         """
         # under the ingesting request's serve.ingest span this span is
         # a leaf of that request's trace
         with span("serve.cache_invalidate") as inv_span:
-            touched = frozenset(map(int, node_ids))
-            dropped = sorted(
-                key
-                for key, entry in self._entries.items()
-                if not touched.isdisjoint(entry.footprint)
-            )
-            for key in dropped:
-                del self._entries[key]
+            touched = np.fromiter(map(int, node_ids), dtype=np.int64)
+            dropped: list[PairKey] = []
+            if touched.size and self._slot_of:
+                at = np.flatnonzero(np.isin(self._ids[: self._end], touched))
+                hit = np.flatnonzero(
+                    np.searchsorted(at, self._hi) != np.searchsorted(at, self._lo)
+                ).tolist()
+                dropped = sorted(self._keys[slot] for slot in hit)
+                for slot in hit:
+                    del self._slot_of[self._keys[slot]]
+                    self._release(slot)
+                self._compact_if_sparse()
             self.invalidations += len(dropped)
             incr("serve.cache.invalidations", len(dropped))
             inv_span.tags.update(dropped=len(dropped))
+        if obs_enabled():
+            self._set_gauges()
         return dropped
 
     def clear(self) -> None:
-        self._entries.clear()
+        """Drop every entry and free the store (counters are kept)."""
+        # LRU order, oldest first: key -> slot
+        self._slot_of: OrderedDict[PairKey, int] = OrderedDict()
+        # per slot: the feature row, the extraction clock and the
+        # [lo, hi) run of the entry's footprint in ``_ids``; a free
+        # slot's run is empty (lo = hi) and its key None
+        self._rows = np.empty((0, 0), dtype=np.float64)
+        self._times = np.empty(0, dtype=np.float64)
+        self._lo = np.empty(0, dtype=np.int64)
+        self._hi = np.empty(0, dtype=np.int64)
+        self._keys: list["PairKey | None"] = []
+        self._digests: list["str | None"] = []
+        self._free: list[int] = []
+        # footprint runs back to back; [0, _end) is in use, _dead ids
+        # of it belong to dropped entries
+        self._ids = np.empty(0, dtype=np.int32)
+        self._end = 0
+        self._dead = 0
+
+    # ------------------------------------------------------------------
+    # store upkeep
+    # ------------------------------------------------------------------
+    def _drop(self, key: PairKey, slot: int) -> None:
+        del self._slot_of[key]
+        self._release(slot)
+        self._compact_if_sparse()
+
+    def _release(self, slot: int) -> None:
+        self._dead += int(self._hi[slot] - self._lo[slot])
+        self._lo[slot] = 0
+        self._hi[slot] = 0
+        self._keys[slot] = None
+        self._digests[slot] = None
+        self._free.append(slot)
+
+    def _new_slot(self) -> int:
+        """A never-used slot, growing the per-slot arrays when full."""
+        slot = len(self._keys)
+        if slot == self._times.size:
+            size = min(self.max_entries, max(2 * slot, _FIRST_SLOTS))
+            self._rows = _regrown(self._rows, size, slot)
+            self._times = _regrown(self._times, size, slot)
+            self._lo = _regrown(self._lo, size, slot)
+            self._hi = _regrown(self._hi, size, slot)
+        self._keys.append(None)
+        self._digests.append(None)
+        return slot
+
+    def _reshape_rows(self, row: np.ndarray) -> None:
+        """Size the row block for ``row``'s width (only while empty)."""
+        if row.ndim != 1 or self._slot_of:
+            raise ValueError(
+                f"feature row of shape {row.shape} does not fit the cached "
+                f"rows of shape {self._rows.shape[1:]}"
+            )
+        self._rows = np.empty((self._times.size, row.size), dtype=np.float64)
+
+    def _compact_if_sparse(self) -> None:
+        """Close the dead runs' gaps once they outnumber the live ids.
+
+        Live runs slide down in slot order, so the used prefix is at
+        most twice the live ids (plus the run being added).
+        """
+        live_ids = self._end - self._dead
+        if self._dead <= live_ids:
+            return
+        size = self._hi - self._lo  # 0 for free slots
+        new_lo = np.cumsum(size) - size
+        # the id landing at position p comes from p + (lo - new_lo) of
+        # its run
+        source = np.repeat(self._lo - new_lo, size)
+        source += np.arange(live_ids)
+        self._ids[:live_ids] = self._ids[source]
+        self._lo = new_lo
+        self._hi = new_lo + size
+        self._end = live_ids
+        self._dead = 0
+
+    def _set_gauges(self) -> None:
+        set_gauge("serve.cache.entries", float(len(self._slot_of)))
+        set_gauge("serve.cache.bytes", float(self._rows.nbytes + self._ids.nbytes))
 
     # ------------------------------------------------------------------
     # introspection
@@ -226,10 +357,17 @@ class FeatureCache:
 
     def stats(self) -> dict[str, float]:
         return {
-            "entries": float(len(self._entries)),
+            "entries": float(len(self._slot_of)),
             "hits": float(self.hits),
             "misses": float(self.misses),
             "hit_rate": self.hit_rate,
             "evictions": float(self.evictions),
             "invalidations": float(self.invalidations),
         }
+
+
+def _regrown(array: np.ndarray, size: int, keep: int) -> np.ndarray:
+    """``array`` with ``size`` leading rows, the first ``keep`` copied."""
+    out = np.zeros((size,) + array.shape[1:], dtype=array.dtype)
+    out[:keep] = array[:keep]
+    return out

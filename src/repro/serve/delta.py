@@ -220,23 +220,29 @@ class DeltaCSRSnapshot:
     def apply(self, events: "Iterable[Event]") -> list[tuple[int, int]]:
         """Append edge events; returns the touched ``(u_id, v_id)`` pairs.
 
-        Validation mirrors :meth:`DynamicNetwork.add_edge` (no
-        self-loops, finite stamps).  Node ids are assigned in first-seen
-        order, ``u`` before ``v`` — the order ``from_dynamic`` would
-        produce for the same event sequence, which is what keeps the
-        label array (and therefore every downstream label-order
-        tie-break) bit-identical to a full rebuild.
+        Validation mirrors :meth:`DynamicNetwork.add_edge` (hashable
+        labels, no self-loops, finite stamps) and covers the whole batch
+        before any event is applied, so a rejected batch changes
+        nothing.  Node ids are assigned in first-seen order, ``u`` before
+        ``v`` — the order ``from_dynamic`` would produce for the same
+        event sequence, which is what keeps the label array (and
+        therefore every downstream label-order tie-break) bit-identical
+        to a full rebuild.
         """
+        checked: list[tuple[Node, Node, float]] = []
+        for u, v, stamp in events:
+            hash((u, v))  # labels key the id map: unhashable ones raise here
+            if u == v:
+                raise ValueError(f"self-loops are not allowed (node {u!r})")
+            ts = float(stamp)
+            if not math.isfinite(ts):
+                raise ValueError(f"timestamp must be finite, got {stamp!r}")
+            checked.append((u, v, ts))
         touched: list[tuple[int, int]] = []
         # under the ingesting request's serve.ingest span this span is
         # a leaf of that request's trace
         with span("serve.delta_apply") as apply_span:
-            for u, v, stamp in events:
-                if u == v:
-                    raise ValueError(f"self-loops are not allowed (node {u!r})")
-                ts = float(stamp)
-                if not math.isfinite(ts):
-                    raise ValueError(f"timestamp must be finite, got {stamp!r}")
+            for u, v, ts in checked:
                 u_id = self.ensure_node(u)
                 v_id = self.ensure_node(v)
                 self._pending.append((u_id, v_id, ts))

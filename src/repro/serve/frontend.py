@@ -101,10 +101,12 @@ class ServingRecommender:
         # scored-result memo: between ingests the whole pipeline is a
         # deterministic function of (user, substrate), so serving a
         # memoised ranking is EXACT, not an approximation.  Each entry
-        # keeps its full ranked list (sliced per top_n), the pair keys
-        # it was scored from, and the present_time it was scored at.
+        # keeps the pool, its scores and their ranking order (a request
+        # builds Suggestions for the top_n it reads), the pair keys it
+        # was scored from, and the present_time it was scored at.
         self._result_memo: dict[
-            Node, tuple[list[Suggestion], frozenset[PairKey], float]
+            Node,
+            tuple[list[Node], np.ndarray, np.ndarray, frozenset[PairKey], float],
         ] = {}
         # an evicted key can no longer be voided: ingest drops every
         # result once the cache has evicted since the last ingest
@@ -184,15 +186,16 @@ class ServingRecommender:
         # exactly the memoised pools/results the events can have
         # changed — a pool when its hop ball reaches an event endpoint
         # (a new edge cannot shorten paths, and cannot bring a node
-        # within reach unless an endpoint already was) or the hub
-        # ranking shifts, a ranked result whenever its pool or any
-        # feature it was scored from moved, or the cache evicted rows
+        # within reach unless an endpoint already was) or the hub set
+        # changes (a pool is a set difference, blind to hub order), a
+        # ranked result whenever its pool or any feature it was scored
+        # from moved, or the cache evicted rows
         self._extractor = None
         old_hubs = self._hubs_memo
         self._hubs_memo = None
         evicted = self.cache.evictions != self._evictions_seen
         self._evictions_seen = self.cache.evictions
-        if old_hubs is not None and self._hubs() == old_hubs:
+        if old_hubs is not None and set(self._hubs()) == set(old_hubs):
             pool_dropped = [
                 user
                 for user, (_, ball) in self._pool_memo.items()
@@ -202,7 +205,7 @@ class ServingRecommender:
                 del self._pool_memo[user]
             for user in [
                 user
-                for user, (_, keys, _) in self._result_memo.items()
+                for user, (*_, keys, _) in self._result_memo.items()
                 if evicted or user in pool_dropped or not dropped_keys.isdisjoint(keys)
             ]:
                 del self._result_memo[user]
@@ -301,13 +304,13 @@ class ServingRecommender:
         for slot, (user, top_n) in enumerate(queries):
             memo = self._result_memo.get(user)
             if memo is not None:
-                ranked, _, scored_at = memo
+                pool, scores, order, _, scored_at = memo
                 drifted = (
                     self.cache.max_staleness is not None
                     and abs(present - scored_at) > self.cache.max_staleness
                 )
                 if not drifted:
-                    final[slot] = ranked[:top_n]
+                    final[slot] = _top(pool, scores, order, top_n)
                     self.result_hits += 1
                     incr("serve.results.hits")
                     continue
@@ -363,7 +366,7 @@ class ServingRecommender:
                     self.cache.put(
                         key,
                         row,
-                        frozenset(footprint.tolist()),
+                        footprint,
                         present,
                         snapshot=snapshot,
                         fingerprint=self.verify,
@@ -383,30 +386,31 @@ class ServingRecommender:
             )
             for query_index, (user, slots) in enumerate(compute_map.items()):
                 pool = pools[query_index]
-                if not pool:
-                    self._result_memo[user] = ([], frozenset(), present)
-                    for slot, _ in slots:
-                        final[slot] = []
-                    continue
                 lo, hi = offsets[query_index], offsets[query_index + 1]
                 query_scores = scores[lo:hi]
                 order = np.argsort(-query_scores, kind="mergesort")
-                ranked = [
-                    Suggestion(
-                        node=pool[int(i)], score=float(query_scores[int(i)])
-                    )
-                    for i in order
-                ]
                 self._result_memo[user] = (
-                    ranked,
+                    pool,
+                    query_scores,
+                    order,
                     frozenset(keyed[query_index]),
                     present,
                 )
                 for slot, top_n in slots:
-                    final[slot] = ranked[:top_n]
+                    final[slot] = _top(pool, query_scores, order, top_n)
         incr("serve.queries", len(queries))
         observe("serve.extract_pairs", float(len(missed)))
         return [result if result is not None else [] for result in final]
+
+
+def _top(
+    pool: "list[Node]", scores: np.ndarray, order: np.ndarray, top_n: int
+) -> list[Suggestion]:
+    """The ``top_n`` best-ranked pool members as suggestions."""
+    return [
+        Suggestion(node=pool[i], score=float(scores[i]))
+        for i in order[:top_n].tolist()
+    ]
 
 
 # ----------------------------------------------------------------------

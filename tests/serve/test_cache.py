@@ -1,11 +1,17 @@
 """Feature-cache semantics: LRU bound, footprint invalidation, staleness."""
 
+from collections import OrderedDict
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro import obs
 from repro.graph.csr import CSRSnapshot
 from repro.graph.hashing import subgraph_fingerprint
 from repro.graph.temporal import DynamicNetwork
+from repro.obs.metrics import get_registry
 from repro.serve.cache import FeatureCache, pair_key
 
 
@@ -147,3 +153,205 @@ class TestStats:
             FeatureCache(max_entries=0)
         with pytest.raises(ValueError, match="max_staleness"):
             FeatureCache(max_staleness=-1.0)
+
+
+class TestStore:
+    def test_get_returns_a_copy(self):
+        # max_entries=1: the next put reuses the hit's slot
+        cache = FeatureCache(max_entries=1)
+        cache.put(pair_key("u", "a"), row(1), [0], present_time=1.0)
+        features = cache.get(pair_key("u", "a")).features
+        cache.put(pair_key("u", "b"), row(2), [1], present_time=1.0)
+        cache.put(pair_key("u", "c"), row(3), [2], present_time=1.0)
+        assert features.tolist() == row(1).tolist()
+
+    def test_put_copies_the_row(self):
+        cache = FeatureCache()
+        features = row(1)
+        cache.put(pair_key("u", "a"), features, [0], present_time=1.0)
+        features[:] = 9.0
+        assert cache.get(pair_key("u", "a")).features.tolist() == row(1).tolist()
+
+    def test_compaction_keeps_rows_and_footprints(self):
+        cache = FeatureCache()
+        for i in range(6):
+            cache.put(pair_key("u", f"c{i}"), row(i), [10 * i, 10 * i + 1], 1.0)
+        used = cache._end
+        # dropping four of six runs leaves more dead ids than live ones
+        cache.invalidate_nodes([0, 11, 20, 41])
+        assert cache._end < used and cache._dead == 0
+        assert cache.invalidate_nodes([31]) == [pair_key("u", "c3")]
+        assert cache.get(pair_key("u", "c5")).features.tolist() == row(5).tolist()
+        assert cache.invalidate_nodes([50]) == [pair_key("u", "c5")]
+        assert len(cache) == 0
+
+    def test_growth_keeps_rows_and_footprints(self):
+        cache = FeatureCache()
+        # 200 entries of 40 ids outgrow the first 64 slots and 1024 ids
+        for i in range(200):
+            cache.put(pair_key("u", f"c{i}"), row(i), range(40 * i, 40 * i + 40), 1.0)
+        assert cache.invalidate_nodes([5, 7999]) == [
+            pair_key("u", "c0"),
+            pair_key("u", "c199"),
+        ]
+        for i in range(1, 199):
+            assert cache.get(pair_key("u", f"c{i}")).features.tolist() == row(i).tolist()
+
+    def test_row_width_is_fixed_while_entries_live(self):
+        cache = FeatureCache()
+        cache.put(pair_key("u", "a"), row(0), [0], present_time=1.0)
+        with pytest.raises(ValueError, match="does not fit"):
+            cache.put(pair_key("u", "b"), np.zeros(3), [1], present_time=1.0)
+        assert len(cache) == 1
+        cache.clear()
+        cache.put(pair_key("u", "b"), np.zeros(3), [1], present_time=1.0)
+        assert cache.get(pair_key("u", "b")).features.shape == (3,)
+
+
+class TestGauges:
+    def test_puts_and_invalidation_set_entries_and_bytes(self):
+        cache = FeatureCache()
+        obs.enable()
+        try:
+            cache.put(pair_key("u", "a"), row(0), [0, 1], present_time=1.0)
+            cache.put(pair_key("u", "b"), row(1), [2], present_time=1.0)
+            after_puts = get_registry().snapshot()["gauges"]
+            cache.invalidate_nodes([1])
+            after_drop = get_registry().snapshot()["gauges"]
+        finally:
+            obs.disable()
+        store_bytes = cache._rows.nbytes + cache._ids.nbytes
+        assert after_puts["serve.cache.entries"] == 2.0
+        assert after_puts["serve.cache.bytes"] == store_bytes
+        assert after_drop["serve.cache.entries"] == 1.0
+
+
+class ReferenceCache:
+    """The cache contract in plain Python: an LRU ``OrderedDict`` of
+    key -> (row copy, frozenset footprint, extraction time)."""
+
+    def __init__(self, max_entries, max_staleness):
+        self.max_entries = max_entries
+        self.max_staleness = max_staleness
+        self.entries = OrderedDict()
+        self.hits = self.misses = self.evictions = self.invalidations = 0
+
+    def get(self, key, present_time=None):
+        entry = self.entries.get(key)
+        if entry is not None and (
+            self.max_staleness is not None
+            and present_time is not None
+            and abs(present_time - entry[2]) > self.max_staleness
+        ):
+            del self.entries[key]
+            entry = None
+        if entry is None:
+            self.misses += 1
+            return None
+        self.entries.move_to_end(key)
+        self.hits += 1
+        return entry[0]
+
+    def put(self, key, features, footprint, present_time):
+        self.entries.pop(key, None)
+        if footprint:
+            self.entries[key] = (features.copy(), frozenset(footprint), present_time)
+        if len(self.entries) > self.max_entries:
+            self.entries.popitem(last=False)
+            self.evictions += 1
+
+    def invalidate_nodes(self, node_ids):
+        dropped = sorted(
+            key for key, (_, ids, _) in self.entries.items() if ids & set(node_ids)
+        )
+        for key in dropped:
+            del self.entries[key]
+        self.invalidations += len(dropped)
+        return dropped
+
+    def clear(self):
+        self.entries.clear()
+
+
+KEYS = [pair_key("u", f"c{i}") for i in range(6)]
+TIMES = st.sampled_from([0.0, 1.0, 2.5])
+NODE = st.integers(0, 11)
+ROW = st.lists(
+    st.floats(allow_nan=True, allow_infinity=True, width=64), min_size=3, max_size=3
+).map(np.array)
+OPERATIONS = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("put"),
+            st.integers(0, len(KEYS) - 1),
+            ROW,
+            st.lists(NODE, max_size=6),
+            TIMES,
+            st.booleans(),  # footprint as an int64 array, as the engine gives it
+        ),
+        st.tuples(
+            st.just("get"), st.integers(0, len(KEYS) - 1), st.none() | TIMES
+        ),
+        st.tuples(st.just("invalidate"), st.lists(NODE, max_size=3)),
+        st.tuples(st.just("clear")),
+    ),
+    min_size=20,
+    max_size=60,
+)
+
+
+def bits(features):
+    return None if features is None else features.tobytes()
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        max_entries=st.integers(1, 5),
+        max_staleness=st.sampled_from([0.0, 1.0, None]),
+        operations=OPERATIONS,
+    )
+    def test_matches_reference(self, max_entries, max_staleness, operations):
+        cache = FeatureCache(max_entries, max_staleness=max_staleness)
+        reference = ReferenceCache(max_entries, max_staleness)
+        for operation in operations:
+            name, args = operation[0], operation[1:]
+            if name == "put":
+                index, features, footprint, present_time, as_array = args
+                ids = np.array(footprint, dtype=np.int64) if as_array else footprint
+                cache.put(KEYS[index], features, ids, present_time)
+                reference.put(KEYS[index], features, footprint, present_time)
+            elif name == "get":
+                index, present_time = args
+                entry = cache.get(KEYS[index], present_time=present_time)
+                expected = reference.get(KEYS[index], present_time=present_time)
+                got = None if entry is None else entry.features
+                assert bits(got) == bits(expected)
+            elif name == "invalidate":
+                assert cache.invalidate_nodes(args[0]) == reference.invalidate_nodes(
+                    args[0]
+                )
+            else:
+                cache.clear()
+                reference.clear()
+            self._assert_same(cache, reference)
+
+    @staticmethod
+    def _assert_same(cache, reference):
+        assert len(cache) == len(reference.entries)
+        assert (cache.hits, cache.misses, cache.evictions, cache.invalidations) == (
+            reference.hits,
+            reference.misses,
+            reference.evictions,
+            reference.invalidations,
+        )
+        # read the store directly, so the checks move no counter or LRU link
+        assert list(cache._slot_of) == list(reference.entries)
+        for key, slot in cache._slot_of.items():
+            features, footprint, present_time = reference.entries[key]
+            assert cache._rows[slot].tobytes() == features.tobytes()
+            run = cache._ids[cache._lo[slot] : cache._hi[slot]]
+            assert frozenset(run.tolist()) == footprint
+            assert cache._times[slot] == present_time
+        # dead runs never outnumber the live ids between calls
+        assert cache._dead <= cache._end - cache._dead

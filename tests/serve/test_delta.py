@@ -168,6 +168,26 @@ class TestIngestValidation:
         with pytest.raises(ValueError, match="finite"):
             delta.apply([("a", "b", float("nan"))])
 
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (("x", "x", 2.0), ValueError),
+            (("x", "y", float("inf")), ValueError),
+            ((["x"], "y", 2.0), TypeError),
+        ],
+    )
+    def test_rejected_batch_applies_nothing(self, bad, error):
+        delta = DeltaCSRSnapshot()
+        delta.apply([("a", "b", 1.0)])
+        delta.snapshot()
+        with pytest.raises(error):
+            delta.apply([("a", "c", 2.0), bad])
+        assert delta.pending_events == 0
+        assert delta.events_applied == 1
+        assert delta.number_of_nodes() == 2
+        assert delta.last_timestamp() == 1.0
+        assert delta.most_active(5) == ["a", "b"]
+
     def test_scoring_time_uses_median_gap(self):
         delta = DeltaCSRSnapshot()
         delta.apply([("a", "b", 10.0), ("b", "c", 20.0), ("a", "c", 30.0)])

@@ -3,9 +3,12 @@
 import asyncio
 import time
 
+import numpy as np
 import pytest
 
-from repro.core.feature import SSFConfig
+from repro.core.feature import SSFConfig, SSFExtractor
+from repro.datasets import get_dataset
+from repro.graph.csr import CSRSnapshot
 from repro.graph.temporal import DynamicNetwork
 from repro.recommend import LinkRecommender
 from repro.robust.policy import RetryPolicy
@@ -14,6 +17,8 @@ from repro.serve import (
     FeatureCache,
     ServingRecommender,
     ServingTimeout,
+    pair_key,
+    split_replay_stream,
 )
 from repro.utils.rng import ensure_rng
 
@@ -146,6 +151,89 @@ class TestIngestInvalidation:
         suggestions = serving.recommend("fresh", top_n=3)
         assert suggestions  # friends-of-friends of n0 exist
         assert all(s.node != "n0" for s in suggestions)  # partner excluded
+
+    def test_hub_reorder_keeps_untouched_pools(self):
+        # two hubs at the newest stamp; the ingest moves H2 above H1
+        # without changing the hub set or the serving clock
+        network = DynamicNetwork(
+            [("H1", f"a{i}", 3.0) for i in range(6)]
+            + [("H2", f"b{i}", 3.0) for i in range(5)]
+            + [("u", "v", 1.0), ("v", "w", 2.0), ("w", "x", 2.0)]
+            + [("x", "y", 3.0), ("u", "w", 3.0), ("v", "x", 3.0)]
+        )
+        offline = LinkRecommender.fit(network, config=SSFConfig(k=4), seed=0)
+        serving = ServingRecommender.from_recommender(offline, global_candidates=2)
+        for user in ("u", "y", "a0", "b2"):
+            serving.recommend(user, top_n=3)
+        hubs = serving._hubs()
+        clock = serving.delta.scoring_time()
+        serving.ingest([("H2", "b0", 3.0), ("H2", "b1", 3.0)])
+        assert serving._hubs() == hubs[::-1]
+        assert serving.delta.scoring_time() == clock
+        # b2's 2-hop ball holds H2; the other balls miss every endpoint
+        assert sorted(serving._pool_memo) == ["a0", "u", "y"]
+
+
+class TestRejectedIngest:
+    def test_rejected_batch_changes_nothing(self):
+        """A batch whose second event is invalid applies no event, so
+        the delta, the cache and the memos stay as they were and every
+        cached row still equals a cold extraction."""
+        network = get_dataset("co-author").generate(seed=0, scale=0.3)
+        history, _ = split_replay_stream(network, 0.2)
+        config = SSFConfig(k=10, theta=0.5)
+        serving = ServingRecommender.fit(history, config=config, seed=0)
+        users = serving.delta.most_active(8)
+        stored = {}  # key -> the orientation its row was extracted in
+        for user in users:
+            for cand in serving.candidates(user):
+                stored.setdefault(pair_key(user, cand), (user, cand))
+            serving.recommend(user, top_n=5)
+        u0 = users[0]
+        partner = next(
+            c for c in serving.candidates(u0) if not history.has_edge(u0, c)
+        )
+        stamp = serving.delta.last_timestamp()
+        before = (
+            serving.delta.events_applied,
+            serving.delta.number_of_nodes(),
+            serving.delta.number_of_links(),
+            serving.delta.scoring_time(),
+            len(serving.cache),
+            serving.cache.stats(),
+            sorted(serving._pool_memo),
+            sorted(serving._result_memo),
+        )
+
+        with pytest.raises(ValueError, match="self-loops"):
+            serving.ingest([(u0, partner, stamp), ("x", "x", stamp)])
+
+        assert serving.delta.pending_events == 0
+        assert before == (
+            serving.delta.events_applied,
+            serving.delta.number_of_nodes(),
+            serving.delta.number_of_links(),
+            serving.delta.scoring_time(),
+            len(serving.cache),
+            serving.cache.stats(),
+            sorted(serving._pool_memo),
+            sorted(serving._result_memo),
+        )
+        snapshot = serving.delta.snapshot()
+        cold_snapshot = CSRSnapshot.from_dynamic(history)
+        assert np.array_equal(snapshot.indices, cold_snapshot.indices)
+        assert np.array_equal(snapshot.ts, cold_snapshot.ts)
+        pairs = list(stored.values())
+        cold = SSFExtractor(
+            snapshot,
+            config,
+            present_time=serving.delta.scoring_time(),
+            backend="csr",
+        ).extract_batch(pairs)
+        for pair, row in zip(pairs, cold):
+            entry = serving.cache.get(pair_key(*pair))
+            assert entry is not None
+            assert entry.features.tobytes() == row.tobytes(), pair
 
 
 class TestAsyncFrontend:
