@@ -60,7 +60,7 @@ class _Loc:
         self.col_offset = col_offset
 
 #: the only values a backend selector may take (R202).
-VALID_BACKENDS = frozenset({"auto", "dict", "csr"})
+VALID_BACKENDS = frozenset({"dict", "csr"})
 
 _BACKEND_NAME_RE = re.compile(r"(^|_)backend$")
 
@@ -524,7 +524,7 @@ class BackendDispatchRule(Rule):
     """R202: backend dispatch is literal-correct and exhaustive.
 
     Comparing a ``backend`` variable against anything outside
-    ``{"auto", "dict", "csr"}`` is a typo that silently falls through.
+    ``{"dict", "csr"}`` is a typo that silently falls through.
     A multi-branch if/elif dispatch on backend literals must end in a
     plain ``else``, cover both concrete substrates, or raise.  The
     edge-checked complement validates the *call-site* side of the same

@@ -82,35 +82,9 @@ ENTRY_MODES = (
     "influence_distance",
 )
 
-BACKENDS = ("auto", "dict", "csr")
-
-#: ``backend="auto"`` freezes a CSR snapshot once the observed network has
-#: at least this many links; below it, the snapshot build cost is not
-#: worth paying for a handful of extractions.
-AUTO_CSR_MIN_LINKS = 4096
-
-
-def resolve_backend(network: "DynamicNetwork | CSRSnapshot", backend: str) -> str:
-    """Resolve a ``backend`` request against what ``network`` is.
-
-    * a :class:`CSRSnapshot` always runs the ``"csr"`` path (requesting
-      ``"dict"`` for one is an error — there is no dict substrate to read);
-    * a :class:`DynamicNetwork` honours ``"dict"``/``"csr"`` directly, and
-      ``"auto"`` picks ``"csr"`` when the network holds at least
-      :data:`AUTO_CSR_MIN_LINKS` links (build-once amortises), else
-      ``"dict"``.
-    """
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
-    if isinstance(network, CSRSnapshot):
-        if backend == "dict":
-            raise ValueError(
-                "backend='dict' requires a DynamicNetwork, got a CSRSnapshot"
-            )
-        return "csr"
-    if backend == "auto":
-        return "csr" if network.number_of_links() >= AUTO_CSR_MIN_LINKS else "dict"
-    return backend
+#: ``"csr"`` is the production substrate; ``"dict"`` is the readable
+#: reference every csr path is checked against, asked for by name.
+BACKENDS = ("dict", "csr")
 
 
 @lru_cache(maxsize=None)
@@ -210,7 +184,7 @@ class SSFExtractor:
         network: "DynamicNetwork | CSRSnapshot",
         config: "SSFConfig | None" = None,
         present_time: "float | None" = None,
-        backend: str = "auto",
+        backend: str = "csr",
     ) -> None:
         """Args:
         network: the observed history ``G_[tp, tq)`` — a dict-backed
@@ -221,23 +195,29 @@ class SSFExtractor:
         present_time: the prediction time ``l_t``; defaults to the
             network's last timestamp plus one unit, mirroring the paper's
             "predict the next timestamp" setup.
-        backend: ``"dict"`` (faithful reference), ``"csr"`` (array
-            pipeline over a frozen snapshot; bit-identical features), or
-            ``"auto"`` (see :func:`resolve_backend`).
+        backend: ``"csr"`` (the default: array pipeline over a frozen
+            snapshot; a :class:`DynamicNetwork` is frozen here, so later
+            changes to it are not seen) or ``"dict"`` (the faithful
+            reference, read live; needs a :class:`DynamicNetwork`).
+            Both give bit-identical features.
         """
+        if backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
+        if backend == "dict" and isinstance(network, CSRSnapshot):
+            raise ValueError(
+                "backend='dict' requires a DynamicNetwork, got a CSRSnapshot"
+            )
         self._config = config or SSFConfig()
-        self._backend = resolve_backend(network, backend)
+        self._backend = backend
+        self._network: "DynamicNetwork | None" = None
+        self._snapshot: "CSRSnapshot | None" = None
         if isinstance(network, CSRSnapshot):
-            self._network: "DynamicNetwork | None" = None
-            self._snapshot: "CSRSnapshot | None" = network
+            self._snapshot = network
+        elif backend == "csr":
+            self._snapshot = CSRSnapshot.from_dynamic(network)
         else:
             self._network = network
-            self._snapshot = (
-                CSRSnapshot.from_dynamic(network)
-                if self._backend == "csr"
-                else None
-            )
-        source = self._snapshot if self._backend == "csr" else self._network
+        source = self._substrate()
         if present_time is None:
             present_time = (
                 source.last_timestamp() + 1.0 if source.number_of_links() else 0.0
@@ -251,7 +231,7 @@ class SSFExtractor:
 
     @property
     def backend(self) -> str:
-        """The resolved backend: ``"dict"`` or ``"csr"``."""
+        """The backend: ``"dict"`` or ``"csr"``."""
         return self._backend
 
     @property

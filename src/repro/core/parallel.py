@@ -6,19 +6,16 @@ subgraph growth, structure combination and ordering touch only the
 ``multiprocessing`` pool; the history is shipped once per worker
 (initializer), not per pair.
 
-What "shipped" means depends on the backend:
-
-* ``"dict"`` — the :class:`~repro.graph.temporal.DynamicNetwork` is
-  inherited through ``fork`` (or pickled per worker where only ``spawn``
-  exists).  Worker start-up is O(|E|) on spawn platforms.
-* ``"csr"`` — the frozen :class:`~repro.graph.csr.CSRSnapshot` is a
-  handful of flat numpy arrays.  Under ``fork`` the child inherits the
-  parent's pages copy-on-write (workers never write them, so start-up is
-  O(1) regardless of |E|); without ``fork`` the arrays are exported once
-  into a single :mod:`multiprocessing.shared_memory` block and each
-  worker maps it zero-copy.  The per-link influence table for the batch's
-  ``present_time`` is materialised in the parent *before* the pool starts
-  so children share those pages too.
+Only the csr backend runs in a pool: the dict backend is the in-process
+reference, and asking for it with ``workers > 1`` is an error.  What a
+worker receives is the frozen :class:`~repro.graph.csr.CSRSnapshot`, a
+handful of flat numpy arrays.  Under ``fork`` the child inherits the
+parent's pages copy-on-write (workers never write them, so start-up is
+O(1) regardless of |E|); without ``fork`` the arrays are exported once
+into a single :mod:`multiprocessing.shared_memory` block and each worker
+maps it zero-copy.  The per-link influence table for the batch's
+``present_time`` is materialised in the parent *before* the pool starts
+so children share those pages too.
 
 Fault tolerance (see docs/ROBUSTNESS.md): the batch is dispatched as
 *indexed chunks* through ``imap_unordered``, so the parent knows exactly
@@ -30,8 +27,9 @@ itself, sequentially.  Failed pairs are therefore never dropped, and
 because retries are pure re-execution of a deterministic extraction, a
 faulty run returns **bit-identical** features to a fault-free one.  When
 the ``spawn``-path shared-memory export or attach fails (shm exhaustion,
-permissions), the batch degrades to a pickled payload with a warning
-instead of aborting.  Counters: ``robust.retries``, ``robust.fallbacks``.
+permissions), the batch degrades to the snapshot pickled per worker, with
+a warning, instead of aborting.  Counters: ``robust.retries``,
+``robust.fallbacks``, ``robust.shm_degradations``.
 
 Observability (see docs/OBSERVABILITY.md): the parent's observability
 switches are forwarded to every worker through the pool initializer, and
@@ -151,7 +149,7 @@ def min_pairs_for_pool(override: "int | None" = None) -> int:
 
 def _initialize(
     kind: str,
-    payload: "DynamicNetwork | CSRSnapshot | SharedSnapshotHandle",
+    payload: "CSRSnapshot | SharedSnapshotHandle",
     config: SSFConfig,
     present_time: float,
     modes: "tuple[str, ...] | None",
@@ -159,10 +157,9 @@ def _initialize(
 ) -> None:
     """Install the per-worker extractor.
 
-    ``kind`` says how the history arrived: ``"csr"`` (a snapshot reference
-    inherited through fork — zero-copy — or pickled by spawn), ``"csr_shared"``
-    (a :class:`SharedSnapshotHandle` to attach to), or ``"dict"`` (the
-    DynamicNetwork itself, inherited or pickled by the start method).
+    ``kind`` says how the snapshot arrived: ``"csr"`` (a snapshot reference
+    inherited through fork — zero-copy — or pickled by spawn) or
+    ``"csr_shared"`` (a :class:`SharedSnapshotHandle` to attach to).
     ``obs_state`` forwards the parent's observability switches so the
     worker's instrumentation records (and ships) exactly when the
     parent's does.
@@ -179,20 +176,12 @@ def _initialize(
         try:
             if kind == "csr_shared":
                 assert isinstance(payload, SharedSnapshotHandle)
-                substrate: "DynamicNetwork | CSRSnapshot" = CSRSnapshot.from_shared(
-                    payload
-                )
-                backend = "csr"
-            elif kind == "csr":
-                assert isinstance(payload, CSRSnapshot)
-                substrate = payload
-                backend = "csr"
+                snapshot = CSRSnapshot.from_shared(payload)
             else:
-                assert isinstance(payload, DynamicNetwork)
-                substrate = payload
-                backend = "dict"
+                assert isinstance(payload, CSRSnapshot)
+                snapshot = payload
             _WORKER.extractor = SSFExtractor(
-                substrate, config, present_time=present_time, backend=backend
+                snapshot, config, present_time=present_time, backend="csr"
             )
             _WORKER.modes = modes
         except OSError as exc:
@@ -266,7 +255,7 @@ def parallel_extract_batch(
     present_time: "float | None" = None,
     modes: "tuple[str, ...] | None" = None,
     workers: "int | None" = None,
-    backend: str = "auto",
+    backend: str = "csr",
     min_pairs: "int | None" = None,
     chunksize: "int | None" = None,
     retry: "RetryPolicy | None" = None,
@@ -287,9 +276,10 @@ def parallel_extract_batch(
             mode.
         workers: process count; ``None`` or ``<= 1`` runs sequentially,
             as does any batch smaller than the pool threshold.
-        backend: ``"dict"``, ``"csr"``, or ``"auto"`` (see
-            :func:`~repro.core.feature.resolve_backend`).  A
-            ``CSRSnapshot`` input always runs the csr path.
+        backend: ``"csr"`` (the default) or ``"dict"``, the reference,
+            which runs in process only: ``backend="dict"`` with
+            ``workers > 1`` raises ``ValueError``.  A ``CSRSnapshot``
+            input needs ``"csr"``.
         min_pairs: per-call override of the sequential-fallback threshold
             (see :func:`min_pairs_for_pool`).
         chunksize: per-call override of the pool chunk size; defaults to
@@ -299,9 +289,13 @@ def parallel_extract_batch(
             :meth:`~repro.robust.RetryPolicy.from_env`); see
             docs/ROBUSTNESS.md.
     """
+    if backend == "dict" and workers is not None and workers > 1:
+        raise ValueError(
+            f"backend='dict' runs in process only, got workers={workers}; "
+            "use backend='csr' for a pool"
+        )
     reference = SSFExtractor(network, config, present_time=present_time, backend=backend)
     resolved_present = reference.present_time
-    resolved_backend = reference.backend
     pair_list = list(pairs)
 
     threshold = min_pairs_for_pool(min_pairs)
@@ -337,10 +331,7 @@ def parallel_extract_batch(
     incr("parallel.pool_runs")
     set_gauge("parallel.workers", workers)
     _LOG.debug(
-        "extracting %d pairs with %d worker processes (%s backend)",
-        len(pair_list),
-        workers,
-        resolved_backend,
+        "extracting %d pairs with %d worker processes", len(pair_list), workers
     )
     # REPRO_START_METHOD forces the pool start method — mainly so the
     # spawn/shared-memory transport is exercisable on fork platforms
@@ -374,36 +365,33 @@ def parallel_extract_batch(
         for index, start in enumerate(range(0, len(pair_list), chunk))
     ]
 
-    snapshot: "CSRSnapshot | None" = None
+    snapshot = reference.snapshot
+    assert snapshot is not None
     handle: "SharedSnapshotHandle | None" = None
     init_args: "tuple[Any, ...]"
     obs_state = parent_obs_state()
     try:
-        if resolved_backend == "csr":
-            snapshot = reference.snapshot
-            # Materialise the batch's influence table in the parent so forked
-            # children share its pages instead of each recomputing it.
-            snapshot.influence_table(resolved_present, config.theta)
-            if fork_available:
-                init_args = ("csr", snapshot, config, resolved_present, modes, obs_state)
-            else:
-                try:
-                    handle = snapshot.to_shared()
-                    init_args = (
-                        "csr_shared", handle, config, resolved_present, modes, obs_state
-                    )
-                except OSError as exc:
-                    init_args = _degraded_init_args(
-                        network, snapshot, config, resolved_present, modes, obs_state, exc
-                    )
+        # Materialise the batch's influence table in the parent so forked
+        # children share its pages instead of each recomputing it.
+        snapshot.influence_table(resolved_present, config.theta)
+        if fork_available:
+            init_args = ("csr", snapshot, config, resolved_present, modes, obs_state)
         else:
-            init_args = ("dict", network, config, resolved_present, modes, obs_state)
+            try:
+                handle = snapshot.to_shared()
+                init_args = (
+                    "csr_shared", handle, config, resolved_present, modes, obs_state
+                )
+            except OSError as exc:
+                init_args = _degraded_init_args(
+                    snapshot, config, resolved_present, modes, obs_state, exc
+                )
 
         with span(
             "parallel.extract_batch",
             pairs=len(pair_list),
             workers=workers,
-            backend=resolved_backend,
+            backend="csr",
         ):
             #: chunk index → its matrix, or ``{mode: matrix}``
             results: "dict[int, Any]" = {}
@@ -449,10 +437,9 @@ def parallel_extract_batch(
                 ):
                     # shm attach failed inside the workers: degrade the
                     # payload once, without spending a retry.
-                    assert snapshot is not None
                     init_args = _degraded_init_args(
-                        network, snapshot, config, resolved_present, modes,
-                        obs_state, init_error,
+                        snapshot, config, resolved_present, modes, obs_state,
+                        init_error,
                     )
                     degraded = True
                     continue
@@ -514,7 +501,6 @@ def parallel_extract_batch(
 
 
 def _degraded_init_args(
-    network: "DynamicNetwork | CSRSnapshot",
     snapshot: CSRSnapshot,
     config: SSFConfig,
     present_time: float,
@@ -522,23 +508,12 @@ def _degraded_init_args(
     obs_state: ObsState,
     cause: Exception,
 ) -> "tuple[Any, ...]":
-    """Worker payload when the shared-memory transport is unavailable.
-
-    Degrades ``csr_shared`` to the ``dict`` payload (the network pickled
-    per worker) when the caller handed us a :class:`DynamicNetwork`;
-    a prebuilt snapshot has no dict twin, so it is shipped pickled on the
-    csr path instead.  Either way the features stay bit-identical — only
-    worker start-up cost changes.
+    """Worker payload when the shared-memory transport is unavailable:
+    the snapshot pickled per worker.  The features stay bit-identical —
+    only worker start-up cost changes.
     """
     incr("robust.fallbacks")
     incr("robust.shm_degradations")
-    if isinstance(network, DynamicNetwork):
-        _LOG.warning(
-            "shared-memory transport unavailable (%s); degrading csr_shared -> "
-            "dict worker payload",
-            cause,
-        )
-        return ("dict", network, config, present_time, modes, obs_state)
     _LOG.warning(
         "shared-memory transport unavailable (%s); shipping the snapshot "
         "pickled per worker instead",

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro.core.feature import BACKENDS
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -26,17 +28,17 @@ class ExperimentConfig:
         katz_beta: Katz damping (paper: 0.001).
         rw_steps: local-random-walk steps.
         n_jobs: worker processes for SSF feature extraction (1 = in
-            process; extraction is deterministic either way).
+            process; extraction is deterministic either way).  Needs the
+            csr backend when above 1.
         max_retries: pool rounds re-dispatching failed extraction chunks
             before the in-parent sequential fallback (see
             docs/ROBUSTNESS.md; results stay bit-identical either way).
         chunk_timeout: seconds a pool may stay silent before its missing
             chunks count as hung/lost and are retried; ``None`` waits
             forever (disables dead-worker detection).
-        backend: SSF extraction substrate — ``"dict"`` (faithful
-            reference), ``"csr"`` (frozen array snapshot, bit-identical
-            features), or ``"auto"`` (csr once the history is large
-            enough to amortise the freeze).
+        backend: SSF extraction substrate — ``"csr"`` (frozen array
+            snapshot, the default) or ``"dict"`` (the faithful reference,
+            in process only); the features are bit-identical.
         seed: master seed (split, negatives, model init).
     """
 
@@ -56,7 +58,7 @@ class ExperimentConfig:
     n_jobs: int = 1
     max_retries: int = 2
     chunk_timeout: "float | None" = 300.0
-    backend: str = "auto"
+    backend: str = "csr"
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -76,9 +78,14 @@ class ExperimentConfig:
             raise ValueError(
                 f"chunk_timeout must be positive or None, got {self.chunk_timeout}"
             )
-        if self.backend not in ("auto", "dict", "csr"):
+        if self.backend not in BACKENDS:
             raise ValueError(
-                f"backend must be 'auto', 'dict' or 'csr', got {self.backend!r}"
+                f"backend must be one of {BACKENDS}, got {self.backend!r}"
+            )
+        if self.backend == "dict" and self.n_jobs > 1:
+            raise ValueError(
+                f"backend='dict' runs in process only, got n_jobs={self.n_jobs}; "
+                "use backend='csr' for worker processes"
             )
 
     @classmethod

@@ -172,7 +172,6 @@ class LinkPredictionExperiment:
 
     def _extract_ssf_features(self) -> None:
         """Fill the cache for both SSF variants with shared extraction."""
-        from repro.core.feature import resolve_backend
         from repro.core.parallel import parallel_extract_batch
         from repro.graph.csr import CSRSnapshot
 
@@ -183,7 +182,7 @@ class LinkPredictionExperiment:
         # On the csr backend, freeze ONE snapshot for the whole observed
         # window and reuse it across the train and test batches (and every
         # pool worker) so the freeze cost is paid once per history.
-        backend = resolve_backend(self.task.history, self.config.backend)
+        backend = self.config.backend
         history = (
             CSRSnapshot.from_dynamic(self.task.history)
             if backend == "csr"

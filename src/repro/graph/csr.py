@@ -500,3 +500,27 @@ def concatenate_neighbor_slices(
     flat += np.repeat(starts - offsets, counts)
     return snapshot.indices[flat]
 
+
+def hop_ball(snapshot: CSRSnapshot, node_id: int, hops: int) -> np.ndarray:
+    """Sorted node ids within ``hops`` of ``node_id`` (itself included).
+
+    Array BFS over the snapshot's CSR rows — the friends-of-friends
+    ball the recommenders' candidate pools are defined on
+    (:func:`repro.recommend.candidate_pool`).
+    """
+    if hops < 0:
+        raise ValueError(f"hops must be >= 0, got {hops}")
+    seen = np.array([node_id], dtype=np.int64)
+    frontier = seen
+    for _ in range(hops):
+        if not frontier.size:
+            break
+        reached = sorted_unique(
+            concatenate_neighbor_slices(snapshot, frontier)
+        ).astype(np.int64)
+        # ``seen`` is sorted and never empty, so one searchsorted probe
+        # tells each reached node whether it is already in the ball
+        probe = np.minimum(np.searchsorted(seen, reached), seen.size - 1)
+        frontier = reached[seen[probe] != reached]
+        seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
+    return seen

@@ -25,6 +25,7 @@ from typing import Hashable
 import numpy as np
 
 from repro.core.feature import SSFConfig, SSFExtractor
+from repro.graph.csr import CSRSnapshot, hop_ball
 from repro.graph.temporal import DynamicNetwork, median_timestamp_gap
 from repro.models.linear import LinearRegressionModel
 from repro.models.neural import NeuralMachine
@@ -48,12 +49,35 @@ class Suggestion:
         return f"{self.node!r} ({self.score:.3f})"
 
 
+def candidate_pool(
+    snapshot: CSRSnapshot, user: Node, hops: int, hubs: "list[Node]"
+) -> "tuple[list[Node], np.ndarray]":
+    """Candidate partners of ``user`` and the ball they were drawn from.
+
+    The pool is the user's ``hops``-hop ball (:func:`hop_ball`) plus the
+    ``hubs``, minus the user's current partners and the user, sorted by
+    ``repr``; the ball comes back as its sorted snapshot ids.  Both
+    recommenders generate candidates here.
+    """
+    if not snapshot.has_node(user):
+        raise KeyError(f"user {user!r} not in network")
+    user_id = snapshot.node_id(user)
+    ball_ids = hop_ball(snapshot, user_id, hops)
+    partners = snapshot.indices[snapshot.indptr[user_id] : snapshot.indptr[user_id + 1]]
+    out = {snapshot.label_of(int(n)) for n in ball_ids}
+    out.update(hubs)
+    out.difference_update(snapshot.label_of(int(v)) for v in partners)
+    out.discard(user)
+    return sorted(out, key=repr), ball_ids
+
+
 class LinkRecommender:
     """Top-N partner recommendation backed by an SSF model.
 
     Build with :meth:`fit` (self-supervised: trains on the network's own
     last timestamp, exactly the paper's task) or assemble from an
-    existing extractor + trained model for custom pipelines.
+    existing csr extractor + trained model for custom pipelines.
+    Candidates and hubs are read from the extractor's snapshot.
     """
 
     def __init__(
@@ -64,18 +88,18 @@ class LinkRecommender:
         *,
         candidate_hops: int = 2,
         global_candidates: int = 20,
-        seed: int = 0,
     ) -> None:
         if candidate_hops < 1:
             raise ValueError(f"candidate_hops must be >= 1, got {candidate_hops}")
         if global_candidates < 0:
             raise ValueError("global_candidates must be >= 0")
+        if extractor.snapshot is None:
+            raise ValueError("LinkRecommender needs a csr extractor")
         self.network = network
         self.extractor = extractor
         self.model = model
         self.candidate_hops = candidate_hops
         self.global_candidates = global_candidates
-        self._rng = ensure_rng(seed)
         self._active_nodes = self._most_active(global_candidates)
 
     # ------------------------------------------------------------------
@@ -137,30 +161,17 @@ class LinkRecommender:
             present_time=network.last_timestamp()
             + median_timestamp_gap(network.timestamp_set()),
         )
-        return cls(network, serving_extractor, fitted, seed=seed)
+        return cls(network, serving_extractor, fitted)
 
     # ------------------------------------------------------------------
     # recommendation
     # ------------------------------------------------------------------
     def candidates(self, user: Node) -> list[Node]:
         """Candidate partners: the friends-of-friends ball plus hubs."""
-        if not self.network.has_node(user):
-            raise KeyError(f"user {user!r} not in network")
-        partners = self.network.neighbors(user)
-        ball: set[Node] = set()
-        frontier = {user}
-        seen = {user}
-        for _ in range(self.candidate_hops):
-            nxt: set[Node] = set()
-            for node in frontier:
-                for nb in self.network.neighbor_view(node):
-                    if nb not in seen:
-                        seen.add(nb)
-                        nxt.add(nb)
-            ball |= nxt
-            frontier = nxt
-        out = (ball | set(self._active_nodes)) - partners - {user}
-        return sorted(out, key=repr)
+        pool, _ = candidate_pool(
+            self.extractor.snapshot, user, self.candidate_hops, self._active_nodes
+        )
+        return pool
 
     def recommend(self, user: Node, top_n: int = 10) -> list[Suggestion]:
         """The ``top_n`` highest-scored new partners for ``user``."""
@@ -178,13 +189,13 @@ class LinkRecommender:
         return [Suggestion(node=pool[int(i)], score=float(scores[int(i)])) for i in order]
 
     def _most_active(self, count: int) -> list[Node]:
-        if count == 0:
-            return []
-        nodes = self.network.nodes
-        by_activity = sorted(
-            nodes, key=lambda n: self.network.degree(n), reverse=True
-        )
-        return by_activity[:count]
+        """The ``count`` nodes of highest multigraph degree, ties in
+        snapshot (insertion) order."""
+        snapshot = self.extractor.snapshot
+        indptr, ts_indptr = snapshot.indptr, snapshot.ts_indptr
+        degree = ts_indptr[indptr[1:]] - ts_indptr[indptr[:-1]]
+        order = np.argsort(-degree, kind="stable")[:count]
+        return [snapshot.label_of(int(i)) for i in order]
 
 
 def hit_rate_at_n(
@@ -202,6 +213,8 @@ def hit_rate_at_n(
     A product-level metric complementing AUC: it measures the ranking
     head, which is what a recommendation surface exposes.
     """
+    if n_users < 1:
+        raise ValueError(f"n_users must be >= 1, got {n_users}")
     rng = ensure_rng(seed)
     present = network.last_timestamp()
     history = network.slice(network.first_timestamp(), present)

@@ -21,7 +21,7 @@ approximation.
 """
 
 from repro.serve.cache import DEFAULT_CACHE_ENTRIES, CacheEntry, FeatureCache, pair_key
-from repro.serve.delta import DecayedInfluenceIndex, DeltaCSRSnapshot, hop_ball
+from repro.serve.delta import DecayedInfluenceIndex, DeltaCSRSnapshot
 from repro.serve.frontend import (
     DEFAULT_MAX_BATCH,
     AsyncScoringFrontend,
@@ -41,7 +41,6 @@ __all__ = [
     "ReplayResult",
     "ServingRecommender",
     "ServingTimeout",
-    "hop_ball",
     "pair_key",
     "run_replay",
     "split_replay_stream",

@@ -37,11 +37,7 @@ from typing import Hashable, Iterable
 import numpy as np
 
 from repro.core.influence import DEFAULT_THETA, _check_theta
-from repro.graph.csr import (
-    CSRSnapshot,
-    concatenate_neighbor_slices,
-    sorted_unique,
-)
+from repro.graph.csr import CSRSnapshot
 from repro.graph.temporal import DynamicNetwork, median_timestamp_gap
 from repro.obs import get_logger, incr, observe, span
 
@@ -432,27 +428,3 @@ class DeltaCSRSnapshot:
             f"DeltaCSRSnapshot(nodes={self.number_of_nodes()}, "
             f"links={self.number_of_links()}, pending={self.pending_events})"
         )
-
-
-def hop_ball(snapshot: CSRSnapshot, node_id: int, hops: int) -> np.ndarray:
-    """Sorted node ids within ``hops`` of ``node_id`` (itself included).
-
-    Array BFS over the snapshot's CSR rows — the friends-of-friends
-    ball the serving candidate generator is defined on.
-    """
-    if hops < 0:
-        raise ValueError(f"hops must be >= 0, got {hops}")
-    seen = np.array([node_id], dtype=np.int64)
-    frontier = seen
-    for _ in range(hops):
-        if not frontier.size:
-            break
-        reached = sorted_unique(
-            concatenate_neighbor_slices(snapshot, frontier)
-        ).astype(np.int64)
-        # ``seen`` is sorted and never empty, so one searchsorted probe
-        # tells each reached node whether it is already in the ball
-        probe = np.minimum(np.searchsorted(seen, reached), seen.size - 1)
-        frontier = reached[seen[probe] != reached]
-        seen = np.sort(np.concatenate([seen, frontier]), kind="stable")
-    return seen

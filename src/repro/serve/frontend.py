@@ -17,8 +17,9 @@ Two layers:
   :class:`~repro.robust.policy.RetryPolicy` the offline pool uses.
 
 Ranking semantics match :class:`~repro.recommend.LinkRecommender` —
-friends-of-friends candidate ball plus global hubs, model decision
-scores, mergesort tie-stability — with one deliberate serving-side
+the same candidate function (:func:`~repro.recommend.candidate_pool`:
+friends-of-friends ball plus global hubs), model decision scores,
+mergesort tie-stability — with one deliberate serving-side
 difference: hub candidates rank by *decayed* activity
 (:class:`~repro.serve.delta.DecayedInfluenceIndex`) instead of static
 degree, so recency matters.
@@ -36,10 +37,10 @@ import numpy as np
 
 from repro.core.feature import SSFConfig, SSFExtractor
 from repro.graph.csr import CSRSnapshot
-from repro.recommend import LinkRecommender, Suggestion
+from repro.recommend import LinkRecommender, Suggestion, candidate_pool
 from repro.robust.policy import RetryPolicy
 from repro.serve.cache import FeatureCache, PairKey, pair_key
-from repro.serve.delta import DeltaCSRSnapshot, hop_ball
+from repro.serve.delta import DeltaCSRSnapshot
 from repro.obs import get_logger, incr, observe, span
 from repro.obs.slo import slo_observe
 from repro.obs.trace import TraceContext, current_context, new_trace
@@ -243,19 +244,9 @@ class ServingRecommender:
         memo = self._pool_memo.get(user)
         if memo is not None:
             return memo[0]
-        if not self.delta.has_node(user):
-            raise KeyError(f"user {user!r} not in network")
-        snapshot = self._snapshot()
-        user_id = self.delta.node_id(user)
-        row_lo = int(snapshot.indptr[user_id])
-        row_hi = int(snapshot.indptr[user_id + 1])
-        partners = {
-            self.delta.label_of(int(v)) for v in snapshot.indices[row_lo:row_hi]
-        }
-        ball_ids = hop_ball(snapshot, user_id, self.candidate_hops)
-        out = {self.delta.label_of(int(n)) for n in ball_ids}
-        out.update(self._hubs())
-        pool = sorted(out - partners - {user}, key=repr)
+        pool, ball_ids = candidate_pool(
+            self._snapshot(), user, self.candidate_hops, self._hubs()
+        )
         self._pool_memo[user] = (pool, frozenset(ball_ids.tolist()))
         return pool
 

@@ -27,7 +27,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from repro.core.feature import SSFConfig, SSFExtractor
+from repro.core.feature import BACKENDS, SSFConfig, SSFExtractor
 from repro.graph.temporal import DynamicNetwork, median_timestamp_gap
 from repro.metrics.classification import roc_auc_score
 from repro.models.linear import LinearRegressionModel
@@ -59,12 +59,13 @@ class StreamingSSFPredictor:
         window_size: labelled-pair memory; older pairs are dropped so the
             model tracks drift.
         epochs: neural-machine epochs per refit (ignored for linear).
-        backend: SSF extraction substrate.  Streams build a fresh
-            extractor per observed timestamp over a growing history, so
-            the default is ``"dict"`` — a per-stamp snapshot freeze for a
-            handful of pairs would cost more than it saves.  Pass
-            ``"auto"``/``"csr"`` for dense streams with many labelled
-            pairs per stamp.
+        backend: SSF extraction substrate.  Each observed timestamp
+            extracts its labelled pairs in ONE ``extract_batch`` call over
+            the history so far.  The default ``"csr"`` freezes that history
+            once per stamp and runs the batched engine, which pays for the
+            freeze (see docs/PERFORMANCE.md, "Choosing a backend");
+            ``"dict"`` is the reference it is checked against, with
+            bit-identical features.
         seed: RNG for negative harvesting and model init.
     """
 
@@ -76,7 +77,7 @@ class StreamingSSFPredictor:
         refit_every: int = 1,
         window_size: int = 600,
         epochs: int = 30,
-        backend: str = "dict",
+        backend: str = "csr",
         seed: int = 0,
     ) -> None:
         if model not in ("linear", "neural"):
@@ -85,6 +86,8 @@ class StreamingSSFPredictor:
             raise ValueError(f"refit_every must be >= 1, got {refit_every}")
         if window_size < 10:
             raise ValueError(f"window_size must be >= 10, got {window_size}")
+        if backend not in BACKENDS:
+            raise ValueError(f"backend must be one of {BACKENDS}, got {backend!r}")
         self.config = config or SSFConfig()
         self.backend = backend
         self.model_kind = model
@@ -135,15 +138,13 @@ class StreamingSSFPredictor:
         ]
         if positives and self.history.number_of_links():
             negatives = self._sample_negatives(len(positives), positives)
+            pairs = positives + negatives
             extractor = SSFExtractor(
                 self.history, self.config, present_time=stamp, backend=self.backend
             )
-            for pair, label in [(p, 1) for p in positives] + [
-                (n, 0) for n in negatives
-            ]:
-                self._window_pairs.append(pair)
-                self._window_labels.append(label)
-                self._window_features.append(extractor.extract(*pair))
+            self._window_pairs.extend(pairs)
+            self._window_labels.extend([1] * len(positives) + [0] * len(negatives))
+            self._window_features.extend(extractor.extract_batch(pairs))
             overflow = len(self._window_pairs) - self.window_size
             if overflow > 0:
                 del self._window_pairs[:overflow]

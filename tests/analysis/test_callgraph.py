@@ -100,11 +100,11 @@ def test_ambiguous_bare_name_stays_unresolved() -> None:
 
 def test_backend_kwarg_recorded_on_call_sites() -> None:
     source = (
-        "def entry(pairs, backend='auto'):\n"
+        "def entry(pairs, backend='csr'):\n"
         "    return backend\n"
-        "def caller(pairs, backend='auto'):\n"
+        "def caller(pairs, backend='csr'):\n"
         "    return entry(pairs, backend=backend)\n"
-        "def dropper(pairs, backend='auto'):\n"
+        "def dropper(pairs, backend='csr'):\n"
         "    return entry(pairs)\n"
     )
     index = index_of(("repro.core.a", source))

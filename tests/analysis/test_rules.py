@@ -164,7 +164,7 @@ def test_r201_flags_missing_backend_parameter() -> None:
 
 def test_r201_flags_unread_backend_parameter() -> None:
     bad = (
-        "def parallel_extract_batch(pairs: list, backend: str = 'auto') -> list:\n"
+        "def parallel_extract_batch(pairs: list, backend: str = 'csr') -> list:\n"
         "    return pairs\n"
     )
     (violation,) = run(bad, "R201")
@@ -179,7 +179,7 @@ def test_r201_flags_config_without_backend_field() -> None:
 
 def test_r201_accepts_forwarded_backend() -> None:
     good = (
-        "def parallel_extract_batch(pairs: list, backend: str = 'auto') -> list:\n"
+        "def parallel_extract_batch(pairs: list, backend: str = 'csr') -> list:\n"
         "    return [(p, backend) for p in pairs]\n"
     )
     assert run(good, "R201") == []
@@ -194,7 +194,7 @@ def test_r201_covers_batch_extract_entry_point() -> None:
     assert "backend=" in violation.message
     good = (
         "def batch_extract(network: object, pairs: list,\n"
-        "                  backend: str = 'auto') -> list:\n"
+        "                  backend: str = 'csr') -> list:\n"
         "    return [(p, backend) for p in pairs]\n"
     )
     assert run(good, "R201") == []
@@ -209,10 +209,23 @@ def test_r202_flags_invalid_literal() -> None:
     assert "'dct'" in violation.message
 
 
+def test_r202_flags_the_retired_auto_selector() -> None:
+    bad = (
+        "def f(backend: str) -> bool:\n"
+        "    g(backend='auto')\n"
+        "    return backend == 'auto'\n"
+    )
+    violations = run(bad, "R202")
+    assert len(violations) == 2
+    assert all("'auto'" in v.message for v in violations)
+
+
 def test_r202_flags_non_exhaustive_chain() -> None:
+    # a copy-paste slip: the second branch repeats 'dict', so 'csr'
+    # falls through to the default
     bad = (
         "def f(backend: str) -> int:\n"
-        "    if backend == 'auto':\n"
+        "    if backend == 'dict':\n"
         "        return 0\n"
         "    elif backend == 'dict':\n"
         "        return 1\n"
@@ -234,7 +247,7 @@ def test_r202_accepts_exhaustive_or_raising_chains() -> None:
     assert run(covered, "R202") == []
     with_else = (
         "def f(backend: str) -> int:\n"
-        "    if backend == 'auto':\n"
+        "    if backend == 'dict':\n"
         "        return 0\n"
         "    elif backend == 'dict':\n"
         "        return 1\n"
@@ -244,7 +257,7 @@ def test_r202_accepts_exhaustive_or_raising_chains() -> None:
     assert run(with_else, "R202") == []
     raising = (
         "def f(backend: str) -> int:\n"
-        "    if backend == 'auto':\n"
+        "    if backend == 'dict':\n"
         "        raise ValueError(backend)\n"
         "    elif backend == 'dict':\n"
         "        return 1\n"

@@ -418,7 +418,6 @@ class TestBatchExtractEntry:
 
         ref = rows("dict")
         assert np.array_equal(ref, rows("csr"))
-        assert np.array_equal(ref, rows("auto"))
 
     def test_modes_return_per_mode_dict(self):
         rng = random.Random(29)

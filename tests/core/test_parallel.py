@@ -168,5 +168,30 @@ class TestConfigIntegration:
 
         with pytest.raises(ValueError):
             ExperimentConfig(backend="sparse")
+        with pytest.raises(ValueError):
+            ExperimentConfig(backend="auto")
         assert ExperimentConfig(backend="csr").backend == "csr"
-        assert ExperimentConfig().backend == "auto"
+        assert ExperimentConfig().backend == "csr"
+
+    def test_dict_backend_rejects_worker_processes(self):
+        from repro.experiments.config import ExperimentConfig
+
+        with pytest.raises(ValueError, match="n_jobs=2"):
+            ExperimentConfig(backend="dict", n_jobs=2)
+        assert ExperimentConfig(backend="dict", n_jobs=1).n_jobs == 1
+
+
+class TestDictIsInProcessOnly:
+    @pytest.mark.parametrize("n_pairs", [0, 10])
+    def test_dict_with_workers_raises(self, case, n_pairs):
+        history, present, pairs = case
+        with pytest.raises(ValueError, match="backend='dict'.*workers=2"):
+            parallel_extract_batch(
+                history,
+                SSFConfig(k=6),
+                pairs[:n_pairs],
+                present_time=present,
+                workers=2,
+                min_pairs=1,
+                backend="dict",
+            )

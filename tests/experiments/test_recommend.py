@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.core.feature import SSFConfig, SSFExtractor
 from repro.graph.temporal import DynamicNetwork, median_timestamp_gap
+from repro.models.linear import LinearRegressionModel
 from repro.recommend import LinkRecommender, Suggestion, hit_rate_at_n
+from repro.serve import ServingRecommender
+from repro.serve.delta import DeltaCSRSnapshot
 from repro.utils.rng import ensure_rng
 
 
@@ -40,6 +44,82 @@ class TestCandidates:
     def test_unknown_user(self, recommender):
         with pytest.raises(KeyError):
             recommender.candidates("nope")
+
+
+def _reference_hubs(network, count):
+    """Hubs by multigraph degree over the dict network."""
+    return sorted(network.nodes, key=network.degree, reverse=True)[:count]
+
+
+def _reference_pool(network, user, hops, hubs):
+    """The ``hops``-hop ball by BFS over the dict network, plus hubs,
+    minus the user's partners and the user."""
+    seen, frontier = {user}, [user]
+    for _ in range(hops):
+        reached = {nb for node in frontier for nb in network.neighbor_view(node)}
+        frontier = sorted(reached - seen, key=repr)
+        seen.update(frontier)
+    pool = (seen | set(hubs)) - network.neighbors(user) - {user}
+    return sorted(pool, key=repr)
+
+
+class TestCandidatesMatchDictReference:
+    @pytest.fixture(scope="class")
+    def tied(self):
+        """Degrees k=4, then h, a, b, c tied at 3: the 3-hub cut falls
+        inside the tie, where insertion order (not label order) decides."""
+        return DynamicNetwork(
+            [
+                ("h", "i", 1), ("a", "b", 1), ("c", "d", 1), ("e", "f", 2),
+                ("b", "c", 2), ("g", "h", 3), ("d", "e", 3), ("f", "g", 4),
+                ("j", "h", 5), ("a", "j", 5), ("k", "l", 5), ("a", "b", 6),
+                ("m", "k", 6), ("k", "n", 6), ("k", "c", 7),
+            ]
+        )
+
+    @pytest.mark.parametrize("hops", [1, 2, 3])
+    def test_offline_pools_and_tied_hubs(self, tied, hops):
+        recommender = LinkRecommender(
+            tied,
+            SSFExtractor(tied, SSFConfig(k=4)),
+            LinearRegressionModel(),
+            candidate_hops=hops,
+            global_candidates=3,
+        )
+        hubs = _reference_hubs(tied, 3)
+        assert hubs == ["k", "h", "a"]
+        assert recommender._active_nodes == hubs
+        for user in tied.nodes:
+            assert recommender.candidates(user) == _reference_pool(
+                tied, user, hops, hubs
+            ), user
+
+    def test_offline_recommender_needs_a_csr_extractor(self, tied):
+        extractor = SSFExtractor(tied, SSFConfig(k=4), backend="dict")
+        with pytest.raises(ValueError, match="csr extractor"):
+            LinkRecommender(tied, extractor, LinearRegressionModel())
+
+    def test_offline_pools_on_a_catalog_graph(self, network, recommender):
+        hubs = _reference_hubs(network, recommender.global_candidates)
+        assert recommender._active_nodes == hubs
+        for user in network.nodes[::7]:
+            assert recommender.candidates(user) == _reference_pool(
+                network, user, recommender.candidate_hops, hubs
+            ), user
+
+    @pytest.mark.parametrize("hops", [1, 2])
+    def test_serving_pools(self, tied, hops):
+        core = ServingRecommender(
+            DeltaCSRSnapshot.from_dynamic(tied),
+            LinearRegressionModel(),
+            SSFConfig(k=4),
+            candidate_hops=hops,
+            global_candidates=3,
+        )
+        for user in tied.nodes:
+            assert core.candidates(user) == _reference_pool(
+                tied, user, hops, core._hubs()
+            ), user
 
 
 class TestRecommend:
@@ -105,6 +185,15 @@ class TestHitRate:
     def test_in_unit_interval_and_better_than_nothing(self, network):
         rate = hit_rate_at_n(network, top_n=10, n_users=15, seed=0)
         assert 0.0 <= rate <= 1.0
+
+    @pytest.mark.parametrize("n_users", [0, -1])
+    def test_n_users_validated_before_fitting(self, network, monkeypatch, n_users):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before validating n_users")
+
+        monkeypatch.setattr(LinkRecommender, "fit", no_fit)
+        with pytest.raises(ValueError, match="n_users"):
+            hit_rate_at_n(network, n_users=n_users)
 
     def test_larger_n_never_hurts(self, network):
         small = hit_rate_at_n(network, top_n=3, n_users=15, seed=0)

@@ -130,18 +130,6 @@ def test_max_hop_parity():
         assert np.array_equal(dict_ex.extract(a, b), csr_ex.extract(a, b))
 
 
-def test_auto_backend_threshold(monkeypatch):
-    import repro.core.feature as feature
-
-    network = _random_network(0, 25, 100, 12)
-    monkeypatch.setattr(feature, "AUTO_CSR_MIN_LINKS", 1)
-    assert SSFExtractor(network, SSFConfig(k=6), backend="auto").backend == "csr"
-    monkeypatch.setattr(
-        feature, "AUTO_CSR_MIN_LINKS", network.number_of_links() + 1
-    )
-    assert SSFExtractor(network, SSFConfig(k=6), backend="auto").backend == "dict"
-
-
 @pytest.mark.parametrize("regime", REGIMES, ids=[r[0] for r in REGIMES])
 def test_delta_snapshot_matches_dict_bit_for_bit(regime):
     """Three-way differential: features over a delta-ingested snapshot
@@ -169,6 +157,13 @@ def test_delta_snapshot_matches_dict_bit_for_bit(regime):
             assert np.array_equal(
                 dict_ex.extract(a, b), delta_ex.extract(a, b)
             ), (mode, a, b)
+
+
+@pytest.mark.parametrize("backend", ["auto", "sparse"])
+def test_unknown_backend_rejected(backend):
+    network = _random_network(0, 10, 20, 5)
+    with pytest.raises(ValueError, match="backend must be one of"):
+        SSFExtractor(network, SSFConfig(k=6), backend=backend)
 
 
 def test_dict_backend_rejects_snapshot():

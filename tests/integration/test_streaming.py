@@ -87,6 +87,7 @@ class TestStreamingPredictor:
             {"model": "bogus"},
             {"refit_every": 0},
             {"window_size": 5},
+            {"backend": "auto"},
         ],
     )
     def test_validation(self, kwargs):
@@ -256,3 +257,55 @@ class TestNeuralStreamingVariant:
         )
         assert predictor.is_ready
         assert all(0.0 <= auc <= 1.0 for auc in result.aucs)
+
+
+class TestStreamingOnTheEngine:
+    """The default stream runs on the csr engine and equals the dict
+    reference bit for bit."""
+
+    @staticmethod
+    def _stream(network, **kwargs):
+        predictor = StreamingSSFPredictor(
+            SSFConfig(k=6), refit_every=2, window_size=10_000, seed=0, **kwargs
+        )
+        result = prequential_evaluate(
+            network, predictor, warmup_fraction=0.5, min_positives=5, seed=0
+        )
+        return predictor, result
+
+    def test_default_backend_matches_dict_reference(self, small_dataset):
+        engine, engine_result = self._stream(small_dataset)
+        reference, reference_result = self._stream(small_dataset, backend="dict")
+        assert engine.backend == "csr"
+        assert engine_result.aucs, "the stream scored no window"
+        assert engine_result.timestamps == reference_result.timestamps
+        assert engine_result.aucs == reference_result.aucs
+        assert engine._window_pairs == reference._window_pairs
+        assert np.array_equal(
+            np.stack(engine._window_features), np.stack(reference._window_features)
+        )
+
+    def test_observe_makes_one_engine_call_per_harvested_stamp(
+        self, small_dataset, monkeypatch
+    ):
+        from repro.core.batch import BatchExtractionEngine
+
+        calls = []
+        original = BatchExtractionEngine.extract_batch
+
+        def counting(self, pairs, *args, **kwargs):
+            calls.append(len(pairs))
+            return original(self, pairs, *args, **kwargs)
+
+        monkeypatch.setattr(BatchExtractionEngine, "extract_batch", counting)
+        predictor = StreamingSSFPredictor(SSFConfig(k=6), window_size=10_000)
+        harvested = 0
+        for stamp in sorted(small_dataset.timestamp_set()):
+            edges = [e for e in small_dataset.edges() if e[2] == stamp]
+            before = len(predictor._window_pairs)
+            calls.clear()
+            predictor.observe(edges)
+            grown = len(predictor._window_pairs) - before
+            assert calls == ([grown] if grown else [])
+            harvested += grown > 0
+        assert harvested > 0

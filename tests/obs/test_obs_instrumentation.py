@@ -148,15 +148,14 @@ class TestProfileWorkload:
         assert not obs.enabled()
 
     def test_profile_times_one_batched_call(self):
-        """Above the auto-csr threshold the profile runs the batched
-        engine once, not per-pair ``extract()``."""
-        from repro.core.feature import AUTO_CSR_MIN_LINKS
-
-        large = get_dataset("co-author").generate(seed=0, scale=1.0)
-        assert large.number_of_links() >= AUTO_CSR_MIN_LINKS
-        run_extraction_profile(large, k=8, n_pairs=10)
-        histograms = get_registry().snapshot()["histograms"]
-        assert histograms["span.feature.temporal"]["count"] == 1
+        """The profile runs the batched engine once, not per-pair
+        ``extract()`` — on a small graph too, where the dict loop once ran."""
+        small = get_dataset("co-author").generate(seed=0, scale=0.15)
+        assert small.number_of_links() < 4096
+        run_extraction_profile(small, k=8, n_pairs=10)
+        snapshot = get_registry().snapshot()
+        assert snapshot["histograms"]["span.feature.temporal"]["count"] == 1
+        assert snapshot["counters"].get("batch.slabs", 0) >= 1
 
 
 class TestCliObservability:

@@ -22,13 +22,19 @@ from repro.sampling.splits import build_link_prediction_task
 
 @pytest.fixture(scope="session")
 def extraction_case() -> SimpleNamespace:
-    """A deterministic extraction batch and its sequential reference."""
+    """A deterministic extraction batch and its sequential dict-oracle
+    reference: every fault-recovery run must reproduce the oracle."""
     network = get_dataset("co-author").generate(seed=0, scale=0.25)
     task = build_link_prediction_task(network, max_positives=60, seed=0)
     config = SSFConfig(k=6)
     pairs = list(task.train_pairs)
     reference = parallel_extract_batch(
-        task.history, config, pairs, present_time=task.present_time, workers=1
+        task.history,
+        config,
+        pairs,
+        present_time=task.present_time,
+        workers=1,
+        backend="dict",
     )
     return SimpleNamespace(
         history=task.history,

@@ -46,13 +46,26 @@ def test_spawn_shared_memory_bit_identical(extraction_case):
     assert np.array_equal(result, extraction_case.reference)
 
 
-def test_shm_export_failure_degrades_to_dict(extraction_case, metrics):
+def test_shm_export_failure_ships_pickled_snapshot(extraction_case, metrics, monkeypatch):
     # to_shared() fails in the parent before the pool starts: the batch
-    # must fall back to the pickled dict payload, not abort.
+    # must fall back to the snapshot pickled per worker, not abort.
+    import repro.core.parallel as parallel
+
+    kinds = []
+    original = parallel._degraded_init_args
+
+    def recording(*args, **kwargs):
+        init_args = original(*args, **kwargs)
+        kinds.append((init_args[0], type(init_args[1])))
+        return init_args
+
+    monkeypatch.setattr(parallel, "_degraded_init_args", recording)
     with inject("shm_export"):
         result = pooled(extraction_case)
+    assert kinds == [("csr", CSRSnapshot)]
     assert np.array_equal(result, extraction_case.reference)
     assert metrics.counter("robust.fallbacks") >= 1.0
+    assert metrics.counter("robust.shm_degradations") == 1.0
 
 
 def test_shm_attach_failure_degrades_without_spending_retries(

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core.feature import ENTRY_MODES, SSFConfig, SSFExtractor
-from repro.graph.csr import CSRSnapshot
+from repro.graph.csr import CSRSnapshot, hop_ball
 from repro.graph.temporal import DynamicNetwork
-from repro.serve.delta import DecayedInfluenceIndex, DeltaCSRSnapshot, hop_ball
+from repro.serve.delta import DecayedInfluenceIndex, DeltaCSRSnapshot
 from repro.utils.rng import ensure_rng
 
 
