@@ -6,7 +6,7 @@ so the row's ``exp(-θ·Δt)`` factors lag the clock.  The default
 (``max_staleness=0.0``) is exact: a moved clock is a miss.
 
 This script fits one recommender on the oldest 80% of ``co-author``'s
-stamps and promotes it twice, once per setting.  Both cores serve the 64
+stamps and builds two serving cores around its model, one per setting.  Both cores serve the 64
 most active users, then ingest the stream's next events in batches of 4.
 After each batch every hot user's top-N is compared between the cores:
 the mean overlap ``|A ∩ B| / N`` and the share of identical lists.  The
@@ -25,8 +25,12 @@ import json
 
 from repro.core.feature import SSFConfig
 from repro.datasets.catalog import get_dataset
-from repro.recommend import LinkRecommender
-from repro.serve import FeatureCache, ServingRecommender, split_replay_stream
+from repro.serve import (
+    DeltaCSRSnapshot,
+    FeatureCache,
+    ServingRecommender,
+    split_replay_stream,
+)
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -41,12 +45,13 @@ def main(argv: "list[str] | None" = None) -> int:
 
     network = get_dataset(args.dataset).generate(seed=0)
     history, tail = split_replay_stream(network, 0.2)
-    offline = LinkRecommender.fit(
-        history, config=SSFConfig(k=10, theta=0.5), seed=args.seed
-    )
-    exact = ServingRecommender.from_recommender(offline)
-    lagging = ServingRecommender.from_recommender(
-        offline, cache=FeatureCache(max_staleness=None)
+    config = SSFConfig(k=10, theta=0.5)
+    exact = ServingRecommender.fit(history, config=config, seed=args.seed)
+    lagging = ServingRecommender(
+        DeltaCSRSnapshot.from_dynamic(history, theta=config.theta),
+        exact.model,
+        config,
+        cache=FeatureCache(max_staleness=None),
     )
     users = exact.delta.most_active(args.users)
     for user in users:

@@ -10,7 +10,8 @@ Run:  python examples/recommendation.py
 """
 
 from repro.datasets import get_dataset
-from repro.recommend import LinkRecommender, hit_rate_at_n
+from repro.recommend import hit_rate_at_n
+from repro.serve import ServingRecommender
 from repro.tuning import grid_search
 
 
@@ -30,7 +31,7 @@ def main() -> None:
 
     from repro.core import SSFConfig
 
-    recommender = LinkRecommender.fit(
+    recommender = ServingRecommender.fit(
         network, config=SSFConfig(k=best_k), model="linear", seed=0
     )
     active = sorted(network.nodes, key=network.degree, reverse=True)[:3]

@@ -153,6 +153,16 @@ def _non_negative_seconds(text: str) -> float:
     return value
 
 
+def _drift_threshold(text: str) -> float:
+    """argparse ``type=``: ``stream --drift-threshold``, a finite number
+    (0 or below disables alerting); a NaN or an infinity never compares
+    above a drift, so it would switch alerting off silently."""
+    value = _float_value(text)
+    if not float("-inf") < value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _port(text: str) -> int:
     """argparse ``type=``: a TCP port in [0, 65535] (0 = ephemeral)."""
     value = _int_at_least(text, 0)
@@ -384,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--refit-every", type=_positive_int, default=2)
     sub.add_argument(
         "--drift-threshold",
-        type=float,
+        type=_drift_threshold,
         default=0.2,
         metavar="DELTA",
         help="emit a structured auc_drift alert when a window's AUC falls "
@@ -754,7 +764,7 @@ def _cmd_report(args: argparse.Namespace) -> str:
 
 def _cmd_recommend(args: argparse.Namespace) -> str:
     from repro.core.feature import SSFConfig
-    from repro.recommend import LinkRecommender
+    from repro.serve import ServingRecommender
 
     name, network = _load_network(args)
     # node labels are strings after file IO; try both forms for catalogs
@@ -768,7 +778,7 @@ def _cmd_recommend(args: argparse.Namespace) -> str:
             user = candidate
         else:
             raise _UsageError(f"--user {args.user}: node not in {name}")
-    recommender = LinkRecommender.fit(
+    recommender = ServingRecommender.fit(
         network, config=SSFConfig(k=args.k), model=args.model, seed=args.seed
     )
     suggestions = recommender.recommend(user, top_n=args.top)

@@ -357,9 +357,9 @@ def median_timestamp_gap(stamps: "Iterable[Timestamp]") -> float:
     Shared by the streaming predictor's scoring clock
     (:meth:`repro.streaming.prequential.StreamingSSFPredictor.scoring_time`)
     and the recommender's serving ``present_time``
-    (:meth:`repro.recommend.LinkRecommender.fit`), so both advance the
-    ``exp(-θ·Δt)`` influence clock by one *real* step past the observed
-    history instead of a hard-coded ``+1.0``.
+    (:meth:`repro.serve.delta.DeltaCSRSnapshot.scoring_time`), so both
+    advance the ``exp(-θ·Δt)`` influence clock by one *real* step past
+    the observed history instead of a hard-coded ``+1.0``.
     """
     distinct = sorted({float(s) for s in stamps})
     if len(distinct) < 2:

@@ -12,7 +12,8 @@ package provides the serving-side substrate and surface:
   :func:`~repro.serve.cache.pair_key`, invalidated on each row's grown
   footprint.
 * :class:`ServingRecommender` / :class:`AsyncScoringFrontend` — the
-  batched scoring core and its coalescing asyncio front-end.
+  one recommender (``ServingRecommender.fit`` trains it), a batched
+  scoring core, and its coalescing asyncio front-end.
 * :func:`run_replay` — the measured replay harness behind
   ``repro serve --replay`` and the CI serving smoke step.
 

@@ -23,9 +23,10 @@ guarantee (dict ≡ csr bit-parity) is inherited from it.
 **Incremental influence.**  A :class:`DecayedInfluenceIndex` maintains
 per-node decayed activity *summaries* under new stamps: a stamp on link
 ``(u, v)`` rescales only its two end nodes' running sums by the θ-decay
-factor.  The serving recommender ranks hub candidates by this decayed
-activity instead of the static degree the offline recommender uses.
-Each materialised snapshot builds its own Eq. 2 influence table on
+factor.  :class:`~repro.serve.ServingRecommender`, the one
+recommender, ranks hub candidates by this decayed activity, offline
+(``hit_rate_at_n``, ``repro recommend``) as well as online.  Each
+materialised snapshot builds its own Eq. 2 influence table on
 first use (:meth:`CSRSnapshot.influence_table`).
 """
 
@@ -295,9 +296,11 @@ class DeltaCSRSnapshot:
         return self._last_ts + median_timestamp_gap(self._distinct_stamps)
 
     def most_active(self, count: int) -> list[Node]:
-        """Hub candidates by *decayed* activity at the serving clock —
-        recency-aware where the offline recommender's static degree
-        ranking is not."""
+        """Hub candidates by *decayed* activity at the serving clock.
+
+        The one hub rule: every candidate pool the recommender draws,
+        offline or online, takes its hubs from here.
+        """
         present = self.scoring_time() if self._last_ts is not None else 1.0
         return [
             self._labels[node_id]

@@ -16,13 +16,14 @@ Two layers:
   re-enqueue retries driven by the same
   :class:`~repro.robust.policy.RetryPolicy` the offline pool uses.
 
-Ranking semantics match :class:`~repro.recommend.LinkRecommender` —
-the same candidate function (:func:`~repro.recommend.candidate_pool`:
-friends-of-friends ball plus global hubs), model decision scores,
-mergesort tie-stability — with one deliberate serving-side
-difference: hub candidates rank by *decayed* activity
-(:class:`~repro.serve.delta.DecayedInfluenceIndex`) instead of static
-degree, so recency matters.
+This is the one recommender: :meth:`ServingRecommender.fit` trains the
+model offline and seeds the substrate, and ``repro recommend``,
+:func:`~repro.recommend.hit_rate_at_n` and ``repro serve --replay`` all
+rank through it.  A pool is :func:`~repro.recommend.candidate_pool`:
+the friends-of-friends ball plus the global hubs, which rank by
+*decayed* activity (:meth:`~repro.serve.delta.DeltaCSRSnapshot.most_active`)
+so recency matters.  Scores are the model's decision scores, ranked
+with mergesort tie-stability.
 """
 
 from __future__ import annotations
@@ -37,7 +38,10 @@ import numpy as np
 
 from repro.core.feature import SSFConfig, SSFExtractor
 from repro.graph.csr import CSRSnapshot
-from repro.recommend import LinkRecommender, Suggestion, candidate_pool
+from repro.graph.temporal import DynamicNetwork
+from repro.models.linear import LinearRegressionModel
+from repro.models.neural import NeuralMachine
+from repro.recommend import Suggestion, candidate_pool
 from repro.robust.policy import RetryPolicy
 from repro.serve.cache import FeatureCache, PairKey, pair_key
 from repro.serve.delta import DeltaCSRSnapshot
@@ -45,6 +49,7 @@ from repro.obs import get_logger, incr, observe, span
 from repro.obs.slo import slo_observe
 from repro.obs.trace import TraceContext, current_context, new_trace
 from repro.obs.trace import enabled as obs_enabled
+from repro.sampling.splits import build_link_prediction_task
 
 Node = Hashable
 Event = "tuple[Node, Node, float]"
@@ -55,6 +60,11 @@ _LOG = get_logger("serve.frontend")
 #: scoring batch — bounds per-batch latency without starving throughput
 DEFAULT_MAX_BATCH = 64
 
+#: training-sample cap of :meth:`ServingRecommender.fit` (positive pairs
+#: of the last stamp) and the neural machine's epochs there
+FIT_MAX_POSITIVES = 300
+FIT_EPOCHS = 60
+
 
 class ServingTimeout(TimeoutError):
     """A recommend() request exhausted its deadline and retry budget."""
@@ -63,9 +73,8 @@ class ServingTimeout(TimeoutError):
 class ServingRecommender:
     """Synchronous serving core: delta substrate + feature cache + model.
 
-    Build with :meth:`from_recommender` to promote an offline
-    :class:`~repro.recommend.LinkRecommender` into a serving instance,
-    or :meth:`fit` to train and promote in one step.
+    Build with :meth:`fit` (train on a network, then serve it), or from
+    a :class:`~repro.serve.delta.DeltaCSRSnapshot` and a trained model.
     """
 
     def __init__(
@@ -119,41 +128,52 @@ class ServingRecommender:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_recommender(
-        cls, recommender: LinkRecommender, **kwargs: "object"
-    ) -> "ServingRecommender":
-        """Promote a fitted offline recommender into a serving instance.
-
-        The offline network seeds the delta substrate (one full freeze;
-        everything after is incremental) and the trained model plus SSF
-        config carry over unchanged.
-        """
-        config = recommender.extractor.config
-        delta = DeltaCSRSnapshot.from_dynamic(
-            recommender.network, theta=config.theta
-        )
-        kwargs.setdefault("candidate_hops", recommender.candidate_hops)
-        kwargs.setdefault("global_candidates", recommender.global_candidates)
-        return cls(delta, recommender.model, config, **kwargs)  # type: ignore[arg-type]
-
-    @classmethod
     def fit(
         cls,
-        network: "object",
+        network: DynamicNetwork,
         *,
         config: "SSFConfig | None" = None,
         model: str = "linear",
         seed: int = 0,
         **kwargs: "object",
     ) -> "ServingRecommender":
-        """Train an offline recommender, then promote it for serving."""
-        offline = LinkRecommender.fit(
-            network,  # type: ignore[arg-type]
-            config=config,
-            model=model,
-            seed=seed,
+        """Self-supervised training on the network's own final timestamp.
+
+        The model learns the paper's task on a seeded split at the last
+        stamp (at most :data:`FIT_MAX_POSITIVES` positives): one
+        ``extract_batch`` over the history before it, then a linear or
+        neural (:data:`FIT_EPOCHS` epochs) fit.  The FULL network, last
+        stamp included, seeds the delta substrate: at serving time
+        everything observed is history, and the serving clock sits one
+        observed median inter-stamp gap past the newest link.
+
+        Args:
+            network: the full interaction history.
+            config: SSF hyper-parameters.
+            model: ``"linear"`` or ``"neural"``.
+            seed: RNG seed of the split and the neural machine.
+            kwargs: passed on to the constructor.
+        """
+        if model not in ("linear", "neural"):
+            raise ValueError(f"model must be 'linear' or 'neural', got {model!r}")
+        config = config or SSFConfig()
+        task = build_link_prediction_task(
+            network, max_positives=FIT_MAX_POSITIVES, seed=seed
         )
-        return cls.from_recommender(offline, **kwargs)
+        extractor = SSFExtractor(task.history, config, present_time=task.present_time)
+        pairs = list(task.train_pairs) + list(task.test_pairs)
+        labels = np.concatenate([task.train_labels, task.test_labels])
+        _LOG.info("fitting %s recommender on %d labelled pairs", model, len(pairs))
+        with span("recommend.fit", pairs=len(pairs)):
+            features = extractor.extract_batch(pairs)
+        if model == "linear":
+            fitted = LinearRegressionModel().fit(features, labels)
+        else:
+            fitted = NeuralMachine(
+                input_dim=features.shape[1], epochs=FIT_EPOCHS, seed=seed
+            ).fit(features, labels)
+        delta = DeltaCSRSnapshot.from_dynamic(network, theta=config.theta)
+        return cls(delta, fitted, config, **kwargs)  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
     # ingestion

@@ -28,6 +28,7 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.core.feature import BACKENDS, SSFConfig, SSFExtractor
+from repro.graph.csr import CSRSnapshot
 from repro.graph.temporal import DynamicNetwork, median_timestamp_gap
 from repro.metrics.classification import roc_auc_score
 from repro.models.linear import LinearRegressionModel
@@ -62,8 +63,9 @@ class StreamingSSFPredictor:
         backend: SSF extraction substrate.  Each observed timestamp
             extracts its labelled pairs in ONE ``extract_batch`` call over
             the history so far.  The default ``"csr"`` freezes that history
-            once per stamp and runs the batched engine, which pays for the
-            freeze (see docs/PERFORMANCE.md, "Choosing a backend");
+            once per state (``score`` and the ``observe`` of the same stamp
+            share the snapshot) and runs the batched engine, which pays for
+            the freeze (see docs/PERFORMANCE.md, "Choosing a backend");
             ``"dict"`` is the reference it is checked against, with
             bit-identical features.
         seed: RNG for negative harvesting and model init.
@@ -98,6 +100,8 @@ class StreamingSSFPredictor:
         self._seed = seed
 
         self.history = DynamicNetwork()
+        # the csr freeze of ``history``, kept until observe() changes it
+        self._snapshot: "CSRSnapshot | None" = None
         self._observed_times: list[float] = []
         self._window_pairs: list[Pair] = []
         self._window_labels: list[int] = []
@@ -140,7 +144,7 @@ class StreamingSSFPredictor:
             negatives = self._sample_negatives(len(positives), positives)
             pairs = positives + negatives
             extractor = SSFExtractor(
-                self.history, self.config, present_time=stamp, backend=self.backend
+                self._substrate(), self.config, present_time=stamp, backend=self.backend
             )
             self._window_pairs.extend(pairs)
             self._window_labels.extend([1] * len(positives) + [0] * len(negatives))
@@ -153,11 +157,21 @@ class StreamingSSFPredictor:
 
         for u, v, ts in edges:
             self.history.add_edge(u, v, ts)
+        self._snapshot = None
         self._current_time = stamp
         self._observed_times.append(stamp)
         self._observed_stamps += 1
         if self._observed_stamps % self.refit_every == 0:
             self._refit()
+
+    def _substrate(self) -> "DynamicNetwork | CSRSnapshot":
+        """The history as the extractors read it: live on dict, frozen
+        once per history state on csr."""
+        if self.backend == "dict":
+            return self.history
+        if self._snapshot is None:
+            self._snapshot = CSRSnapshot.from_dynamic(self.history)
+        return self._snapshot
 
     def _new_positive_pairs(self, edges) -> list[Pair]:
         seen: set[frozenset] = set()
@@ -258,7 +272,7 @@ class StreamingSSFPredictor:
         if self._model is None or self.history.number_of_links() == 0:
             return np.zeros(len(pairs))
         extractor = SSFExtractor(
-            self.history,
+            self._substrate(),
             self.config,
             present_time=self.scoring_time(),
             backend=self.backend,
@@ -316,13 +330,17 @@ def prequential_evaluate(
     ``drift_threshold`` below the running mean, one structured
     ``auc_drift`` alert fires per crossing (``obs.alert`` log record,
     ``stream.drift_alerts`` counter, and an entry in ``result.alerts``).
-    ``drift_threshold=None`` disables alerting; the gauges cost nothing
-    unless observability is enabled.
+    ``drift_threshold=None`` disables alerting; any other value must be
+    positive and finite (a NaN or an infinity would never fire).  The
+    gauges cost nothing unless observability is enabled.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
-    if drift_threshold is not None and drift_threshold <= 0:
-        raise ValueError(f"drift_threshold must be > 0 or None, got {drift_threshold}")
+    if drift_threshold is not None and not 0 < drift_threshold < float("inf"):
+        raise ValueError(
+            f"drift_threshold must be a positive finite number or None, "
+            f"got {drift_threshold}"
+        )
     rng = ensure_rng(seed)
     stamps = sorted(network.timestamp_set())
     if len(stamps) < 2:

@@ -376,6 +376,18 @@ class TestBadInput:
             (["table3", "--telemetry-linger", "-1"], "--telemetry-linger"),
             (["table3", "--telemetry-linger", "nan"], "--telemetry-linger"),
             (["table3", "--telemetry-linger", "inf"], "--telemetry-linger"),
+            (
+                ["stream", "--dataset", "contact", "--drift-threshold", "nan"],
+                "--drift-threshold",
+            ),
+            (
+                ["stream", "--dataset", "contact", "--drift-threshold", "inf"],
+                "--drift-threshold",
+            ),
+            (
+                ["stream", "--dataset", "contact", "--drift-threshold=-inf"],
+                "--drift-threshold",
+            ),
         ],
     )
     def test_count_or_fraction_out_of_range(
@@ -400,6 +412,8 @@ class TestBadInput:
             ["table3", "--max-positives", "0"],
             ["stats", "--file", "net.tsv", "--span", "1"],
             ["table3", "--telemetry-linger", "0"],
+            ["stream", "--dataset", "contact", "--drift-threshold", "0"],
+            ["stream", "--dataset", "contact", "--drift-threshold", "-1"],
         ],
     )
     def test_in_range_counts_and_fractions_reach_the_handler(

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.core.feature import SSFConfig, SSFExtractor
+from repro.graph.csr import CSRSnapshot
 from repro.graph.temporal import DynamicNetwork, median_timestamp_gap
 from repro.models.linear import LinearRegressionModel
-from repro.recommend import LinkRecommender, Suggestion, hit_rate_at_n
+from repro.recommend import Suggestion, hit_rate_at_n
 from repro.serve import ServingRecommender
 from repro.serve.delta import DeltaCSRSnapshot
 from repro.utils.rng import ensure_rng
@@ -20,7 +21,7 @@ def network():
 
 @pytest.fixture(scope="module")
 def recommender(network):
-    return LinkRecommender.fit(network, model="linear", max_positives=60, seed=0)
+    return ServingRecommender.fit(network, model="linear", seed=0)
 
 
 class TestCandidates:
@@ -46,11 +47,6 @@ class TestCandidates:
             recommender.candidates("nope")
 
 
-def _reference_hubs(network, count):
-    """Hubs by multigraph degree over the dict network."""
-    return sorted(network.nodes, key=network.degree, reverse=True)[:count]
-
-
 def _reference_pool(network, user, hops, hubs):
     """The ``hops``-hop ball by BFS over the dict network, plus hubs,
     minus the user's partners and the user."""
@@ -66,8 +62,8 @@ def _reference_pool(network, user, hops, hubs):
 class TestCandidatesMatchDictReference:
     @pytest.fixture(scope="class")
     def tied(self):
-        """Degrees k=4, then h, a, b, c tied at 3: the 3-hub cut falls
-        inside the tie, where insertion order (not label order) decides."""
+        """Short paths around a few busy nodes: 1-, 2- and 3-hop balls
+        differ, and the 3 hubs add nodes to most pools."""
         return DynamicNetwork(
             [
                 ("h", "i", 1), ("a", "b", 1), ("c", "d", 1), ("e", "f", 2),
@@ -77,37 +73,15 @@ class TestCandidatesMatchDictReference:
             ]
         )
 
-    @pytest.mark.parametrize("hops", [1, 2, 3])
-    def test_offline_pools_and_tied_hubs(self, tied, hops):
-        recommender = LinkRecommender(
-            tied,
-            SSFExtractor(tied, SSFConfig(k=4)),
-            LinearRegressionModel(),
-            candidate_hops=hops,
-            global_candidates=3,
-        )
-        hubs = _reference_hubs(tied, 3)
-        assert hubs == ["k", "h", "a"]
-        assert recommender._active_nodes == hubs
-        for user in tied.nodes:
-            assert recommender.candidates(user) == _reference_pool(
-                tied, user, hops, hubs
-            ), user
-
-    def test_offline_recommender_needs_a_csr_extractor(self, tied):
-        extractor = SSFExtractor(tied, SSFConfig(k=4), backend="dict")
-        with pytest.raises(ValueError, match="csr extractor"):
-            LinkRecommender(tied, extractor, LinearRegressionModel())
-
     def test_offline_pools_on_a_catalog_graph(self, network, recommender):
-        hubs = _reference_hubs(network, recommender.global_candidates)
-        assert recommender._active_nodes == hubs
+        hubs = recommender._hubs()
+        assert len(hubs) == recommender.global_candidates
         for user in network.nodes[::7]:
             assert recommender.candidates(user) == _reference_pool(
                 network, user, recommender.candidate_hops, hubs
             ), user
 
-    @pytest.mark.parametrize("hops", [1, 2])
+    @pytest.mark.parametrize("hops", [1, 2, 3])
     def test_serving_pools(self, tied, hops):
         core = ServingRecommender(
             DeltaCSRSnapshot.from_dynamic(tied),
@@ -144,7 +118,24 @@ class TestRecommend:
 
     def test_model_validation(self, network):
         with pytest.raises(ValueError):
-            LinkRecommender.fit(network, model="bogus")
+            ServingRecommender.fit(network, model="bogus")
+
+
+class TestFit:
+    def test_fit_freezes_the_full_network_once(self, network, monkeypatch):
+        """The training history and the full network are frozen once
+        each: the delta substrate is the only freeze of the network."""
+        frozen = []
+        freeze = CSRSnapshot.from_dynamic.__func__
+
+        def counting(cls, source):
+            frozen.append(source)
+            return freeze(cls, source)
+
+        monkeypatch.setattr(CSRSnapshot, "from_dynamic", classmethod(counting))
+        ServingRecommender.fit(network, seed=0)
+        assert sum(source is network for source in frozen) == 1
+        assert len(frozen) == 2
 
 
 class TestServingClock:
@@ -166,7 +157,7 @@ class TestServingClock:
 
     def test_present_time_is_last_plus_median_gap(self):
         network = self._spaced_network(step=10.0)
-        recommender = LinkRecommender.fit(network, max_positives=20, seed=0)
+        recommender = ServingRecommender.fit(network, seed=0)
         expected = network.last_timestamp() + median_timestamp_gap(
             network.timestamp_set()
         )
@@ -186,14 +177,26 @@ class TestHitRate:
         rate = hit_rate_at_n(network, top_n=10, n_users=15, seed=0)
         assert 0.0 <= rate <= 1.0
 
-    @pytest.mark.parametrize("n_users", [0, -1])
-    def test_n_users_validated_before_fitting(self, network, monkeypatch, n_users):
-        def no_fit(*args, **kwargs):
-            raise AssertionError("fitted before validating n_users")
+    @pytest.fixture
+    def no_fit(self, monkeypatch):
+        """Fail on any fitting: ``ServingRecommender.fit``, or the
+        feature extraction every fit runs."""
 
-        monkeypatch.setattr(LinkRecommender, "fit", no_fit)
+        def fail(*args, **kwargs):
+            raise AssertionError("fitted before validating the arguments")
+
+        monkeypatch.setattr(ServingRecommender, "fit", fail)
+        monkeypatch.setattr(SSFExtractor, "extract_batch", fail)
+
+    @pytest.mark.parametrize("n_users", [0, -1])
+    def test_n_users_validated_before_fitting(self, network, no_fit, n_users):
         with pytest.raises(ValueError, match="n_users"):
             hit_rate_at_n(network, n_users=n_users)
+
+    @pytest.mark.parametrize("top_n", [0, -1])
+    def test_top_n_validated_before_fitting(self, network, no_fit, top_n):
+        with pytest.raises(ValueError, match="top_n"):
+            hit_rate_at_n(network, top_n=top_n)
 
     def test_larger_n_never_hurts(self, network):
         small = hit_rate_at_n(network, top_n=3, n_users=15, seed=0)

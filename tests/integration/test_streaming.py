@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.feature import SSFConfig
+from repro.graph.csr import CSRSnapshot
 from repro.streaming import (
     PrequentialResult,
     StreamingSSFPredictor,
@@ -242,6 +243,17 @@ class TestDriftMonitors:
                 drift_threshold=-0.5,
             )
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_non_finite_threshold_rejected(self, threshold):
+        """A NaN or an infinity never compares above a drift, so it
+        would switch alerting off without a word."""
+        with pytest.raises(ValueError, match="drift_threshold"):
+            prequential_evaluate(
+                _drifting_network(),
+                _ScriptedPredictor(),
+                drift_threshold=threshold,
+            )
+
 
 class TestNeuralStreamingVariant:
     def test_neural_model_stream(self, small_dataset):
@@ -284,6 +296,22 @@ class TestStreamingOnTheEngine:
         assert np.array_equal(
             np.stack(engine._window_features), np.stack(reference._window_features)
         )
+
+    def test_one_freeze_per_history_state(self, small_dataset, monkeypatch):
+        """score() and the observe() of the same stamp read one snapshot:
+        the history is frozen again only after observe() changes it."""
+        frozen = []
+        freeze = CSRSnapshot.from_dynamic.__func__
+
+        def counting(cls, network):
+            frozen.append(network.number_of_links())
+            return freeze(cls, network)
+
+        monkeypatch.setattr(CSRSnapshot, "from_dynamic", classmethod(counting))
+        _, result = self._stream(small_dataset)
+        assert result.aucs, "the stream scored no window"
+        # the history only grows, so its link count names its state
+        assert len(frozen) == len(set(frozen))
 
     def test_observe_makes_one_engine_call_per_harvested_stamp(
         self, small_dataset, monkeypatch

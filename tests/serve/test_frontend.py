@@ -10,10 +10,10 @@ from repro.core.feature import SSFConfig, SSFExtractor
 from repro.datasets import get_dataset
 from repro.graph.csr import CSRSnapshot
 from repro.graph.temporal import DynamicNetwork
-from repro.recommend import LinkRecommender
 from repro.robust.policy import RetryPolicy
 from repro.serve import (
     AsyncScoringFrontend,
+    DeltaCSRSnapshot,
     FeatureCache,
     ServingRecommender,
     ServingTimeout,
@@ -38,19 +38,26 @@ def small_network(seed=0, n_nodes=24, n_events=80, n_ts=10):
 
 
 @pytest.fixture(scope="module")
-def offline():
-    return LinkRecommender.fit(
-        small_network(), config=SSFConfig(k=5), seed=0
-    )
+def fresh():
+    """Builds fresh serving cores (own delta, cache and memos) around
+    one model fitted on ``small_network()``."""
+    network = small_network()
+    fitted = ServingRecommender.fit(network, config=SSFConfig(k=5), seed=0)
+
+    def build(**kwargs):
+        delta = DeltaCSRSnapshot.from_dynamic(network, theta=fitted.config.theta)
+        return ServingRecommender(delta, fitted.model, fitted.config, **kwargs)
+
+    return build
 
 
 class TestServingExactness:
-    def test_cached_path_equals_cold_recompute(self, offline):
+    def test_cached_path_equals_cold_recompute(self, fresh):
         """Footprint invalidation is exact, so a warm cache must
         reproduce a cold instance's recommendations after identical
         ingestion."""
-        warm = ServingRecommender.from_recommender(offline)
-        cold = ServingRecommender.from_recommender(offline)
+        warm = fresh()
+        cold = fresh()
         users = ["n0", "n3", "n7", "n3"]
         events = [("n1", "n9", 11.0), ("n20", "x", 11.0), ("n5", "n2", 12.0)]
         for user in users:  # warm the caches
@@ -61,29 +68,29 @@ class TestServingExactness:
             assert warm.recommend(user, top_n=5) == cold.recommend(user, top_n=5)
         assert warm.cache.hits > 0 or warm.result_hits > 0
 
-    def test_repeat_query_hits_result_memo(self, offline):
-        serving = ServingRecommender.from_recommender(offline)
+    def test_repeat_query_hits_result_memo(self, fresh):
+        serving = fresh()
         first = serving.recommend("n0", top_n=5)
         again = serving.recommend("n0", top_n=5)
         assert first == again
         assert serving.result_hits == 1
 
-    def test_top_n_slices_shared_ranking(self, offline):
-        serving = ServingRecommender.from_recommender(offline)
+    def test_top_n_slices_shared_ranking(self, fresh):
+        serving = fresh()
         ten = serving.recommend("n0", top_n=10)
         three = serving.recommend("n0", top_n=3)
         assert three == ten[:3]
 
-    def test_batch_equals_sequential(self, offline):
-        batched = ServingRecommender.from_recommender(offline)
-        sequential = ServingRecommender.from_recommender(offline)
+    def test_batch_equals_sequential(self, fresh):
+        batched = fresh()
+        sequential = fresh()
         queries = [("n0", 5), ("n4", 5), ("n11", 3)]
         together = batched.recommend_many(queries)
         one_by_one = [sequential.recommend(u, top_n=n) for u, n in queries]
         assert together == one_by_one
 
-    def test_unknown_user_raises(self, offline):
-        serving = ServingRecommender.from_recommender(offline)
+    def test_unknown_user_raises(self, fresh):
+        serving = fresh()
         with pytest.raises(KeyError, match="ghost"):
             serving.recommend("ghost")
 
@@ -97,13 +104,12 @@ class TestIngestInvalidation:
             [(f"p{i}", f"p{i + 1}", float(i + 1)) for i in range(12)]
             + [("p0", "p5", 13.0), ("p3", "p8", 13.0)]
         )
-        offline = LinkRecommender.fit(
-            path, config=SSFConfig(k=4), seed=0
-        )
         # the far event moves the serving clock, so the ranked result
         # survives it only under the unbounded-staleness opt-in
-        serving = ServingRecommender.from_recommender(
-            offline,
+        serving = ServingRecommender.fit(
+            path,
+            config=SSFConfig(k=4),
+            seed=0,
             global_candidates=0,
             cache=FeatureCache(max_staleness=None),
         )
@@ -122,12 +128,10 @@ class TestIngestInvalidation:
         serving.ingest([("p0", "p2", 21.0)])
         assert serving.cache.invalidations > 0
 
-    def test_eviction_voids_ranked_results_at_next_ingest(self, offline):
+    def test_eviction_voids_ranked_results_at_next_ingest(self, fresh):
         # an evicted row can no longer be invalidated, so the result
         # scored from it must not outlive the next ingest
-        serving = ServingRecommender.from_recommender(
-            offline, global_candidates=0, cache=FeatureCache(max_entries=1)
-        )
+        serving = fresh(global_candidates=0, cache=FeatureCache(max_entries=1))
         serving.recommend("n0", top_n=5)
         assert serving.cache.evictions > 0
         clock = serving.delta.scoring_time()
@@ -136,8 +140,8 @@ class TestIngestInvalidation:
         serving.recommend("n0", top_n=5)
         assert serving.result_hits == 0 and serving.result_misses == 2
 
-    def test_ingest_reflects_new_partner(self, offline):
-        serving = ServingRecommender.from_recommender(offline)
+    def test_ingest_reflects_new_partner(self, fresh):
+        serving = fresh()
         candidate = serving.recommend("n0", top_n=1)[0].node
         serving.ingest([("n0", candidate, 50.0)])
         # the new partner must no longer be suggested
@@ -145,8 +149,8 @@ class TestIngestInvalidation:
             s.node for s in serving.recommend("n0", top_n=10)
         }
 
-    def test_new_node_served(self, offline):
-        serving = ServingRecommender.from_recommender(offline)
+    def test_new_node_served(self, fresh):
+        serving = fresh()
         serving.ingest([("fresh", "n0", 60.0)])
         suggestions = serving.recommend("fresh", top_n=3)
         assert suggestions  # friends-of-friends of n0 exist
@@ -161,8 +165,9 @@ class TestIngestInvalidation:
             + [("u", "v", 1.0), ("v", "w", 2.0), ("w", "x", 2.0)]
             + [("x", "y", 3.0), ("u", "w", 3.0), ("v", "x", 3.0)]
         )
-        offline = LinkRecommender.fit(network, config=SSFConfig(k=4), seed=0)
-        serving = ServingRecommender.from_recommender(offline, global_candidates=2)
+        serving = ServingRecommender.fit(
+            network, config=SSFConfig(k=4), seed=0, global_candidates=2
+        )
         for user in ("u", "y", "a0", "b2"):
             serving.recommend(user, top_n=3)
         hubs = serving._hubs()
@@ -237,8 +242,8 @@ class TestRejectedIngest:
 
 
 class TestAsyncFrontend:
-    def test_concurrent_requests_coalesce(self, offline):
-        serving = ServingRecommender.from_recommender(offline)
+    def test_concurrent_requests_coalesce(self, fresh):
+        serving = fresh()
         batch_sizes = []
         inner = serving.recommend_many
 
@@ -264,9 +269,9 @@ class TestAsyncFrontend:
         assert all(result == results[0] for result in results)
         assert max(batch_sizes) > 1  # at least one multi-request batch
 
-    def test_matches_sync_core(self, offline):
-        frontend_core = ServingRecommender.from_recommender(offline)
-        sync_core = ServingRecommender.from_recommender(offline)
+    def test_matches_sync_core(self, fresh):
+        frontend_core = fresh()
+        sync_core = fresh()
 
         async def scenario():
             async with AsyncScoringFrontend(frontend_core) as frontend:
@@ -274,8 +279,8 @@ class TestAsyncFrontend:
 
         assert asyncio.run(scenario()) == sync_core.recommend("n5", top_n=5)
 
-    def test_timeout_raises_after_retries(self, offline):
-        serving = ServingRecommender.from_recommender(offline)
+    def test_timeout_raises_after_retries(self, fresh):
+        serving = fresh()
         calls = []
 
         def slow(queries, **kwargs):
@@ -294,8 +299,8 @@ class TestAsyncFrontend:
             asyncio.run(scenario())
         assert len(calls) >= 1  # at least the first attempt was scored
 
-    def test_caller_cancellation_leaves_worker_alive(self, offline):
-        serving = ServingRecommender.from_recommender(offline)
+    def test_caller_cancellation_leaves_worker_alive(self, fresh):
+        serving = fresh()
 
         async def scenario():
             async with AsyncScoringFrontend(serving) as frontend:
@@ -309,8 +314,8 @@ class TestAsyncFrontend:
 
         assert asyncio.run(scenario()) == serving.recommend("n2", top_n=4)
 
-    def test_unknown_user_fails_fast(self, offline):
-        serving = ServingRecommender.from_recommender(offline)
+    def test_unknown_user_fails_fast(self, fresh):
+        serving = fresh()
 
         async def scenario():
             async with AsyncScoringFrontend(serving) as frontend:
@@ -319,8 +324,8 @@ class TestAsyncFrontend:
         with pytest.raises(KeyError, match="ghost"):
             asyncio.run(scenario())
 
-    def test_requires_start(self, offline):
-        serving = ServingRecommender.from_recommender(offline)
+    def test_requires_start(self, fresh):
+        serving = fresh()
         frontend = AsyncScoringFrontend(serving)
 
         async def scenario():
@@ -329,8 +334,8 @@ class TestAsyncFrontend:
         with pytest.raises(RuntimeError, match="not started"):
             asyncio.run(scenario())
 
-    def test_ingest_through_frontend(self, offline):
-        serving = ServingRecommender.from_recommender(offline)
+    def test_ingest_through_frontend(self, fresh):
+        serving = fresh()
 
         async def scenario():
             async with AsyncScoringFrontend(serving) as frontend:

@@ -12,9 +12,8 @@ from repro.core.parallel import parallel_extract_batch
 from repro.graph.temporal import DynamicNetwork
 from repro.obs.export import trace_events, validate_flow_events, validate_trace
 from repro.obs.trace import span
-from repro.recommend import LinkRecommender
 from repro.robust import RetryPolicy, inject
-from repro.serve import AsyncScoringFrontend, ServingRecommender
+from repro.serve import AsyncScoringFrontend, DeltaCSRSnapshot, ServingRecommender
 from repro.utils.rng import ensure_rng
 
 
@@ -47,8 +46,17 @@ def small_network(seed=0, n_nodes=24, n_events=80, n_ts=10):
 
 
 @pytest.fixture(scope="module")
-def offline():
-    return LinkRecommender.fit(small_network(), config=SSFConfig(k=5), seed=0)
+def fresh():
+    """Builds fresh serving cores (own delta, cache and memos) around
+    one model fitted on ``small_network()``."""
+    network = small_network()
+    fitted = ServingRecommender.fit(network, config=SSFConfig(k=5), seed=0)
+
+    def build(**kwargs):
+        delta = DeltaCSRSnapshot.from_dynamic(network, theta=fitted.config.theta)
+        return ServingRecommender(delta, fitted.model, fitted.config, **kwargs)
+
+    return build
 
 
 def _by_trace(records, trace_id):
@@ -61,8 +69,8 @@ def _by_trace(records, trace_id):
 
 
 class TestFrontendTrace:
-    def test_one_request_is_one_trace_end_to_end(self, offline):
-        serving = ServingRecommender.from_recommender(offline)
+    def test_one_request_is_one_trace_end_to_end(self, fresh):
+        serving = fresh()
 
         async def scenario():
             async with AsyncScoringFrontend(serving) as frontend:
@@ -86,8 +94,8 @@ class TestFrontendTrace:
         assert validate_trace(payload) == []
         assert validate_flow_events(payload) == []
 
-    def test_batch_fans_in_all_member_request_traces(self, offline):
-        serving = ServingRecommender.from_recommender(offline)
+    def test_batch_fans_in_all_member_request_traces(self, fresh):
+        serving = fresh()
 
         async def scenario():
             async with AsyncScoringFrontend(serving) as frontend:
@@ -111,8 +119,8 @@ class TestFrontendTrace:
         # the batch span itself rides its first member's trace
         assert fanned[0]["trace_id"] in member_ids
 
-    def test_ingest_trace_covers_delta_and_invalidation(self, offline):
-        serving = ServingRecommender.from_recommender(offline)
+    def test_ingest_trace_covers_delta_and_invalidation(self, fresh):
+        serving = fresh()
 
         async def scenario():
             async with AsyncScoringFrontend(serving) as frontend:
@@ -127,12 +135,12 @@ class TestFrontendTrace:
         names = {r["name"] for r in trace}
         assert {"serve.ingest", "serve.delta_apply", "serve.cache_invalidate"} <= names
 
-    def test_tracing_disabled_passes_no_trace_context(self, offline):
+    def test_tracing_disabled_passes_no_trace_context(self, fresh):
         # with tracing off the batch carries no trace identity: the
         # frontend still passes rctx= and members=, both None
         obs.disable()
         obs.record_spans(False)
-        serving = ServingRecommender.from_recommender(offline)
+        serving = fresh()
         calls = []
         inner = serving.recommend_many
 
