@@ -64,6 +64,7 @@ from repro.experiments.motivating import (
 from repro.experiments.runner import LinkPredictionExperiment
 from repro.experiments.tables import format_table1, format_table2, format_table3
 from repro.graph.temporal import DynamicNetwork
+from repro.sampling.splits import NetworkTooSmallError
 from repro.sampling.temporal_cv import cross_validate_method
 
 
@@ -602,7 +603,8 @@ def _config(args: argparse.Namespace) -> ExperimentConfig:
 
 class _UsageError(Exception):
     """Bad input a handler can only detect after loading the network;
-    :func:`main` reports it like an argparse error (exit 2)."""
+    :func:`main` reports it like an argparse error (exit 2), as it does
+    a :class:`~repro.sampling.splits.NetworkTooSmallError`."""
 
 
 def _run_report_mode(args: argparse.Namespace) -> bool:
@@ -1029,7 +1031,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     try:
         try:
             result = _HANDLERS[args.command](args)
-        except _UsageError as exc:
+        except (_UsageError, NetworkTooSmallError) as exc:
             parser.error(str(exc))
         # handlers return the report text, or (text, exit_code) when the
         # command's outcome must be visible to the shell (e.g. lint)

@@ -72,7 +72,6 @@ import numpy as np
 
 from repro.core.palette_wl import (
     _ColumnLayout,
-    _gather_rows,
     flat_hop_distances,
     palette_wl_order_many,
 )
@@ -228,7 +227,9 @@ class _PassState:
         renumber = np.full(int(self.group_offsets[-1]), -1, dtype=np.int64)
         renumber[groups] = np.arange(n_groups, dtype=np.int64)
         degrees = self.adj_indptr[groups + 1] - self.adj_indptr[groups]
-        adjacency = renumber[_gather_rows(self.adj_indptr, self.adj_dst, groups)]
+        adjacency = renumber[
+            concatenate_neighbor_slices(self.adj_indptr, self.adj_dst, groups)
+        ]
         row_group = renumber[self.grp_row]
         rows = np.flatnonzero(row_group >= 0)
         row_group = row_group[rows]
@@ -665,7 +666,7 @@ class BatchExtractionEngine:
         # Present structure links among the selected nodes: one global
         # adjacency gather; (m, n) kept when n > m, minus the target link.
         deg_sel = nbr_indptr[sel_flat + 1] - nbr_indptr[sel_flat]
-        gathered = _gather_rows(nbr_indptr, nbr_indices, sel_flat)
+        gathered = concatenate_neighbor_slices(nbr_indptr, nbr_indices, sel_flat)
         m_orders = np.repeat(orders[sel_flat], deg_sel)
         src_rep = np.repeat(sel_flat, deg_sel)
         seg_rep = np.repeat(seg_ids[sel_flat], deg_sel)
@@ -1062,7 +1063,9 @@ class BatchExtractionEngine:
                 np.repeat(np.arange(len(need), dtype=np.int64), frontier_sizes),
                 degrees,
             )
-            neighbors = concatenate_neighbor_slices(snapshot, frontier)
+            neighbors = concatenate_neighbor_slices(
+                snapshot.indptr, snapshot.indices, frontier
+            )
             tokens = np.array([ball.token for ball in need], dtype=np.int64)
             fresh = visited[neighbors] != tokens[owner]
             claim = sorted_unique(owner[fresh] * n_nodes + neighbors[fresh])
@@ -1098,7 +1101,9 @@ class BatchExtractionEngine:
         node_of_row = chunk.nodes
         seg_of_row = np.repeat(np.arange(n_segments, dtype=np.int64), ball_sizes)
 
-        flat = concatenate_neighbor_slices(snapshot, node_of_row)
+        flat = concatenate_neighbor_slices(
+            snapshot.indptr, snapshot.indices, node_of_row
+        )
         entry_bounds = chunk.entry_bounds
         owner_row = np.repeat(np.arange(n_rows, dtype=np.int64), chunk.degrees)
         # Membership AND destination row of every gathered neighbour from

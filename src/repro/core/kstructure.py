@@ -220,7 +220,9 @@ def _grow_csr(
         """Nodes at exactly ``depth``, given the frontier at ``depth - 1``."""
         if frontier.size == 0:
             return frontier
-        neighbors = concatenate_neighbor_slices(snapshot, frontier)
+        neighbors = concatenate_neighbor_slices(
+            snapshot.indptr, snapshot.indices, frontier
+        )
         fresh = neighbors[dist[neighbors] == -1]
         if fresh.size == 0:
             return np.zeros(0, dtype=np.int64)

@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.structure import StructureSubgraph
-from repro.graph.csr import sorted_unique, stable_argsort
+from repro.graph.csr import concatenate_neighbor_slices, sorted_unique, stable_argsort
 from repro.obs import enabled as obs_enabled, incr, observe, observe_many, span
 from repro.utils.primes import nth_prime
 
@@ -200,22 +200,6 @@ def _dense_rank(values: Sequence[float]) -> list[int]:
 # ----------------------------------------------------------------------
 
 
-def _gather_rows(
-    indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
-) -> np.ndarray:
-    """Concatenated neighbour rows of ``frontier`` in a flat CSR."""
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.zeros(0, dtype=indices.dtype)
-    offsets = np.zeros(len(frontier), dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    flat = np.arange(total, dtype=np.int64)
-    flat += np.repeat(starts - offsets, counts)
-    return indices[flat]
-
-
 def flat_hop_distances(
     nbr_indptr: np.ndarray, nbr_indices: np.ndarray, sources: np.ndarray
 ) -> np.ndarray:
@@ -232,7 +216,7 @@ def flat_hop_distances(
     depth = 0
     while frontier.size:
         depth += 1
-        neighbors = _gather_rows(nbr_indptr, nbr_indices, frontier)
+        neighbors = concatenate_neighbor_slices(nbr_indptr, nbr_indices, frontier)
         if neighbors.size == 0:
             break
         fresh = neighbors[dist[neighbors] == -1]

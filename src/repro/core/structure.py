@@ -654,7 +654,7 @@ def _combine_structures_csr(
     # "sorted neighbour-slice hash" — dict keys hash the bytes).  Built
     # with ONE vectorised gather + filter over all of V_h; the per-node
     # entries are then views into the filtered flat array.
-    flat = concatenate_neighbor_slices(snapshot, node_ids)
+    flat = concatenate_neighbor_slices(snapshot.indptr, snapshot.indices, node_ids)
     keep = in_set[flat]
     kept_flat = flat[keep]
     counts = snapshot.indptr[node_ids + 1] - snapshot.indptr[node_ids]

@@ -478,27 +478,29 @@ def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
 
 
 def concatenate_neighbor_slices(
-    snapshot: CSRSnapshot, frontier: np.ndarray
+    indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray
 ) -> np.ndarray:
-    """All neighbour ids of ``frontier`` nodes, concatenated (with repeats).
+    """The ``rows`` of a CSR adjacency, concatenated (with repeats).
 
-    Vectorised gather used by the array BFS: equivalent to
-    ``np.concatenate([snapshot.neighbor_slice(u) for u in frontier])`` but
-    without the per-node Python overhead.
+    Equivalent to ``np.concatenate([indices[indptr[r]:indptr[r + 1]]
+    for r in rows])`` without the per-row Python overhead; the one
+    ragged row gather of the array BFS, Alg. 1 and Palette-WL, over a
+    snapshot's ``indptr``/``indices`` or any flat CSR.  A single row
+    comes back as a view into ``indices``, so callers only read it.
     """
-    if len(frontier) == 1:
-        u = int(frontier[0])
-        return snapshot.indices[snapshot.indptr[u] : snapshot.indptr[u + 1]]
-    starts = snapshot.indptr[frontier]
-    counts = snapshot.indptr[frontier + 1] - starts
+    if len(rows) == 1:
+        row = int(rows[0])
+        return indices[indptr[row] : indptr[row + 1]]
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
     total = int(counts.sum())
     if total == 0:
-        return np.zeros(0, dtype=snapshot.indices.dtype)
-    offsets = np.zeros(len(frontier), dtype=np.int64)
+        return np.zeros(0, dtype=indices.dtype)
+    offsets = np.zeros(len(rows), dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
     flat = np.arange(total, dtype=np.int64)
     flat += np.repeat(starts - offsets, counts)
-    return snapshot.indices[flat]
+    return indices[flat]
 
 
 def hop_ball(snapshot: CSRSnapshot, node_id: int, hops: int) -> np.ndarray:
@@ -516,7 +518,7 @@ def hop_ball(snapshot: CSRSnapshot, node_id: int, hops: int) -> np.ndarray:
         if not frontier.size:
             break
         reached = sorted_unique(
-            concatenate_neighbor_slices(snapshot, frontier)
+            concatenate_neighbor_slices(snapshot.indptr, snapshot.indices, frontier)
         ).astype(np.int64)
         # ``seen`` is sorted and never empty, so one searchsorted probe
         # tells each reached node whether it is already in the ball

@@ -1,7 +1,11 @@
 """Train/test construction for the link-prediction task (Sec. VI-C2)."""
 
 from repro.sampling.negatives import STRATEGIES, sample_negative_pairs
-from repro.sampling.splits import LinkPredictionTask, build_link_prediction_task
+from repro.sampling.splits import (
+    LinkPredictionTask,
+    NetworkTooSmallError,
+    build_link_prediction_task,
+)
 from repro.sampling.temporal_cv import (
     CrossValidationResult,
     TemporalFolds,
@@ -11,6 +15,7 @@ from repro.sampling.temporal_cv import (
 
 __all__ = [
     "LinkPredictionTask",
+    "NetworkTooSmallError",
     "build_link_prediction_task",
     "STRATEGIES",
     "sample_negative_pairs",

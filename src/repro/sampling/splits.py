@@ -27,6 +27,14 @@ Node = Hashable
 Pair = tuple[Node, Node]
 
 
+class NetworkTooSmallError(ValueError):
+    """The network has too few stamps or positive pairs to split.
+
+    Raised for the shape of the input network, never for a bad
+    argument, so the CLI reports it as a usage error.
+    """
+
+
 @dataclass
 class LinkPredictionTask:
     """One realised evaluation split.
@@ -95,8 +103,9 @@ def build_link_prediction_task(
         seed: RNG seed for the split and the negative sampling.
 
     Raises:
-        ValueError: if the network has no links, or fewer than two
-            distinct positive pairs emerge at the last timestamp.
+        ValueError: if the network has no links.
+        NetworkTooSmallError: if fewer than two distinct positive pairs
+            emerge at the last timestamp.
     """
     if network.number_of_links() == 0:
         raise ValueError("cannot build a task from an empty network")
@@ -115,7 +124,7 @@ def build_link_prediction_task(
 
     positives = _positive_pairs(network, present_time)
     if len(positives) < 2:
-        raise ValueError(
+        raise NetworkTooSmallError(
             f"only {len(positives)} positive pair(s) at the last timestamp; "
             "need at least 2 to split"
         )

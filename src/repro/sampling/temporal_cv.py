@@ -19,7 +19,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graph.temporal import DynamicNetwork
-from repro.sampling.splits import LinkPredictionTask, build_link_prediction_task
+from repro.sampling.splits import (
+    LinkPredictionTask,
+    NetworkTooSmallError,
+    build_link_prediction_task,
+)
 
 
 @dataclass
@@ -55,7 +59,7 @@ def build_temporal_folds(
     positive pairs are skipped and recorded.
 
     Raises:
-        ValueError: if no usable fold exists.
+        NetworkTooSmallError: if no usable fold exists.
     """
     if n_folds < 1:
         raise ValueError(f"n_folds must be >= 1, got {n_folds}")
@@ -92,7 +96,7 @@ def build_temporal_folds(
         tasks.append(task)
         times.append(stamp)
     if not tasks:
-        raise ValueError(
+        raise NetworkTooSmallError(
             f"no timestamp yields >= {min_positives} positive pairs"
         )
     return TemporalFolds(tasks=tasks, prediction_times=times, skipped_times=skipped)

@@ -5,9 +5,9 @@ per experiment; serving cannot afford that rebuild per edge event.  This
 package provides the serving-side substrate and surface:
 
 * :class:`DeltaCSRSnapshot` — append edge events, materialise snapshots
-  by vectorised delta merge, bit-identical to a full rebuild.
-* :class:`DecayedInfluenceIndex` — O(1)-per-event decayed activity
-  summaries for recency-aware candidate ranking.
+  by vectorised delta merge, bit-identical to a full rebuild; its
+  ``most_active`` ranks hubs by decayed activity read from the
+  snapshot's own Eq. 2 influence table.
 * :class:`FeatureCache` — LRU feature cache keyed on
   :func:`~repro.serve.cache.pair_key`, invalidated on each row's grown
   footprint.
@@ -22,7 +22,7 @@ approximation.
 """
 
 from repro.serve.cache import DEFAULT_CACHE_ENTRIES, CacheEntry, FeatureCache, pair_key
-from repro.serve.delta import DecayedInfluenceIndex, DeltaCSRSnapshot
+from repro.serve.delta import DeltaCSRSnapshot
 from repro.serve.frontend import (
     DEFAULT_MAX_BATCH,
     AsyncScoringFrontend,
@@ -34,7 +34,6 @@ from repro.serve.replay import ReplayResult, run_replay, split_replay_stream
 __all__ = [
     "AsyncScoringFrontend",
     "CacheEntry",
-    "DecayedInfluenceIndex",
     "DeltaCSRSnapshot",
     "DEFAULT_CACHE_ENTRIES",
     "DEFAULT_MAX_BATCH",

@@ -20,14 +20,15 @@ same dtypes.  The rebuilt≡delta differential suite
 holds this across all six entry modes, because every downstream feature
 guarantee (dict ≡ csr bit-parity) is inherited from it.
 
-**Incremental influence.**  A :class:`DecayedInfluenceIndex` maintains
-per-node decayed activity *summaries* under new stamps: a stamp on link
-``(u, v)`` rescales only its two end nodes' running sums by the θ-decay
-factor.  :class:`~repro.serve.ServingRecommender`, the one
-recommender, ranks hub candidates by this decayed activity, offline
-(``hit_rate_at_n``, ``repro recommend``) as well as online.  Each
-materialised snapshot builds its own Eq. 2 influence table on
-first use (:meth:`CSRSnapshot.influence_table`).
+**Hubs from the snapshot's own Eq. 2 table.**
+:meth:`DeltaCSRSnapshot.most_active` ranks hub candidates by decayed
+activity: a node's Eq. 3 sum of Eq. 2 influences over its incident
+links at the serving clock.  It reads them from the current snapshot's
+:meth:`CSRSnapshot.influence_table`, the same cached table the serving
+extractor's engine reads for that clock, so serving evaluates Eq. 2 in
+one place.  :class:`~repro.serve.ServingRecommender`, the one
+recommender, takes its hubs from here, offline (``hit_rate_at_n``,
+``repro recommend``) as well as online.
 """
 
 from __future__ import annotations
@@ -48,96 +49,6 @@ Event = "tuple[Node, Node, float]"
 _LOG = get_logger("serve.delta")
 
 
-class DecayedInfluenceIndex:
-    """Numerically stable incremental decayed-activity summaries.
-
-    Per node, stores ``(t_ref, S)`` where ``t_ref`` is the newest stamp
-    on any of its links and ``S = Σ_i exp(-θ·(t_ref − t_i))`` — the Eq. 3
-    influence sum over all its incident links, referenced to that stamp.
-    A new stamp ``t`` on link ``(u, v)`` touches only the two endpoint
-    entries: when the stamp advances the reference, the running sum is
-    rescaled once by the θ-decay factor,
-
-        ``S ← S·exp(-θ·(t − t_ref)) + 1``,  ``t_ref ← t``
-
-    and a query at serving time ``present`` is one more rescale,
-    ``S·exp(-θ·(present − t_ref))``.  Every factor is ≤ 1, so the sum
-    stays finite for arbitrarily large raw timestamps — the naive
-    prefix-sum form ``Σ exp(θ·t_i)`` overflows float64 once
-    ``θ·t ≳ 710``.
-
-    These are serving-side *summaries* (hub ranking, admission
-    heuristics), not the feature path: SSF features keep the exact
-    ``influence_array`` evaluation so dict ≡ csr ≡ delta bit-parity is
-    preserved.
-    """
-
-    __slots__ = ("_theta", "_nodes")
-
-    def __init__(self, theta: float = DEFAULT_THETA) -> None:
-        _check_theta(theta)
-        self._theta = float(theta)
-        self._nodes: dict[int, tuple[float, float]] = {}
-
-    @property
-    def theta(self) -> float:
-        return self._theta
-
-    def observe(self, u_id: int, v_id: int, stamp: float) -> None:
-        """Absorb one edge event: two O(1) entry updates."""
-        self._nodes[u_id] = self._bump(self._nodes.get(u_id), stamp)
-        self._nodes[v_id] = self._bump(self._nodes.get(v_id), stamp)
-
-    def _bump(
-        self, entry: "tuple[float, float] | None", stamp: float
-    ) -> tuple[float, float]:
-        if entry is None:
-            return (stamp, 1.0)
-        t_ref, total = entry
-        if stamp >= t_ref:
-            return (stamp, total * math.exp(-self._theta * (stamp - t_ref)) + 1.0)
-        return (t_ref, total + math.exp(-self._theta * (t_ref - stamp)))
-
-    def _at(self, entry: "tuple[float, float] | None", present: float) -> float:
-        if entry is None:
-            return 0.0
-        t_ref, total = entry
-        if present < t_ref:
-            raise ValueError(
-                f"present time {present} is before the newest stamp {t_ref}"
-            )
-        return total * math.exp(-self._theta * (present - t_ref))
-
-    def node_activity(self, node_id: int, present: float) -> float:
-        """Decayed activity (influence over all incident links) of a node."""
-        return self._at(self._nodes.get(node_id), present)
-
-    def most_active(self, count: int, present: float) -> list[int]:
-        """The ``count`` node ids with the highest decayed activity.
-
-        Ties break on the node id, so the ranking is deterministic
-        regardless of event arrival interleaving.  Vectorised: the
-        serving loop re-ranks hubs after every ingest, so this is one
-        numpy pass instead of a Python sort with per-entry ``exp``.
-        """
-        if count <= 0 or not self._nodes:
-            return []
-        ids = np.fromiter(self._nodes.keys(), dtype=np.int64, count=len(self._nodes))
-        refs = np.empty(ids.size, dtype=np.float64)
-        totals = np.empty(ids.size, dtype=np.float64)
-        for slot, (t_ref, total) in enumerate(self._nodes.values()):
-            refs[slot] = t_ref
-            totals[slot] = total
-        if present < refs.max():
-            raise ValueError(
-                f"present time {present} is before the newest stamp {refs.max()}"
-            )
-        activity = totals * np.exp(-self._theta * (present - refs))
-        # lexsort's last key is primary: highest activity first, then id
-        order = np.lexsort((ids, -activity))[:count]
-        return [int(node_id) for node_id in ids[order]]
-
-
 class DeltaCSRSnapshot:
     """Append-only edge-event ingestion over materialised CSR arrays.
 
@@ -156,6 +67,8 @@ class DeltaCSRSnapshot:
     """
 
     def __init__(self, theta: float = DEFAULT_THETA) -> None:
+        _check_theta(theta)
+        self._theta = float(theta)
         self._labels: list[Node] = []
         self._id_of: dict[Node, int] = {}
         self._snapshot = CSRSnapshot(
@@ -170,7 +83,6 @@ class DeltaCSRSnapshot:
         self._last_ts: "float | None" = None
         self._num_links = 0
         self._events_applied = 0
-        self.influence = DecayedInfluenceIndex(theta)
 
     # ------------------------------------------------------------------
     # construction
@@ -186,18 +98,7 @@ class DeltaCSRSnapshot:
         out._id_of = {label: i for i, label in enumerate(out._labels)}
         out._snapshot = snapshot
         out._num_links = snapshot.number_of_links()
-        # Seed the influence index from each undirected pair's stamps
-        # (ascending order keeps every _bump factor ≤ 1).
-        for u_id in range(len(out._labels)):
-            for slot in range(
-                int(snapshot.indptr[u_id]), int(snapshot.indptr[u_id + 1])
-            ):
-                v_id = int(snapshot.indices[slot])
-                if v_id < u_id:
-                    continue
-                for stamp in snapshot.slot_timestamps(slot).tolist():
-                    out.influence.observe(u_id, v_id, stamp)
-                    out._distinct_stamps.add(stamp)
+        out._distinct_stamps = set(snapshot.ts.tolist())
         if snapshot.ts.size:
             out._last_ts = snapshot.last_timestamp()
         return out
@@ -243,7 +144,6 @@ class DeltaCSRSnapshot:
                 u_id = self.ensure_node(u)
                 v_id = self.ensure_node(v)
                 self._pending.append((u_id, v_id, ts))
-                self.influence.observe(u_id, v_id, ts)
                 self._distinct_stamps.add(ts)
                 if self._last_ts is None or ts > self._last_ts:
                     self._last_ts = ts
@@ -296,16 +196,32 @@ class DeltaCSRSnapshot:
         return self._last_ts + median_timestamp_gap(self._distinct_stamps)
 
     def most_active(self, count: int) -> list[Node]:
-        """Hub candidates by *decayed* activity at the serving clock.
+        """The ``count`` hub candidates by *decayed* activity at the
+        serving clock.
 
-        The one hub rule: every candidate pool the recommender draws,
-        offline or online, takes its hubs from here.
+        A node's activity sums the current snapshot's influence table at
+        :meth:`scoring_time` (merging any pending events first) over its
+        incident links.  Every node with a link ranks, highest activity
+        first, ties broken by node id; a node :meth:`ensure_node` added
+        without links never does.  The one hub rule: every candidate
+        pool the recommender draws, offline or online, takes its hubs
+        from here.
         """
-        present = self.scoring_time() if self._last_ts is not None else 1.0
-        return [
-            self._labels[node_id]
-            for node_id in self.influence.most_active(count, present)
-        ]
+        if count <= 0:
+            return []
+        snapshot = self.snapshot()
+        if not snapshot.ts.size:
+            return []
+        table = snapshot.influence_table(self.scoring_time(), self._theta)
+        # a link sits in both end nodes' rows, so a row's ``ts`` entries
+        # are exactly its node's incident stamps
+        row_sizes = np.diff(snapshot.ts_indptr[snapshot.indptr])
+        owners = np.repeat(np.arange(row_sizes.size), row_sizes)
+        activity = np.bincount(owners, weights=table, minlength=row_sizes.size)
+        linked = np.flatnonzero(row_sizes)
+        # lexsort's last key is primary: highest activity first, then id
+        order = np.lexsort((linked, -activity[linked]))[:count]
+        return [self._labels[node_id] for node_id in linked[order].tolist()]
 
     # ------------------------------------------------------------------
     # materialisation

@@ -22,8 +22,10 @@ model offline and seeds the substrate, and ``repro recommend``,
 rank through it.  A pool is :func:`~repro.recommend.candidate_pool`:
 the friends-of-friends ball plus the global hubs, which rank by
 *decayed* activity (:meth:`~repro.serve.delta.DeltaCSRSnapshot.most_active`)
-so recency matters.  Scores are the model's decision scores, ranked
-with mergesort tie-stability.
+so recency matters.  That activity sums the Eq. 2 influence table the
+extractor reads at the same clock, so a hub ranking adds no second
+decay.  Scores are the model's decision scores, ranked with mergesort
+tie-stability.
 """
 
 from __future__ import annotations

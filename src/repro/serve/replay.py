@@ -32,6 +32,7 @@ from repro.core.feature import SSFConfig
 from repro.graph.temporal import DynamicNetwork
 from repro.obs import get_logger, heartbeat_tick, set_phase, span
 from repro.robust.policy import RetryPolicy
+from repro.sampling.splits import NetworkTooSmallError
 from repro.serve.frontend import (
     DEFAULT_MAX_BATCH,
     AsyncScoringFrontend,
@@ -120,7 +121,7 @@ def split_replay_stream(
         )
     stamps = sorted(network.timestamp_set())
     if len(stamps) < 2:
-        raise ValueError("need at least two distinct timestamps to replay")
+        raise NetworkTooSmallError("need at least two distinct timestamps to replay")
     cut_index = max(1, int(round(len(stamps) * (1.0 - event_fraction))))
     cut_index = min(cut_index, len(stamps) - 1)
     cut = stamps[cut_index]

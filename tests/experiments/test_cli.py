@@ -464,3 +464,40 @@ class TestBadInput:
         assert [line for line in err.splitlines() if "error:" in line] == [
             "repro: error: --user definitely-not-a-node: node not in co-author"
         ]
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (
+                ["serve", "--replay", "--nodes", "2"],
+                "need at least two distinct timestamps to replay",
+            ),
+            (
+                ["serve", "--replay", "--nodes", "3"],
+                "only 1 positive pair(s) at the last timestamp",
+            ),
+            (
+                ["crossval", "--dataset", "co-author", "--scale", "0.02"],
+                "no timestamp yields >= 10 positive pairs",
+            ),
+        ],
+    )
+    def test_network_too_small_to_split(self, capsys, argv, reason):
+        # only the handler, after loading the network, can tell
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and reason in errors[0]
+        assert "Traceback" not in err
+
+    def test_other_handler_errors_still_raise(self, monkeypatch):
+        import repro.cli as cli
+
+        def broken(args):
+            raise ValueError("not a usage error")
+
+        monkeypatch.setitem(cli._HANDLERS, "stats", broken)
+        with pytest.raises(ValueError, match="not a usage error"):
+            main(["stats", "--dataset", "contact"])

@@ -252,7 +252,7 @@ class TestNeighborConcatenation:
             [snap.node_id("a"), snap.node_id("c"), snap.node_id("lonely")],
             dtype=np.int64,
         )
-        got = concatenate_neighbor_slices(snap, frontier)
+        got = concatenate_neighbor_slices(snap.indptr, snap.indices, frontier)
         expected = np.concatenate(
             [snap.neighbor_slice(int(i)) for i in frontier]
         )
@@ -261,7 +261,7 @@ class TestNeighborConcatenation:
     def test_empty_frontier(self, network):
         snap = CSRSnapshot.from_dynamic(network)
         assert concatenate_neighbor_slices(
-            snap, np.zeros(0, dtype=np.int64)
+            snap.indptr, snap.indices, np.zeros(0, dtype=np.int64)
         ).size == 0
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.graph.temporal import DynamicNetwork
-from repro.sampling.splits import build_link_prediction_task
+from repro.sampling.splits import NetworkTooSmallError, build_link_prediction_task
 
 
 class TestTaskConstruction:
@@ -92,7 +92,7 @@ class TestValidation:
 
     def test_single_positive_rejected(self):
         g = DynamicNetwork([("a", "b", 1), ("c", "d", 1), ("a", "c", 2)])
-        with pytest.raises(ValueError, match="positive"):
+        with pytest.raises(NetworkTooSmallError, match="positive"):
             build_link_prediction_task(g)
 
     def test_bad_train_fraction(self, small_dataset):

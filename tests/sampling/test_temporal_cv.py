@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.config import ExperimentConfig
 from repro.graph.temporal import DynamicNetwork
+from repro.sampling import NetworkTooSmallError
 from repro.sampling.temporal_cv import (
     build_temporal_folds,
     cross_validate_method,
@@ -34,7 +35,7 @@ class TestBuildTemporalFolds:
 
     def test_no_usable_fold_raises(self):
         g = DynamicNetwork([("a", "b", 1), ("c", "d", 2)])
-        with pytest.raises(ValueError):
+        with pytest.raises(NetworkTooSmallError):
             build_temporal_folds(g, n_folds=2, min_positives=5)
 
     def test_validation(self, small_dataset):

@@ -15,7 +15,8 @@ import pytest
 from repro.core.feature import ENTRY_MODES, SSFConfig, SSFExtractor
 from repro.graph.csr import CSRSnapshot, hop_ball
 from repro.graph.temporal import DynamicNetwork
-from repro.serve.delta import DecayedInfluenceIndex, DeltaCSRSnapshot
+from repro.serve.delta import DeltaCSRSnapshot
+from repro.serve.frontend import ServingRecommender
 from repro.utils.rng import ensure_rng
 
 
@@ -114,47 +115,124 @@ class TestDeltaBitIdentity:
         )
 
 
-class TestDecayedInfluenceIndex:
-    def test_matches_explicit_sum(self):
-        index = DecayedInfluenceIndex(theta=0.5)
-        stamps = [3.0, 1.0, 7.0, 7.0, 2.0]  # out of order, with a repeat
-        for ts in stamps:
-            index.observe(0, 1, ts)
-        present = 9.0
-        expected = sum(math.exp(-0.5 * (present - t)) for t in stamps)
-        assert index.node_activity(0, present) == pytest.approx(
-            expected, rel=1e-12
-        )
-        assert index.node_activity(1, present) == index.node_activity(0, present)
+def reference_activity(events, present, theta):
+    """Per label: the sum of ``math.exp(-θ·(present − t))`` over its
+    incident stamps, each event counted once at each end."""
+    activity = {}
+    for u, v, t in events:
+        decayed = math.exp(-theta * (present - t))
+        for node in (u, v):
+            activity[node] = activity.get(node, 0.0) + decayed
+    return activity
 
-    def test_node_activity_sums_links(self):
-        index = DecayedInfluenceIndex(theta=0.5)
-        index.observe(0, 1, 1.0)
-        index.observe(0, 2, 2.0)
-        expected = math.exp(-0.5 * 2.0) + math.exp(-0.5 * 1.0)
-        assert index.node_activity(0, 3.0) == pytest.approx(expected, rel=1e-12)
+
+def snapshot_activity(delta, theta):
+    """Per label: the current snapshot's influence table summed over
+    the node's row, at the delta's serving clock."""
+    snap = delta.snapshot()
+    table = snap.influence_table(delta.scoring_time(), theta)
+    return {
+        snap.labels[u]: float(
+            table[snap.ts_indptr[snap.indptr[u]] : snap.ts_indptr[snap.indptr[u + 1]]].sum()
+        )
+        for u in range(snap.number_of_nodes())
+        if snap.indptr[u + 1] > snap.indptr[u]
+    }
+
+
+def close(a, b):
+    return abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+
+
+class TestHubActivity:
+    """``most_active`` ranks every linked node by the snapshot's own
+    Eq. 2 table summed over its incident links, highest first, ties
+    by node id."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_sum(self, seed):
+        theta = 0.3
+        history = random_events(12, 40, 6, seed)
+        delta = DeltaCSRSnapshot.from_dynamic(DynamicNetwork(history), theta=theta)
+        seen = list(history)
+        isolated = []
+        checked_pending = set()
+        for step in range(10):
+            # later batches bring new nodes; pending batches accumulate
+            # until a merge or a ranking
+            batch = random_events(12 + 3 * step, 5, 6 + step, 1000 * seed + step)
+            delta.apply(batch)
+            seen.extend(batch)
+            if step % 4 == 1:
+                delta.snapshot()
+            if step % 3 == 0:
+                isolated.append(f"lonely{step}")
+                delta.ensure_node(isolated[-1])
+            if step % 3 == 2:
+                continue
+            checked_pending.add(delta.pending_events > 0)
+            reference = reference_activity(seen, delta.scoring_time(), theta)
+            got = delta.most_active(delta.number_of_nodes() + 5)
+            assert delta.pending_events == 0
+            assert sorted(got) == sorted(reference)
+            assert not set(isolated) & set(got)
+            for label, value in snapshot_activity(delta, theta).items():
+                assert close(value, reference[label])
+            expected = sorted(
+                reference, key=lambda n: (-reference[n], delta.node_id(n))
+            )
+            for ours, theirs in zip(got, expected):
+                assert ours == theirs or close(reference[ours], reference[theirs])
+            for count in (1, 3, 20):
+                assert delta.most_active(count) == got[:count]
+        assert checked_pending == {True, False}
+
+    def test_exact_ties_in_id_order(self):
+        delta = DeltaCSRSnapshot(theta=0.5)
+        # ids follow first sight: z=0, y=1, x=2, w=3, v=4, u=5
+        delta.apply([("z", "y", 1.0), ("x", "w", 1.0), ("v", "u", 2.0)])
+        delta.snapshot()
+        delta.apply([("z", "y", 3.0), ("x", "w", 3.0)])  # left pending
+        assert delta.most_active(6) == ["z", "y", "x", "w", "v", "u"]
+        assert delta.most_active(3) == ["z", "y", "x"]
 
     def test_large_timestamps_stay_finite(self):
-        """The naive prefix-sum form overflows once theta*t > ~710."""
-        index = DecayedInfluenceIndex(theta=0.5)
-        for ts in (2_000.0, 2_001.0, 2_002.0):
-            index.observe(0, 1, ts)
-        value = index.node_activity(0, 2_003.0)
-        assert math.isfinite(value)
-        expected = sum(math.exp(-0.5 * (2_003.0 - t)) for t in (2000.0, 2001.0, 2002.0))
-        assert value == pytest.approx(expected, rel=1e-12)
+        """A prefix-sum form ``Σ exp(θ·t)`` overflows once θ·t > ~710."""
+        events = [("a", "b", t) for t in (2_000.0, 2_001.0, 2_002.0)]
+        events.append(("b", "c", 1_999.5))
+        delta = DeltaCSRSnapshot(theta=0.5)
+        delta.apply(events)
+        reference = reference_activity(events, delta.scoring_time(), 0.5)
+        for label, value in snapshot_activity(delta, 0.5).items():
+            assert math.isfinite(value) and close(value, reference[label])
+        assert delta.most_active(3) == ["b", "a", "c"]
 
-    def test_most_active_deterministic_ties(self):
-        index = DecayedInfluenceIndex(theta=0.5)
-        index.observe(5, 9, 1.0)  # nodes 5 and 9 tie exactly
-        index.observe(2, 7, 2.0)  # nodes 2 and 7 tie exactly, more recent
-        assert index.most_active(3, 3.0) == [2, 7, 5]
+    @pytest.mark.parametrize("theta", [0.0, 1.5, float("nan")])
+    def test_theta_checked_at_construction(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            DeltaCSRSnapshot(theta=theta)
+        with pytest.raises(ValueError, match="theta"):
+            DeltaCSRSnapshot.from_dynamic(DynamicNetwork([("a", "b", 1.0)]), theta=theta)
 
-    def test_rejects_past_present(self):
-        index = DecayedInfluenceIndex()
-        index.observe(0, 1, 5.0)
-        with pytest.raises(ValueError, match="before the newest stamp"):
-            index.node_activity(0, 4.0)
+    def test_empty_and_zero_count(self):
+        delta = DeltaCSRSnapshot()
+        delta.ensure_node("alone")
+        assert delta.most_active(5) == []
+        delta.apply([("a", "b", 1.0)])
+        assert delta.most_active(0) == []
+        assert delta.pending_events == 1
+
+    def test_serving_shares_one_influence_table(self):
+        """The hub ranking reads the table the engine reads at the same
+        clock, so a served snapshot holds exactly one."""
+        network = DynamicNetwork(random_events(20, 90, 8, 3))
+        serving = ServingRecommender.fit(network, config=SSFConfig(k=5), seed=0)
+        serving.ingest([("n1", "n7", 9.0), ("n4", "new", 9.0)])
+        serving.recommend_many([("n1", 5), ("n4", 5), ("new", 5)])
+        snapshot = serving.delta.snapshot()
+        assert list(snapshot._influence_tables) == [
+            (serving.delta.scoring_time(), serving.config.theta)
+        ]
 
 
 class TestIngestValidation:

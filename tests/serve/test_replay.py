@@ -6,6 +6,7 @@ import pytest
 
 from repro.graph.temporal import DynamicNetwork
 from repro.obs.bench import append_history, compare_results, synthetic_network
+from repro.sampling import NetworkTooSmallError
 from repro.serve.replay import run_replay, split_replay_stream
 
 
@@ -24,7 +25,7 @@ class TestSplitReplayStream:
         with pytest.raises(ValueError, match="event_fraction"):
             split_replay_stream(network, event_fraction=1.5)
         single = DynamicNetwork([("a", "b", 1.0), ("b", "c", 1.0)])
-        with pytest.raises(ValueError, match="two distinct timestamps"):
+        with pytest.raises(NetworkTooSmallError, match="two distinct timestamps"):
             split_replay_stream(single)
 
 
