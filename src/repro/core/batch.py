@@ -157,9 +157,11 @@ class _Ball:
 
 
 class _Growth:
-    """Level-synchronous growth state for one not-yet-finished pair."""
+    """Level-synchronous growth state for one not-yet-finished pair:
+    ``union`` is its radius-h ball B_h and ``prev`` the ball one growth
+    step before, B_{h-1} (the end nodes at h = 1)."""
 
-    __slots__ = ("row", "a_id", "b_id", "ball_a", "ball_b", "union", "prev_size")
+    __slots__ = ("row", "a_id", "b_id", "ball_a", "ball_b", "union", "prev")
 
     def __init__(self, row: int, a_id: int, b_id: int) -> None:
         self.row = row
@@ -168,7 +170,7 @@ class _Growth:
         self.ball_a: "_Ball | None" = None
         self.ball_b: "_Ball | None" = None
         self.union = np.zeros(0, dtype=np.int64)
-        self.prev_size = 2
+        self.prev = np.array(sorted((a_id, b_id)), dtype=np.int64)
 
 
 class _PassState:
@@ -471,17 +473,24 @@ class BatchExtractionEngine:
         pairs: "Sequence[Pair]",
         mode: str,
         footprints: "list[np.ndarray] | None" = None,
+        inner: "list[np.ndarray] | None" = None,
     ) -> np.ndarray:
         """Feature matrix ``(len(pairs), dim)`` for one entry mode.
 
         ``footprints``, when given, is extended with one sorted node-id
-        array per pair: the pair's final grown Def. 3 ball, the only
+        array per pair: the pair's final grown Def. 3 ball B_h, the only
         nodes its row depends on (empty for a pair with a missing end
-        node).  Collecting them changes no feature bit.
+        node).  ``inner``, when given, is extended with each pair's
+        *inner ball*, sorted: B_{h-1}, the ball one growth step before
+        the end (the two end nodes at h = 1), or B_h itself for a pair
+        whose ball stopped growing or reached ``max_hop``.  An edge
+        event can change the row only if an endpoint lies in the inner
+        ball or both endpoints lie in the footprint (docs/SERVING.md).
+        Collecting either list changes no feature bit.
         """
         with span(f"feature.{mode}", k=self._k, pairs=len(pairs)):
             return self._extract_all(
-                pairs, (mode,), shared=False, footprints=footprints
+                pairs, (mode,), shared=False, footprints=footprints, inner=inner
             )[mode]
 
     def extract_multi_batch(
@@ -499,6 +508,7 @@ class BatchExtractionEngine:
         modes: "tuple[str, ...]",
         shared: bool,
         footprints: "list[np.ndarray] | None" = None,
+        inner: "list[np.ndarray] | None" = None,
     ) -> "dict[str, np.ndarray]":
         out = {
             mode: np.zeros((len(pairs), self._dim), dtype=np.float64)
@@ -510,10 +520,15 @@ class BatchExtractionEngine:
         grown: "list[np.ndarray] | None" = (
             [_EMPTY_LEVEL] * len(pairs) if footprints is not None else None
         )
-        for slab in self._grow_and_combine(pairs, grown):
+        inner_balls: "list[np.ndarray] | None" = (
+            [_EMPTY_LEVEL] * len(pairs) if inner is not None else None
+        )
+        for slab in self._grow_and_combine(pairs, grown, inner_balls):
             self._finish(slab, modes, shared, out)
         if footprints is not None and grown is not None:
             footprints.extend(grown)
+        if inner is not None and inner_balls is not None:
+            inner.extend(inner_balls)
         return out
 
     def _finish(
@@ -756,12 +771,16 @@ class BatchExtractionEngine:
     # phase 1: level-synchronous growth + cross-pair combination
     # ------------------------------------------------------------------
     def _grow_and_combine(
-        self, pairs: "Sequence[Pair]", grown: "list[np.ndarray] | None"
+        self,
+        pairs: "Sequence[Pair]",
+        grown: "list[np.ndarray] | None",
+        inner: "list[np.ndarray] | None",
     ) -> "Iterator[_Slab]":
         """Def. 3 growth + Alg. 1 for every pair, yielding the finished
         pairs in slabs of about :data:`SLAB_ENTRIES` gathered entries; a
         finishing pair's union (its final radius-h ball) lands in
-        ``grown[row]`` when asked.
+        ``grown[row]`` and its inner ball (see :meth:`extract_batch`) in
+        ``inner[row]`` when asked.
 
         Each level cuts its combine pass into chunks by gather volume
         (:meth:`_chunks`) and runs them one by one through
@@ -782,7 +801,7 @@ class BatchExtractionEngine:
                 observe_many("subgraph.ball_size", sizes)
                 observe_many(
                     "subgraph.frontier_size",
-                    [size - g.prev_size for size, g in zip(sizes, active)],
+                    [size - g.prev.size for size, g in zip(sizes, active)],
                 )
             # pairs whose ball holds fewer than K nodes cannot reach K
             # structure nodes: they only grow, alongside the first chunk
@@ -793,7 +812,7 @@ class BatchExtractionEngine:
             finished = 0
             for index, chunk in enumerate(chunks or [None]):
                 grew, count = self._advance_chunk(
-                    chunk, small if index == 0 else [], h, slab, grown
+                    chunk, small if index == 0 else [], h, slab, grown, inner
                 )
                 growing += grew
                 finished += count
@@ -813,6 +832,7 @@ class BatchExtractionEngine:
         h: int,
         slab: _Slab,
         grown: "list[np.ndarray] | None",
+        inner: "list[np.ndarray] | None",
     ) -> "tuple[list[_Growth], int]":
         """One chunk of level ``h``: Alg. 1 over its pairs, growth to
         ``h + 1`` of those short of K structure nodes (and of ``small``),
@@ -842,15 +862,20 @@ class BatchExtractionEngine:
             else:
                 with span("subgraph_growth", h=h + 1, pairs=len(pending)):
                     forced, growing = self._grow_pending(pending, h)
+        # a pair that reached K keeps B_{h-1} as its inner ball; a forced
+        # one keeps B_h, where one more edge could let its ball grow
+        reached = [chunk.growths[s] for s in done] if chunk is not None else []
+        stopped = [growth for growth, _segment in forced]
         done += [segment for _growth, segment in forced if segment is not None]
         leftover = [growth for growth, segment in forced if segment is None]
         if grown is not None:
-            if chunk is not None:
-                for segment in done:
-                    growth = chunk.growths[segment]
-                    grown[growth.row] = growth.union
-            for growth in leftover:
+            for growth in reached + stopped:
                 grown[growth.row] = growth.union
+        if inner is not None:
+            for growth in reached:
+                inner[growth.row] = growth.prev
+            for growth in stopped:
+                inner[growth.row] = growth.union
         if done or leftover:
             with span("structure_combination", h=h, pairs=len(done) + len(leftover)):
                 if done:
@@ -997,7 +1022,7 @@ class BatchExtractionEngine:
             if hi - lo == growth.union.size:
                 forced.append((growth, segment))
             else:
-                growth.prev_size = int(growth.union.size)
+                growth.prev = growth.union
                 growth.union = merged[lo:hi] - index * n_nodes
                 growing.append(growth)
         return forced, growing

@@ -284,6 +284,7 @@ class SSFExtractor:
         self,
         pairs: "list[tuple[Node, Node]]",
         footprints: "list[np.ndarray] | None" = None,
+        inner: "list[np.ndarray] | None" = None,
     ) -> np.ndarray:
         """SSF vectors for many target links, as a ``(pairs, dim)`` matrix.
 
@@ -295,16 +296,18 @@ class SSFExtractor:
         Pairs with a missing end node yield all-zero rows, in place.
 
         ``footprints`` (csr only) is extended with each row's snapshot
-        node ids it depends on — see
+        node ids it depends on, and ``inner`` (csr only) with each row's
+        inner ball: an edge event can change the row only if an endpoint
+        lies in it or the event joins two footprint nodes — see
         :meth:`~repro.core.batch.BatchExtractionEngine.extract_batch`.
         """
         if self._backend == "csr":
             return self._engine().extract_batch(
-                pairs, self._config.entry_mode, footprints
+                pairs, self._config.entry_mode, footprints, inner
             )
-        if footprints is not None:
-            # a footprint is a set of snapshot node ids; dict has none
-            raise ValueError("footprints need the csr backend")
+        if footprints is not None or inner is not None:
+            # both are sets of snapshot node ids; dict has none
+            raise ValueError("footprints and inner balls need the csr backend")
         out = np.zeros((len(pairs), self.feature_dim), dtype=np.float64)
         if not pairs:
             return out

@@ -103,12 +103,13 @@ def build_link_prediction_task(
         seed: RNG seed for the split and the negative sampling.
 
     Raises:
-        ValueError: if the network has no links.
-        NetworkTooSmallError: if fewer than two distinct positive pairs
-            emerge at the last timestamp.
+        NetworkTooSmallError: if the network has no links or fewer than
+            two distinct timestamps (no history before the last one), or
+            if fewer than two distinct positive pairs emerge at the last
+            timestamp.
     """
     if network.number_of_links() == 0:
-        raise ValueError("cannot build a task from an empty network")
+        raise NetworkTooSmallError("cannot build a task from an empty network")
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     if negative_ratio <= 0:
@@ -120,7 +121,13 @@ def build_link_prediction_task(
 
     rng = ensure_rng(seed)
     present_time = network.last_timestamp()
-    history = network.slice(network.first_timestamp(), present_time)
+    first_time = network.first_timestamp()
+    if first_time == present_time:
+        raise NetworkTooSmallError(
+            f"every link has timestamp {present_time!r}; need at least two "
+            "distinct timestamps for a history before the last one"
+        )
+    history = network.slice(first_time, present_time)
 
     positives = _positive_pairs(network, present_time)
     if len(positives) < 2:

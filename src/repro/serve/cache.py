@@ -1,4 +1,4 @@
-"""Serving feature cache, invalidated on each row's grown footprint.
+"""Serving feature cache, invalidated exactly where an event can change a row.
 
 SSF features are expensive relative to a cache probe (a subgraph walk,
 Palette-WL ordering and a matrix unfold per pair), and a serving
@@ -10,22 +10,31 @@ feature can only change when an edge event lands near it.
 
 :class:`FeatureCache` stores one entry per scored pair, keyed by the
 canonical pair label, carrying the feature row, the serving clock it was
-extracted at and its **footprint**: the node ids of the pair's final
-grown Def. 3 ball, as the batched engine reports it.  The row depends on
-that ball's induced sub-multigraph and the clock alone, and an edge
-between two nodes outside the ball cannot shorten a path into it, so an
-event can change the row only if an endpoint lies in the footprint;
-:meth:`invalidate_nodes` drops exactly those entries.  Rows with an
+extracted at, its **footprint** and its **inner ball**, as the batched
+engine reports them.  The footprint is the pair's final grown Def. 3
+ball B_h: the row depends on that ball's induced sub-multigraph and the
+clock alone.  The inner ball is B_{h-1}, the ball one growth step
+before the end, or B_h for a pair whose ball stopped growing (or hit
+``max_hop``).  An edge event can change the row only if an endpoint
+lies in the inner ball or the event joins two footprint nodes; a new
+path of length j from an end node enters through the new edge at a
+node within j − 1 hops, so otherwise B_0..B_h and the links inside
+them stay as they were.  :meth:`invalidate_nodes` drops exactly those
+entries.  A row put without an inner ball uses its footprint as one,
+which drops it on any event that touches the footprint.  Rows with an
 empty footprint (an end node missing from the snapshot) are not stored.
 
 The store is a handful of arrays, not one object per entry.  Each entry
 owns a slot: its row is a row of one float64 block and its clock and
-footprint bounds are per-slot array elements.  Footprints live back to
-back in one flat int32 id array, each entry owning a contiguous run;
-a dropped entry's run stays behind as dead ids until the dead ids
-outnumber the live ones, when one vectorised pass closes the gaps.  A
-k = 10 entry with a 37-id footprint costs 44·8 + 37·4 bytes (up to
-twice the ids while dead runs wait), plus its key and LRU link.
+id-run bounds are per-slot array elements.  Inner balls and footprints
+live back to back in one flat int32 id array, each entry owning one
+contiguous run, its inner ball ``[lo, mid)`` just before its footprint
+``[mid, hi)``; a dropped entry's run stays behind as dead ids until the
+dead ids outnumber the live ones, when one vectorised pass closes the
+gaps.  Most rows stop at h = 1, where the inner ball is the two end
+nodes, so a k = 10 entry with a 32-id footprint costs 44·8 + 34·4
+bytes (up to twice the ids while dead runs wait), plus its key and LRU
+link.
 
 ``max_staleness`` (default ``0.0``) bounds how far the serving clock may
 move after extraction before an entry is a miss; at ``0.0`` every served
@@ -57,8 +66,9 @@ Node = Hashable
 PairKey = tuple[str, str]
 
 #: default bound on cached pair entries.  On the co-author serving
-#: benchmark (k = 10, 37-id footprints) an entry's row and ids take 500
-#: bytes (648 while dead runs wait), so 10k take 5-6.5 MB plus the keys
+#: benchmark (k = 10, 32-id footprints, 2-id inner balls) an entry's row
+#: and ids take 488 bytes (624 while dead runs wait), so 10k take
+#: 4.9-6.2 MB plus the keys
 DEFAULT_CACHE_ENTRIES = 10_000
 
 #: slots and ids the first put reserves; both double as they fill
@@ -83,7 +93,7 @@ class CacheEntry:
 
 
 class FeatureCache:
-    """LRU feature cache with footprint invalidation.
+    """LRU feature cache with exact inner-ball and footprint invalidation.
 
     Counters (gated behind ``obs.enable``): ``serve.cache.hits``,
     ``serve.cache.misses``, ``serve.cache.evictions``,
@@ -150,7 +160,7 @@ class FeatureCache:
             return None
         digest = self._digests[slot]
         if verify and snapshot is not None and digest is not None:
-            footprint = self._ids[self._lo[slot] : self._hi[slot]].tolist()
+            footprint = self._ids[self._mid[slot] : self._hi[slot]].tolist()
             if subgraph_fingerprint(snapshot, footprint) != digest:
                 self._drop(key, slot)
                 self.misses += 1
@@ -169,20 +179,20 @@ class FeatureCache:
         footprint: "Iterable[int]",
         present_time: float,
         *,
+        inner: "Iterable[int] | None" = None,
         snapshot: "CSRSnapshot | None" = None,
         fingerprint: bool = False,
     ) -> None:
         """Insert/replace one entry (none for an empty ``footprint``);
         evicts the LRU entry past the bound.
 
-        ``footprint`` holds snapshot node ids (int32, like CSR indices);
-        an array is copied in as it is, duplicates and order included.
+        ``footprint`` and ``inner`` hold snapshot node ids (int32, like
+        CSR indices); arrays are copied in as they are, duplicates and
+        order included.  ``inner`` is the row's inner ball (module
+        docstring); without one, the footprint stands in for it.
         """
-        ids = (
-            footprint
-            if isinstance(footprint, np.ndarray)
-            else np.fromiter(map(int, footprint), dtype=np.int64)
-        )
+        ids = _id_array(footprint)
+        inner_ids = ids if inner is None else _id_array(inner)
         row = np.asarray(features)
         if ids.size and row.shape != self._rows.shape[1:]:
             self._reshape_rows(row)
@@ -200,14 +210,17 @@ class FeatureCache:
         self._compact_if_sparse()
         slot = self._free.pop() if self._free else self._new_slot()
         lo = self._end
-        hi = lo + ids.size
+        mid = lo + inner_ids.size
+        hi = mid + ids.size
         if hi > self._ids.size:
             self._ids = _regrown(
                 self._ids, max(2 * self._ids.size, hi, _FIRST_IDS), lo
             )
-        self._ids[lo:hi] = ids
+        self._ids[lo:mid] = inner_ids
+        self._ids[mid:hi] = ids
         self._end = hi
         self._lo[slot] = lo
+        self._mid[slot] = mid
         self._hi[slot] = hi
         self._rows[slot] = row
         self._times[slot] = present_time
@@ -224,36 +237,45 @@ class FeatureCache:
     # ------------------------------------------------------------------
     # invalidation
     # ------------------------------------------------------------------
-    def invalidate_nodes(self, node_ids: "Iterable[int]") -> list[PairKey]:
-        """Drop every entry whose footprint contains any of ``node_ids``.
+    def invalidate_nodes(
+        self, events: "Iterable[tuple[int, int]]"
+    ) -> list[PairKey]:
+        """Drop every entry that one of the edge ``events`` can change.
 
-        The serving loop calls this with the endpoints of each ingested
-        edge event; an event can change a row only if an endpoint lies
-        in the row's footprint.  Returns the dropped keys (sorted) so
+        ``events`` are the ingested events' ``(u_id, v_id)`` snapshot id
+        pairs.  An entry is dropped when an event endpoint lies in its
+        inner ball, or when one event joins two nodes of its footprint
+        (module docstring); every other entry equals a cold extraction
+        at an unchanged clock.  Returns the dropped keys (sorted) so
         callers can cascade the invalidation to derived caches.
 
         One membership pass over the id array (live and dead runs) finds
-        the positions holding a touched id; two binary searches per slot
-        count each run's hits.  On the co-author serving benchmark (about
-        7k entries, 4 events per ingest) a traced ingest spends about
-        8 ms here, against about 19 ms for a set-disjointness test per
-        entry on frozenset footprints (docs/PERFORMANCE.md, "Serving
-        memory").  An inverted node index would visit only the dropped
-        entries, but would charge every put and drop one update per
-        footprint node.
+        the positions holding an event endpoint; two binary searches per
+        slot count each inner run's hits.  The joined-footprint test then
+        runs once per event, over those positions only.  An inverted node
+        index would visit only the dropped entries, but would charge
+        every put and drop one update per footprint node.
         """
         # under the ingesting request's serve.ingest span this span is
         # a leaf of that request's trace
         with span("serve.cache_invalidate") as inv_span:
-            touched = np.fromiter(map(int, node_ids), dtype=np.int64)
+            pairs = {(int(u), int(v)) for u, v in events}
             dropped: list[PairKey] = []
-            if touched.size and self._slot_of:
-                at = np.flatnonzero(np.isin(self._ids[: self._end], touched))
-                hit = np.flatnonzero(
-                    np.searchsorted(at, self._hi) != np.searchsorted(at, self._lo)
-                ).tolist()
-                dropped = sorted(self._keys[slot] for slot in hit)
-                for slot in hit:
+            if pairs and self._slot_of:
+                ids = self._ids[: self._end]
+                at = np.flatnonzero(np.isin(ids, np.array(list(pairs))))
+                held = ids[at]
+                lo, mid, hi = self._lo, self._mid, self._hi
+                # an event endpoint in the inner ball
+                hit = _runs_holding(at, lo, mid)
+                # one event joining two footprint nodes
+                for u, v in pairs:
+                    hit |= _runs_holding(at[held == u], mid, hi) & _runs_holding(
+                        at[held == v], mid, hi
+                    )
+                slots = np.flatnonzero(hit).tolist()
+                dropped = sorted(self._keys[slot] for slot in slots)
+                for slot in slots:
                     del self._slot_of[self._keys[slot]]
                     self._release(slot)
                 self._compact_if_sparse()
@@ -269,17 +291,19 @@ class FeatureCache:
         # LRU order, oldest first: key -> slot
         self._slot_of: OrderedDict[PairKey, int] = OrderedDict()
         # per slot: the feature row, the extraction clock and the
-        # [lo, hi) run of the entry's footprint in ``_ids``; a free
-        # slot's run is empty (lo = hi) and its key None
+        # [lo, hi) run of the entry's ids in ``_ids``, its inner ball
+        # [lo, mid) and its footprint [mid, hi); a free slot's run is
+        # empty (lo = mid = hi) and its key None
         self._rows = np.empty((0, 0), dtype=np.float64)
         self._times = np.empty(0, dtype=np.float64)
         self._lo = np.empty(0, dtype=np.int64)
+        self._mid = np.empty(0, dtype=np.int64)
         self._hi = np.empty(0, dtype=np.int64)
         self._keys: list["PairKey | None"] = []
         self._digests: list["str | None"] = []
         self._free: list[int] = []
-        # footprint runs back to back; [0, _end) is in use, _dead ids
-        # of it belong to dropped entries
+        # entry runs back to back; [0, _end) is in use, _dead ids of it
+        # belong to dropped entries
         self._ids = np.empty(0, dtype=np.int32)
         self._end = 0
         self._dead = 0
@@ -295,6 +319,7 @@ class FeatureCache:
     def _release(self, slot: int) -> None:
         self._dead += int(self._hi[slot] - self._lo[slot])
         self._lo[slot] = 0
+        self._mid[slot] = 0
         self._hi[slot] = 0
         self._keys[slot] = None
         self._digests[slot] = None
@@ -308,6 +333,7 @@ class FeatureCache:
             self._rows = _regrown(self._rows, size, slot)
             self._times = _regrown(self._times, size, slot)
             self._lo = _regrown(self._lo, size, slot)
+            self._mid = _regrown(self._mid, size, slot)
             self._hi = _regrown(self._hi, size, slot)
         self._keys.append(None)
         self._digests.append(None)
@@ -338,6 +364,7 @@ class FeatureCache:
         source = np.repeat(self._lo - new_lo, size)
         source += np.arange(live_ids)
         self._ids[:live_ids] = self._ids[source]
+        self._mid += new_lo - self._lo
         self._lo = new_lo
         self._hi = new_lo + size
         self._end = live_ids
@@ -364,6 +391,21 @@ class FeatureCache:
             "evictions": float(self.evictions),
             "invalidations": float(self.invalidations),
         }
+
+
+def _runs_holding(
+    positions: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Per run ``[lo[i], hi[i])`` of the id array: does it hold one of
+    the (sorted) ``positions``?"""
+    return np.searchsorted(positions, hi) != np.searchsorted(positions, lo)
+
+
+def _id_array(ids: "Iterable[int]") -> np.ndarray:
+    """``ids`` as an array: an array as it is, anything else as int64."""
+    if isinstance(ids, np.ndarray):
+        return ids
+    return np.fromiter(map(int, ids), dtype=np.int64)
 
 
 def _regrown(array: np.ndarray, size: int, keep: int) -> np.ndarray:

@@ -5,8 +5,8 @@ Two layers:
 * :class:`ServingRecommender` — the synchronous core.  Holds a
   :class:`~repro.serve.delta.DeltaCSRSnapshot`, a trained model and a
   :class:`~repro.serve.cache.FeatureCache`; ``ingest`` appends edge
-  events and invalidates exactly the cached pairs whose grown footprint
-  the events touched; ``recommend_many`` scores several users' requests
+  events and invalidates exactly the cached pairs the events can change;
+  ``recommend_many`` scores several users' requests
   through ONE :meth:`~repro.core.feature.SSFExtractor.extract_batch`
   call, probing the cache per pair and extracting only the misses.
 * :class:`AsyncScoringFrontend` — the asyncio surface.  Concurrent
@@ -188,20 +188,24 @@ class ServingRecommender:
     ) -> int:
         """Apply edge events; returns how many cached pairs they voided.
 
-        An event can change a cached row only if one of its endpoints
-        lies in the row's grown footprint, so dropping every row whose
-        footprint holds an event endpoint removes precisely the affected
-        entries.  ``rctx`` (lint R304) threads the
-        requesting trace across the executor boundary so the ingest
-        span — and the invalidation spans under it — carry the
-        request's trace id.
+        An event can change a cached row only if an endpoint lies in the
+        row's inner ball or the event joins two nodes of its footprint
+        (:mod:`repro.serve.cache`), so the events' ``(u_id, v_id)`` pairs
+        go to :meth:`~repro.serve.cache.FeatureCache.invalidate_nodes`,
+        which drops precisely those entries.  The events are merged into
+        the snapshot here, so the merge is timed and traced as part of
+        the ingest.  ``rctx`` (lint R304) threads the requesting trace
+        across the executor boundary so the ingest span — and the
+        merge and invalidation spans under it — carry the request's
+        trace id.
         """
         with span("serve.ingest", ctx=rctx or current_context()) as ingest_span:
             touched = self.delta.apply(events)
             if not touched:
                 return 0
+            self.delta.snapshot()
             endpoints = {node_id for pair in touched for node_id in pair}
-            dropped_keys = set(self.cache.invalidate_nodes(endpoints))
+            dropped_keys = set(self.cache.invalidate_nodes(touched))
             ingest_span.tags.update(
                 touched=len(touched), invalidated=len(dropped_keys)
             )
@@ -295,7 +299,7 @@ class ServingRecommender:
         pair is probed against the feature cache, and every miss across
         ALL queries lands in one ``extract_batch`` call on the serving
         extractor's batched engine.  Fresh rows are cached with the
-        footprint the engine grew them on before scoring.
+        footprint and inner ball the engine grew them on before scoring.
 
         ``rctx`` (lint R304) is the batch's primary trace context —
         normally the first live member request — and ``members`` the
@@ -374,13 +378,17 @@ class ServingRecommender:
 
             if missed:
                 footprints: list[np.ndarray] = []
-                fresh = extractor.extract_batch(list(missed.values()), footprints)
-                for key, row, footprint in zip(missed, fresh, footprints):
+                inner: list[np.ndarray] = []
+                fresh = extractor.extract_batch(
+                    list(missed.values()), footprints, inner
+                )
+                for key, row, footprint, ball in zip(missed, fresh, footprints, inner):
                     self.cache.put(
                         key,
                         row,
                         footprint,
                         present,
+                        inner=ball,
                         snapshot=snapshot,
                         fingerprint=self.verify,
                     )

@@ -34,6 +34,7 @@ from repro.metrics.classification import roc_auc_score
 from repro.models.linear import LinearRegressionModel
 from repro.models.neural import NeuralMachine
 from repro.obs import emit_alert, get_logger, heartbeat_tick, incr, observe, set_gauge, span
+from repro.sampling.splits import NetworkTooSmallError
 from repro.utils.rng import ensure_rng
 
 Node = Hashable
@@ -344,7 +345,9 @@ def prequential_evaluate(
     rng = ensure_rng(seed)
     stamps = sorted(network.timestamp_set())
     if len(stamps) < 2:
-        raise ValueError("need at least two timestamps to stream")
+        raise NetworkTooSmallError(
+            f"{len(stamps)} distinct timestamp(s); need at least two to stream"
+        )
     by_stamp: dict[float, list[tuple]] = {s: [] for s in stamps}
     for u, v, ts in network.edges():
         by_stamp[ts].append((u, v, ts))

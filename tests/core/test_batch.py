@@ -352,6 +352,79 @@ class TestFootprints:
         extractor = SSFExtractor(network, SSFConfig(k=4), backend="dict")
         with pytest.raises(ValueError, match="csr"):
             extractor.extract_batch([("n0", "n1")], [])
+        with pytest.raises(ValueError, match="csr"):
+            extractor.extract_batch([("n0", "n1")], inner=[])
+
+
+class TestInnerBalls:
+    """Each row's inner ball is B_{h-1} for a pair that reached K
+    structure nodes at its final radius h, and B_h for a pair whose ball
+    stopped growing or hit ``max_hop`` (B_0 is the two end nodes)."""
+
+    @pytest.mark.parametrize("budget", [None, 64])
+    def test_inner_ball_matches_a_bfs_reference(self, budget, monkeypatch):
+        from repro.core import batch
+
+        if budget is not None:
+            monkeypatch.setattr(batch, "SLAB_ENTRIES", budget)
+        rng = random.Random(79)
+        seen = {"h1": 0, "deeper": 0, "stopped": 0, "cut": 0, "missing": 0}
+        for _ in range(10):
+            n = rng.randint(20, 60)
+            network = _random_network(rng, n, rng.randint(n // 2, n * 3))
+            # a 3-node component: its pairs run out of nodes before K
+            network.add_edges_from([("t0", "t1", 1.0), ("t1", "t2", 2.0)])
+            snapshot = CSRSnapshot.from_dynamic(network)
+            config = SSFConfig(
+                k=rng.choice([3, 4, 6, 10, 16]),
+                ordering=rng.choice(["influence", "hops"]),
+                max_hop=rng.choice([None, 1, 2]),
+            )
+            pairs = _random_pairs(rng, n, rng.randint(3, 12))
+            pairs.insert(1, ("missing", "n0"))
+            pairs.append(pairs[0])
+            pairs.append(("t2", "t0"))
+            reference = SSFExtractor(network, config, backend="dict")
+            footprints: list = []
+            inner: list = []
+            rows = SSFExtractor(snapshot, config, backend="csr").extract_batch(
+                pairs, footprints, inner
+            )
+            plain_footprints: list = []
+            plain = SSFExtractor(snapshot, config, backend="csr").extract_batch(
+                pairs, plain_footprints
+            )
+            assert rows.tobytes() == plain.tobytes()
+            assert [f.tolist() for f in footprints] == [
+                f.tolist() for f in plain_footprints
+            ]
+            assert len(inner) == len(pairs)
+            for (a, b), ball in zip(pairs, inner):
+                if not (snapshot.has_node(a) and snapshot.has_node(b)):
+                    assert ball.size == 0
+                    seen["missing"] += 1
+                    continue
+                ks = reference.k_structure_subgraph(a, b)
+                reached = ks.number_selected() >= config.k
+                radius = ks.h - 1 if reached else ks.h
+                expected = _snapshot_ids(
+                    snapshot, h_hop_node_set(network, a, b, radius)
+                )
+                assert np.array_equal(ball, expected), (a, b, ks.h, reached)
+                if reached:
+                    seen["h1" if ks.h == 1 else "deeper"] += 1
+                elif ks.h == config.max_hop:
+                    seen["cut"] += 1
+                else:
+                    seen["stopped"] += 1
+            # batches of one report the same inner balls
+            for pair, ball in zip(pairs, inner):
+                alone: list = []
+                SSFExtractor(snapshot, config, backend="csr").extract_batch(
+                    [pair], inner=alone
+                )
+                assert alone[0].tolist() == ball.tolist(), pair
+        assert all(seen.values()), seen
 
 
 class TestBatchEdgeCases:

@@ -480,10 +480,24 @@ class TestBadInput:
                 ["crossval", "--dataset", "co-author", "--scale", "0.02"],
                 "no timestamp yields >= 10 positive pairs",
             ),
+            (
+                ["table3", "--file", "{empty}", "--methods", "CN"],
+                "cannot build a task from an empty network",
+            ),
+            (
+                ["recommend", "--file", "{one}", "--user", "a"],
+                "need at least two distinct timestamps",
+            ),
+            (["stream", "--file", "{one}"], "need at least two to stream"),
         ],
     )
-    def test_network_too_small_to_split(self, capsys, argv, reason):
-        # only the handler, after loading the network, can tell
+    def test_network_too_small_to_split(self, capsys, tmp_path, argv, reason):
+        # only the handler, after loading the network, can tell.  {empty}
+        # is a file with no links, {one} one with one link at one stamp.
+        files = {"{empty}": tmp_path / "empty.tsv", "{one}": tmp_path / "one.tsv"}
+        files["{empty}"].write_text("")
+        files["{one}"].write_text("a b 1\n")
+        argv = [str(files.get(arg, arg)) for arg in argv]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

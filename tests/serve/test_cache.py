@@ -1,6 +1,7 @@
-"""Feature-cache semantics: LRU bound, footprint invalidation, staleness."""
+"""Feature-cache semantics: LRU bound, exact invalidation, staleness."""
 
 from collections import OrderedDict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +13,20 @@ from repro.graph.csr import CSRSnapshot
 from repro.graph.hashing import subgraph_fingerprint
 from repro.graph.temporal import DynamicNetwork
 from repro.obs.metrics import get_registry
+from repro.serve import cache as cache_module
 from repro.serve.cache import FeatureCache, pair_key
+
+#: a node id in no footprint: the event (n, OUTSIDE) touches node n alone
+OUTSIDE = 10**6
 
 
 def row(value):
     return np.full(4, float(value))
+
+
+def touching(*nodes):
+    """One edge event per node, from it to a node no entry holds."""
+    return [(node, OUTSIDE) for node in nodes]
 
 
 class TestPairKey:
@@ -52,8 +62,8 @@ class TestLruBound:
         cache.put(pair_key("u", "a"), row(0), [0, 1], present_time=1.0)
         cache.put(pair_key("u", "b"), row(1), [2, 3], present_time=1.0)
         # node 0 belonged only to the evicted entry: nothing to invalidate
-        assert cache.invalidate_nodes([0]) == []
-        assert cache.invalidate_nodes([2]) == [pair_key("u", "b")]
+        assert cache.invalidate_nodes(touching(0)) == []
+        assert cache.invalidate_nodes(touching(2)) == [pair_key("u", "b")]
 
 
 class TestBallInvalidation:
@@ -62,7 +72,7 @@ class TestBallInvalidation:
         cache.put(pair_key("u", "a"), row(0), [0, 1, 2], present_time=1.0)
         cache.put(pair_key("u", "b"), row(1), [0, 3, 4], present_time=1.0)
         cache.put(pair_key("u", "c"), row(2), [5, 6], present_time=1.0)
-        dropped = cache.invalidate_nodes([1, 4])
+        dropped = cache.invalidate_nodes(touching(1, 4))
         assert dropped == sorted([pair_key("u", "a"), pair_key("u", "b")])
         assert cache.invalidations == 2
         assert cache.get(pair_key("u", "c")) is not None
@@ -72,7 +82,7 @@ class TestBallInvalidation:
         cache = FeatureCache()
         cache.put(pair_key("u", "a"), row(0), [0, 1], present_time=1.0)
         cache.put(pair_key("v", "b"), row(1), [1, 2], present_time=1.0)
-        assert len(cache.invalidate_nodes([1])) == 2
+        assert len(cache.invalidate_nodes(touching(1))) == 2
         assert len(cache) == 0
 
     def test_empty_footprint_not_stored(self):
@@ -87,8 +97,49 @@ class TestBallInvalidation:
     def test_miss_on_unknown_node(self):
         cache = FeatureCache()
         cache.put(pair_key("u", "a"), row(0), [0], present_time=1.0)
-        assert cache.invalidate_nodes([99]) == []
+        assert cache.invalidate_nodes(touching(99)) == []
         assert len(cache) == 1
+
+
+class TestInnerBallInvalidation:
+    """An entry with an inner ball drops on an event endpoint in that
+    ball, or on one event joining two of its footprint nodes."""
+
+    def test_endpoint_in_inner_ball_drops(self):
+        cache = FeatureCache()
+        cache.put(pair_key("u", "a"), row(0), [0, 1, 2, 3], 1.0, inner=[0, 1])
+        assert cache.invalidate_nodes([(1, OUTSIDE)]) == [pair_key("u", "a")]
+
+    def test_footprint_only_endpoint_keeps_the_entry(self):
+        cache = FeatureCache()
+        cache.put(pair_key("u", "a"), row(0), [0, 1, 2, 3], 1.0, inner=[0, 1])
+        # 2 and 3 lie in the footprint only, and each event's other end
+        # lies outside it
+        assert cache.invalidate_nodes([(2, OUTSIDE), (7, 3)]) == []
+        assert cache.get(pair_key("u", "a")).features.tolist() == row(0).tolist()
+
+    def test_one_event_joining_two_footprint_nodes_drops(self):
+        cache = FeatureCache()
+        cache.put(pair_key("u", "a"), row(0), [0, 1, 2, 3], 1.0, inner=[0, 1])
+        cache.put(pair_key("u", "b"), row(1), [0, 2, 8], 1.0, inner=[0])
+        # two events each touch one node of (u, a)'s footprint: kept
+        assert cache.invalidate_nodes([(2, 5), (3, 6)]) == []
+        # one event joins 2 and 3: (u, a) goes, (u, b) holds only 2
+        assert cache.invalidate_nodes([(3, 2)]) == [pair_key("u", "a")]
+        assert len(cache) == 1
+
+    def test_put_without_inner_ball_uses_the_footprint(self):
+        cache = FeatureCache()
+        cache.put(pair_key("u", "a"), row(0), [0, 1, 2, 3], 1.0)
+        cache.put(pair_key("u", "b"), row(1), [0, 1, 2, 3], 1.0, inner=[0, 1])
+        assert cache.invalidate_nodes([(3, OUTSIDE)]) == [pair_key("u", "a")]
+
+    def test_re_put_replaces_the_inner_ball(self):
+        cache = FeatureCache()
+        cache.put(pair_key("u", "a"), row(0), [0, 1, 2], 1.0, inner=[0, 1, 2])
+        cache.put(pair_key("u", "a"), row(1), [0, 1, 2], 1.0, inner=[0, 1])
+        assert cache.invalidate_nodes([(2, OUTSIDE)]) == []
+        assert cache.get(pair_key("u", "a")).features.tolist() == row(1).tolist()
 
 
 class TestStaleness:
@@ -178,11 +229,26 @@ class TestStore:
             cache.put(pair_key("u", f"c{i}"), row(i), [10 * i, 10 * i + 1], 1.0)
         used = cache._end
         # dropping four of six runs leaves more dead ids than live ones
-        cache.invalidate_nodes([0, 11, 20, 41])
+        cache.invalidate_nodes(touching(0, 11, 20, 41))
         assert cache._end < used and cache._dead == 0
-        assert cache.invalidate_nodes([31]) == [pair_key("u", "c3")]
+        assert cache.invalidate_nodes(touching(31)) == [pair_key("u", "c3")]
         assert cache.get(pair_key("u", "c5")).features.tolist() == row(5).tolist()
-        assert cache.invalidate_nodes([50]) == [pair_key("u", "c5")]
+        assert cache.invalidate_nodes(touching(50)) == [pair_key("u", "c5")]
+        assert len(cache) == 0
+
+    def test_compaction_keeps_inner_balls(self):
+        cache = FeatureCache()
+        for i in range(6):
+            ball = [10 * i + j for j in range(4)]
+            cache.put(pair_key("u", f"c{i}"), row(i), ball, 1.0, inner=ball[:2])
+        used = cache._end
+        cache.invalidate_nodes(touching(0, 11, 20, 41))
+        assert cache._end < used and cache._dead == 0
+        # c3 and c5 slid down: their footprint-only nodes still keep
+        # them, their inner balls and joined footprints still drop them
+        assert cache.invalidate_nodes(touching(32, 53)) == []
+        assert cache.invalidate_nodes([(32, 33)]) == [pair_key("u", "c3")]
+        assert cache.invalidate_nodes(touching(51)) == [pair_key("u", "c5")]
         assert len(cache) == 0
 
     def test_growth_keeps_rows_and_footprints(self):
@@ -190,7 +256,7 @@ class TestStore:
         # 200 entries of 40 ids outgrow the first 64 slots and 1024 ids
         for i in range(200):
             cache.put(pair_key("u", f"c{i}"), row(i), range(40 * i, 40 * i + 40), 1.0)
-        assert cache.invalidate_nodes([5, 7999]) == [
+        assert cache.invalidate_nodes(touching(5, 7999)) == [
             pair_key("u", "c0"),
             pair_key("u", "c199"),
         ]
@@ -216,7 +282,7 @@ class TestGauges:
             cache.put(pair_key("u", "a"), row(0), [0, 1], present_time=1.0)
             cache.put(pair_key("u", "b"), row(1), [2], present_time=1.0)
             after_puts = get_registry().snapshot()["gauges"]
-            cache.invalidate_nodes([1])
+            cache.invalidate_nodes(touching(1))
             after_drop = get_registry().snapshot()["gauges"]
         finally:
             obs.disable()
@@ -228,7 +294,9 @@ class TestGauges:
 
 class ReferenceCache:
     """The cache contract in plain Python: an LRU ``OrderedDict`` of
-    key -> (row copy, frozenset footprint, extraction time)."""
+    key -> (row copy, frozenset inner ball, frozenset footprint,
+    extraction time), the footprint standing in for a missing inner
+    ball."""
 
     def __init__(self, max_entries, max_staleness):
         self.max_entries = max_entries
@@ -241,7 +309,7 @@ class ReferenceCache:
         if entry is not None and (
             self.max_staleness is not None
             and present_time is not None
-            and abs(present_time - entry[2]) > self.max_staleness
+            and abs(present_time - entry[3]) > self.max_staleness
         ):
             del self.entries[key]
             entry = None
@@ -252,17 +320,31 @@ class ReferenceCache:
         self.hits += 1
         return entry[0]
 
-    def put(self, key, features, footprint, present_time):
+    def put(self, key, features, footprint, present_time, inner=None):
         self.entries.pop(key, None)
         if footprint:
-            self.entries[key] = (features.copy(), frozenset(footprint), present_time)
+            ball = footprint if inner is None else inner
+            self.entries[key] = (
+                features.copy(),
+                frozenset(ball),
+                frozenset(footprint),
+                present_time,
+            )
         if len(self.entries) > self.max_entries:
             self.entries.popitem(last=False)
             self.evictions += 1
 
-    def invalidate_nodes(self, node_ids):
+    def invalidate_nodes(self, events):
+        def changes(inner, footprint):
+            return any(
+                u in inner or v in inner or (u in footprint and v in footprint)
+                for u, v in events
+            )
+
         dropped = sorted(
-            key for key, (_, ids, _) in self.entries.items() if ids & set(node_ids)
+            key
+            for key, (_, inner, footprint, _) in self.entries.items()
+            if changes(inner, footprint)
         )
         for key in dropped:
             del self.entries[key]
@@ -276,6 +358,7 @@ class ReferenceCache:
 KEYS = [pair_key("u", f"c{i}") for i in range(6)]
 TIMES = st.sampled_from([0.0, 1.0, 2.5])
 NODE = st.integers(0, 11)
+EVENT = st.tuples(NODE, NODE).filter(lambda event: event[0] != event[1])
 ROW = st.lists(
     st.floats(allow_nan=True, allow_infinity=True, width=64), min_size=3, max_size=3
 ).map(np.array)
@@ -286,13 +369,14 @@ OPERATIONS = st.lists(
             st.integers(0, len(KEYS) - 1),
             ROW,
             st.lists(NODE, max_size=6),
+            st.none() | st.lists(NODE, max_size=4),  # the inner ball
             TIMES,
-            st.booleans(),  # footprint as an int64 array, as the engine gives it
+            st.booleans(),  # ids as int64 arrays, as the engine gives them
         ),
         st.tuples(
             st.just("get"), st.integers(0, len(KEYS) - 1), st.none() | TIMES
         ),
-        st.tuples(st.just("invalidate"), st.lists(NODE, max_size=3)),
+        st.tuples(st.just("invalidate"), st.lists(EVENT, max_size=3)),
         st.tuples(st.just("clear")),
     ),
     min_size=20,
@@ -314,27 +398,38 @@ class TestAgainstReference:
     def test_matches_reference(self, max_entries, max_staleness, operations):
         cache = FeatureCache(max_entries, max_staleness=max_staleness)
         reference = ReferenceCache(max_entries, max_staleness)
-        for operation in operations:
-            name, args = operation[0], operation[1:]
-            if name == "put":
-                index, features, footprint, present_time, as_array = args
-                ids = np.array(footprint, dtype=np.int64) if as_array else footprint
-                cache.put(KEYS[index], features, ids, present_time)
-                reference.put(KEYS[index], features, footprint, present_time)
-            elif name == "get":
-                index, present_time = args
-                entry = cache.get(KEYS[index], present_time=present_time)
-                expected = reference.get(KEYS[index], present_time=present_time)
-                got = None if entry is None else entry.features
-                assert bits(got) == bits(expected)
-            elif name == "invalidate":
-                assert cache.invalidate_nodes(args[0]) == reference.invalidate_nodes(
-                    args[0]
-                )
-            else:
-                cache.clear()
-                reference.clear()
-            self._assert_same(cache, reference)
+        # tiny first reservations, so the store regrows its slots and ids
+        with mock.patch.object(cache_module, "_FIRST_SLOTS", 2), mock.patch.object(
+            cache_module, "_FIRST_IDS", 4
+        ):
+            for operation in operations:
+                self._apply(cache, reference, operation)
+                self._assert_same(cache, reference)
+
+    @staticmethod
+    def _apply(cache, reference, operation):
+        name, args = operation[0], operation[1:]
+        if name == "put":
+            index, features, footprint, inner, present_time, as_array = args
+            ids, ball = footprint, inner
+            if as_array:
+                ids = np.array(footprint, dtype=np.int64)
+                ball = None if inner is None else np.array(inner, dtype=np.int64)
+            cache.put(KEYS[index], features, ids, present_time, inner=ball)
+            reference.put(KEYS[index], features, footprint, present_time, inner)
+        elif name == "get":
+            index, present_time = args
+            entry = cache.get(KEYS[index], present_time=present_time)
+            expected = reference.get(KEYS[index], present_time=present_time)
+            got = None if entry is None else entry.features
+            assert bits(got) == bits(expected)
+        elif name == "invalidate":
+            assert cache.invalidate_nodes(args[0]) == reference.invalidate_nodes(
+                args[0]
+            )
+        else:
+            cache.clear()
+            reference.clear()
 
     @staticmethod
     def _assert_same(cache, reference):
@@ -348,10 +443,11 @@ class TestAgainstReference:
         # read the store directly, so the checks move no counter or LRU link
         assert list(cache._slot_of) == list(reference.entries)
         for key, slot in cache._slot_of.items():
-            features, footprint, present_time = reference.entries[key]
+            features, inner, footprint, present_time = reference.entries[key]
             assert cache._rows[slot].tobytes() == features.tobytes()
-            run = cache._ids[cache._lo[slot] : cache._hi[slot]]
-            assert frozenset(run.tolist()) == footprint
+            lo, mid, hi = cache._lo[slot], cache._mid[slot], cache._hi[slot]
+            assert frozenset(cache._ids[lo:mid].tolist()) == inner
+            assert frozenset(cache._ids[mid:hi].tolist()) == footprint
             assert cache._times[slot] == present_time
         # dead runs never outnumber the live ids between calls
         assert cache._dead <= cache._end - cache._dead

@@ -171,3 +171,72 @@ def test_event_three_hops_out_invalidates_a_row_grown_past_two_hops():
     assert core.delta.scoring_time() == clock
     serve(core, "p2")  # probes (p2, p0): a stale row fails the check
     assert core.cache.invalidations == 1
+
+
+#: (u, c) and (u, d) reach K = 4 structure nodes at h = 1: their inner
+#: balls are their end nodes.  m1 and m2 are twins in (u, c)'s ball, n is
+#: a neighbour of c three hops from u, and f0–f1 is a separate component.
+SQUARE = [
+    ("u", "m1", 1.0),
+    ("u", "m2", 2.0),
+    ("m1", "c", 3.0),
+    ("m2", "c", 4.0),
+    ("c", "n", 5.0),
+    ("m1", "d", 2.0),
+    ("f0", "f1", 1.0),
+]
+
+
+def cached_row(core: ServingRecommender, key) -> np.ndarray:
+    return core.cache._rows[core.cache._slot_of[key]].copy()
+
+
+def cold_row(core: ServingRecommender, pair) -> np.ndarray:
+    present = core.delta.scoring_time()
+    return core.cache._cold_extractor(present).extract_batch([pair])[0]
+
+
+@pytest.mark.parametrize("partner", ["x", "f0"])
+def test_event_off_the_inner_ball_keeps_the_row_and_the_ranking(partner):
+    # n lies in (u, c)'s footprint but not in its inner ball, and the
+    # event's other end (a new node, or one in another component) lies
+    # outside the footprint: the row cannot change
+    config = SSFConfig(k=4, theta=0.5)
+    core = serving_core(SQUARE, config, global_candidates=0)
+    serve(core, "u")
+    key = ("'c'", "'u'")
+    assert core.cache.stored[key] == ("u", "c")
+    before = core.recommend("u", top_n=3)
+    clock = core.delta.scoring_time()
+    event = ("n", partner, 3.0)  # an existing stamp: the clock stays put
+    ingest(core, [event])
+    assert core.delta.scoring_time() == clock
+    assert core.cache.invalidations == 0
+    assert cached_row(core, key).tobytes() == cold_row(core, ("u", "c")).tobytes()
+    # the ranked result survives too, and equals a cold instance's
+    hits = core.result_hits
+    after = core.recommend("u", top_n=3)
+    assert core.result_hits == hits + 1
+    assert after == before
+    cold = serving_core(SQUARE + [event], config, global_candidates=0)
+    assert cold.recommend("u", top_n=3) == after
+
+
+def test_event_joining_a_neighbour_of_each_end_node_drops_the_row():
+    config = SSFConfig(k=4, theta=0.5)
+    core = serving_core(SQUARE, config, global_candidates=0)
+    serve(core, "u")
+    key = ("'c'", "'u'")
+    # m2 (a neighbour of u) and n (a neighbour of c) each gain a new
+    # partner: two events, neither joining two nodes of the footprint
+    ingest(core, [("m2", "x1", 3.0), ("n", "x2", 3.0)])
+    assert core.cache.invalidations == 0
+    checked = core.cache.checked
+    serve(core, "u")  # m2 moved u's pool: (u, c) is probed and checked
+    assert core.cache.checked > checked
+    stored = cached_row(core, key)
+    # one event joining m2 and n splits the twins m1, m2 apart
+    ingest(core, [("m2", "n", 3.0)])
+    assert key not in core.cache._slot_of
+    assert core.cache.invalidations == 1
+    assert stored.tobytes() != cold_row(core, ("u", "c")).tobytes()

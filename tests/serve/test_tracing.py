@@ -120,20 +120,31 @@ class TestFrontendTrace:
         assert fanned[0]["trace_id"] in member_ids
 
     def test_ingest_trace_covers_delta_and_invalidation(self, fresh):
-        serving = fresh()
+        # the ingest merges its events under its own span, also where no
+        # hub ranking (global_candidates=0) would merge them
+        for hubs in (20, 0):
+            serving = fresh(global_candidates=hubs)
 
-        async def scenario():
-            async with AsyncScoringFrontend(serving) as frontend:
-                await frontend.recommend("n0", top_n=3)  # warm the cache
-                await frontend.ingest([("n0", "n9", 90.0)])
+            async def scenario():
+                async with AsyncScoringFrontend(serving) as frontend:
+                    await frontend.recommend("n0", top_n=3)  # warm the cache
+                    await frontend.ingest([("n0", "n9", 90.0)])
+                    await frontend.recommend("n0", top_n=3)
 
-        asyncio.run(scenario())
-        records = obs.drain_span_records()
-        (ingest,) = [r for r in records if r["name"] == "serve.ingest"]
-        assert ingest["trace_id"] is not None
-        trace = _by_trace(records, ingest["trace_id"])
-        names = {r["name"] for r in trace}
-        assert {"serve.ingest", "serve.delta_apply", "serve.cache_invalidate"} <= names
+            asyncio.run(scenario())
+            records = obs.drain_span_records()
+            (ingest,) = [r for r in records if r["name"] == "serve.ingest"]
+            assert ingest["trace_id"] is not None
+            trace = _by_trace(records, ingest["trace_id"])
+            names = {r["name"] for r in trace}
+            assert {
+                "serve.ingest",
+                "serve.delta_apply",
+                "serve.delta.materialize",
+                "serve.cache_invalidate",
+            } <= names, hubs
+            merges = [r for r in records if r["name"] == "serve.delta.materialize"]
+            assert [r["trace_id"] for r in merges] == [ingest["trace_id"]], hubs
 
     def test_tracing_disabled_passes_no_trace_context(self, fresh):
         # with tracing off the batch carries no trace identity: the
