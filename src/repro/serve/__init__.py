@@ -9,19 +9,22 @@ package provides the serving-side substrate and surface:
   ``most_active`` ranks hubs by decayed activity read from the
   snapshot's own Eq. 2 influence table.
 * :class:`FeatureCache` — LRU feature cache keyed on
-  :func:`~repro.serve.cache.pair_key`, invalidated on each row's grown
-  footprint.
+  :func:`~repro.serve.cache.pair_key`; an ingest drops exactly the rows
+  its events can change (an endpoint in a row's inner ball, or one
+  event joining two nodes of its grown footprint).
 * :class:`ServingRecommender` / :class:`AsyncScoringFrontend` — the
   one recommender (``ServingRecommender.fit`` trains it), a batched
-  scoring core, and its coalescing asyncio front-end.
+  scoring core, and its coalescing asyncio front-end.  Its ``ingest``
+  owns the serving clock: an ingest that moves it empties the cache
+  and the result memo, so every served row and ranking equals a cold
+  recomputation.
 * :func:`run_replay` — the measured replay harness behind
   ``repro serve --replay`` and the CI serving smoke step.
 
-See docs/SERVING.md for the architecture and the cache's one opt-in
-approximation.
+See docs/SERVING.md for the architecture and why the cache is exact.
 """
 
-from repro.serve.cache import DEFAULT_CACHE_ENTRIES, CacheEntry, FeatureCache, pair_key
+from repro.serve.cache import DEFAULT_CACHE_ENTRIES, FeatureCache, pair_key
 from repro.serve.delta import DeltaCSRSnapshot
 from repro.serve.frontend import (
     DEFAULT_MAX_BATCH,
@@ -33,7 +36,6 @@ from repro.serve.replay import ReplayResult, run_replay, split_replay_stream
 
 __all__ = [
     "AsyncScoringFrontend",
-    "CacheEntry",
     "DeltaCSRSnapshot",
     "DEFAULT_CACHE_ENTRIES",
     "DEFAULT_MAX_BATCH",

@@ -9,25 +9,30 @@ formation is overwhelmingly a *local* process, so a cached pair's
 feature can only change when an edge event lands near it.
 
 :class:`FeatureCache` stores one entry per scored pair, keyed by the
-canonical pair label, carrying the feature row, the serving clock it was
-extracted at, its **footprint** and its **inner ball**, as the batched
-engine reports them.  The footprint is the pair's final grown Def. 3
-ball B_h: the row depends on that ball's induced sub-multigraph and the
-clock alone.  The inner ball is B_{h-1}, the ball one growth step
-before the end, or B_h for a pair whose ball stopped growing (or hit
-``max_hop``).  An edge event can change the row only if an endpoint
-lies in the inner ball or the event joins two footprint nodes; a new
-path of length j from an end node enters through the new edge at a
-node within j − 1 hops, so otherwise B_0..B_h and the links inside
-them stay as they were.  :meth:`invalidate_nodes` drops exactly those
-entries.  A row put without an inner ball uses its footprint as one,
-which drops it on any event that touches the footprint.  Rows with an
+canonical pair label, carrying the feature row, its **footprint** and
+its **inner ball**, as the batched engine reports them.  The footprint
+is the pair's final grown Def. 3 ball B_h: the row depends on that
+ball's induced sub-multigraph and the serving clock alone.  The inner
+ball is B_{h-1}, the ball one growth step before the end, or B_h for a
+pair whose ball stopped growing (or hit ``max_hop``).  An edge event can
+change the row only if an endpoint lies in the inner ball or the event
+joins two footprint nodes; a new path of length j from an end node
+enters through the new edge at a node within j − 1 hops, so otherwise
+B_0..B_h and the links inside them stay as they were.
+:meth:`invalidate_nodes` drops exactly those entries.  Rows with an
 empty footprint (an end node missing from the snapshot) are not stored.
 
+The cache holds no clock.  Def. 8's ``exp(-θ(l_t − l_s))`` makes every
+row a function of the serving clock, so a clock move changes every row
+at once; the owner of the clock,
+:meth:`~repro.serve.frontend.ServingRecommender.ingest`, then empties
+the cache with :meth:`clear`, so every served row equals a cold
+extraction at the current clock.
+
 The store is a handful of arrays, not one object per entry.  Each entry
-owns a slot: its row is a row of one float64 block and its clock and
-id-run bounds are per-slot array elements.  Inner balls and footprints
-live back to back in one flat int32 id array, each entry owning one
+owns a slot: its row is a row of one float64 block and its id-run
+bounds are per-slot array elements.  Inner balls and footprints live
+back to back in one flat int32 id array, each entry owning one
 contiguous run, its inner ball ``[lo, mid)`` just before its footprint
 ``[mid, hi)``; a dropped entry's run stays behind as dead ids until the
 dead ids outnumber the live ones, when one vectorised pass closes the
@@ -35,12 +40,6 @@ gaps.  Most rows stop at h = 1, where the inner ball is the two end
 nodes, so a k = 10 entry with a 32-id footprint costs 44·8 + 34·4
 bytes (up to twice the ids while dead runs wait), plus its key and LRU
 link.
-
-``max_staleness`` (default ``0.0``) bounds how far the serving clock may
-move after extraction before an entry is a miss; at ``0.0`` every served
-row equals a cold extraction.  A positive bound, or ``None`` for none,
-is the one opt-in approximation: the row's ``exp(-θ·Δt)`` factors then
-lag the clock (docs/SERVING.md measures the cost).
 
 For exactness audits, each entry can carry a
 :func:`~repro.graph.hashing.subgraph_fingerprint` of its footprint; a
@@ -52,7 +51,6 @@ the hot path, invaluable for tests and canaries).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 import numpy as np
@@ -82,44 +80,25 @@ def pair_key(u: Node, v: Node) -> PairKey:
     return (a, b) if a <= b else (b, a)
 
 
-@dataclass
-class CacheEntry:
-    """One cache hit: a copy of the feature row and the clock it was
-    extracted at."""
-
-    features: np.ndarray
-    present_time: float
-    fingerprint: "str | None" = None
-
-
 class FeatureCache:
     """LRU feature cache with exact inner-ball and footprint invalidation.
 
     Counters (gated behind ``obs.enable``): ``serve.cache.hits``,
     ``serve.cache.misses``, ``serve.cache.evictions``,
-    ``serve.cache.invalidations``, ``serve.cache.stale_drops``,
-    ``serve.cache.verify_drops``; gauges ``serve.cache.entries`` and
-    ``serve.cache.bytes`` (the row block plus the id array), set on each
-    put and invalidation.
+    ``serve.cache.invalidations``, ``serve.cache.verify_drops``; gauges
+    ``serve.cache.entries`` and ``serve.cache.bytes`` (the row block
+    plus the id array), set on each put, invalidation and clear.
     """
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_CACHE_ENTRIES,
-        *,
-        max_staleness: "float | None" = 0.0,
-    ) -> None:
+    def __init__(self, max_entries: int = DEFAULT_CACHE_ENTRIES) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if max_staleness is not None and max_staleness < 0:
-            raise ValueError(f"max_staleness must be >= 0, got {max_staleness}")
         self.max_entries = max_entries
-        self.max_staleness = max_staleness
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        self.clear()
+        self._reset()
 
     def __len__(self) -> int:
         return len(self._slot_of)
@@ -131,38 +110,27 @@ class FeatureCache:
         self,
         key: PairKey,
         *,
-        present_time: "float | None" = None,
         snapshot: "CSRSnapshot | None" = None,
         verify: bool = False,
-    ) -> "CacheEntry | None":
-        """The entry for ``key``, or ``None`` on a miss.
+    ) -> "np.ndarray | None":
+        """A copy of ``key``'s feature row, or ``None`` on a miss.
 
-        ``present_time`` applies the ``max_staleness`` bound;
         ``verify=True`` (with ``snapshot``) recomputes the footprint
-        fingerprint and drops the entry on mismatch.  The entry's row is
-        a copy, so later puts cannot change it.
+        fingerprint and drops the entry on mismatch.  The row is a copy,
+        so later puts cannot change it.
         """
         slot = self._slot_of.get(key)
         if slot is None:
             self.misses += 1
             incr("serve.cache.misses")
             return None
-        extracted_at = self._times.item(slot)
-        if (
-            self.max_staleness is not None
-            and present_time is not None
-            and abs(present_time - extracted_at) > self.max_staleness
-        ):
-            self._drop(key, slot)
-            self.misses += 1
-            incr("serve.cache.stale_drops")
-            incr("serve.cache.misses")
-            return None
         digest = self._digests[slot]
         if verify and snapshot is not None and digest is not None:
             footprint = self._ids[self._mid[slot] : self._hi[slot]].tolist()
             if subgraph_fingerprint(snapshot, footprint) != digest:
-                self._drop(key, slot)
+                del self._slot_of[key]
+                self._release(slot)
+                self._compact_if_sparse()
                 self.misses += 1
                 incr("serve.cache.verify_drops")
                 incr("serve.cache.misses")
@@ -170,16 +138,15 @@ class FeatureCache:
         self._slot_of.move_to_end(key)
         self.hits += 1
         incr("serve.cache.hits")
-        return CacheEntry(self._rows[slot].copy(), extracted_at, digest)
+        return self._rows[slot].copy()
 
     def put(
         self,
         key: PairKey,
         features: np.ndarray,
         footprint: "Iterable[int]",
-        present_time: float,
         *,
-        inner: "Iterable[int] | None" = None,
+        inner: "Iterable[int]",
         snapshot: "CSRSnapshot | None" = None,
         fingerprint: bool = False,
     ) -> None:
@@ -189,10 +156,10 @@ class FeatureCache:
         ``footprint`` and ``inner`` hold snapshot node ids (int32, like
         CSR indices); arrays are copied in as they are, duplicates and
         order included.  ``inner`` is the row's inner ball (module
-        docstring); without one, the footprint stands in for it.
+        docstring).
         """
         ids = _id_array(footprint)
-        inner_ids = ids if inner is None else _id_array(inner)
+        inner_ids = _id_array(inner)
         row = np.asarray(features)
         if ids.size and row.shape != self._rows.shape[1:]:
             self._reshape_rows(row)
@@ -223,7 +190,6 @@ class FeatureCache:
         self._mid[slot] = mid
         self._hi[slot] = hi
         self._rows[slot] = row
-        self._times[slot] = present_time
         self._keys[slot] = key
         self._digests[slot] = (
             subgraph_fingerprint(snapshot, ids.tolist())
@@ -286,16 +252,26 @@ class FeatureCache:
             self._set_gauges()
         return dropped
 
-    def clear(self) -> None:
-        """Drop every entry and free the store (counters are kept)."""
+    def clear(self) -> int:
+        """Drop every entry and free the store (counters are kept);
+        returns how many entries it dropped."""
+        dropped = len(self._slot_of)
+        self._reset()
+        if obs_enabled():
+            self._set_gauges()
+        return dropped
+
+    # ------------------------------------------------------------------
+    # store upkeep
+    # ------------------------------------------------------------------
+    def _reset(self) -> None:
         # LRU order, oldest first: key -> slot
         self._slot_of: OrderedDict[PairKey, int] = OrderedDict()
-        # per slot: the feature row, the extraction clock and the
-        # [lo, hi) run of the entry's ids in ``_ids``, its inner ball
-        # [lo, mid) and its footprint [mid, hi); a free slot's run is
-        # empty (lo = mid = hi) and its key None
+        # per slot: the feature row and the [lo, hi) run of the entry's
+        # ids in ``_ids``, its inner ball [lo, mid) and its footprint
+        # [mid, hi); a free slot's run is empty (lo = mid = hi) and its
+        # key None
         self._rows = np.empty((0, 0), dtype=np.float64)
-        self._times = np.empty(0, dtype=np.float64)
         self._lo = np.empty(0, dtype=np.int64)
         self._mid = np.empty(0, dtype=np.int64)
         self._hi = np.empty(0, dtype=np.int64)
@@ -307,14 +283,6 @@ class FeatureCache:
         self._ids = np.empty(0, dtype=np.int32)
         self._end = 0
         self._dead = 0
-
-    # ------------------------------------------------------------------
-    # store upkeep
-    # ------------------------------------------------------------------
-    def _drop(self, key: PairKey, slot: int) -> None:
-        del self._slot_of[key]
-        self._release(slot)
-        self._compact_if_sparse()
 
     def _release(self, slot: int) -> None:
         self._dead += int(self._hi[slot] - self._lo[slot])
@@ -328,10 +296,9 @@ class FeatureCache:
     def _new_slot(self) -> int:
         """A never-used slot, growing the per-slot arrays when full."""
         slot = len(self._keys)
-        if slot == self._times.size:
+        if slot == self._lo.size:
             size = min(self.max_entries, max(2 * slot, _FIRST_SLOTS))
             self._rows = _regrown(self._rows, size, slot)
-            self._times = _regrown(self._times, size, slot)
             self._lo = _regrown(self._lo, size, slot)
             self._mid = _regrown(self._mid, size, slot)
             self._hi = _regrown(self._hi, size, slot)
@@ -346,7 +313,7 @@ class FeatureCache:
                 f"feature row of shape {row.shape} does not fit the cached "
                 f"rows of shape {self._rows.shape[1:]}"
             )
-        self._rows = np.empty((self._times.size, row.size), dtype=np.float64)
+        self._rows = np.empty((self._lo.size, row.size), dtype=np.float64)
 
     def _compact_if_sparse(self) -> None:
         """Close the dead runs' gaps once they outnumber the live ids.

@@ -5,7 +5,8 @@ Two layers:
 * :class:`ServingRecommender` — the synchronous core.  Holds a
   :class:`~repro.serve.delta.DeltaCSRSnapshot`, a trained model and a
   :class:`~repro.serve.cache.FeatureCache`; ``ingest`` appends edge
-  events and invalidates exactly the cached pairs the events can change;
+  events and invalidates exactly the cached pairs the events can change,
+  or the whole cache when the events move the serving clock;
   ``recommend_many`` scores several users' requests
   through ONE :meth:`~repro.core.feature.SSFExtractor.extract_batch`
   call, probing the cache per pair and extracting only the misses.
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Hashable, Iterable, Sequence
 
@@ -114,11 +115,10 @@ class ServingRecommender:
         # deterministic function of (user, substrate), so serving a
         # memoised ranking is EXACT, not an approximation.  Each entry
         # keeps the pool, its scores and their ranking order (a request
-        # builds Suggestions for the top_n it reads), the pair keys it
-        # was scored from, and the present_time it was scored at.
+        # builds Suggestions for the top_n it reads) and the pair keys
+        # it was scored from.
         self._result_memo: dict[
-            Node,
-            tuple[list[Node], np.ndarray, np.ndarray, frozenset[PairKey], float],
+            Node, tuple[list[Node], np.ndarray, np.ndarray, frozenset[PairKey]]
         ] = {}
         # an evicted key can no longer be voided: ingest drops every
         # result once the cache has evicted since the last ingest
@@ -192,23 +192,31 @@ class ServingRecommender:
         row's inner ball or the event joins two nodes of its footprint
         (:mod:`repro.serve.cache`), so the events' ``(u_id, v_id)`` pairs
         go to :meth:`~repro.serve.cache.FeatureCache.invalidate_nodes`,
-        which drops precisely those entries.  The events are merged into
-        the snapshot here, so the merge is timed and traced as part of
-        the ingest.  ``rctx`` (lint R304) threads the requesting trace
-        across the executor boundary so the ingest span — and the
-        merge and invalidation spans under it — carry the request's
-        trace id.
+        which drops precisely those entries.  Every row and ranking also
+        decays with the serving clock (Def. 8), so when the events move
+        :meth:`~repro.serve.delta.DeltaCSRSnapshot.scoring_time` the
+        cache and the result memo are emptied, and the cleared rows
+        count as voided too.  The events are merged into the snapshot
+        here, so the merge is timed and traced as part of the ingest.
+        ``rctx`` (lint R304) threads the requesting trace across the
+        executor boundary so the ingest span — and the merge and
+        invalidation spans under it — carry the request's trace id.
         """
         with span("serve.ingest", ctx=rctx or current_context()) as ingest_span:
+            clock = self.delta.scoring_time()
             touched = self.delta.apply(events)
             if not touched:
                 return 0
             self.delta.snapshot()
             endpoints = {node_id for pair in touched for node_id in pair}
+            # invalidate even when the clock moved, so that
+            # ``cache.invalidations`` counts the rows the events changed
             dropped_keys = set(self.cache.invalidate_nodes(touched))
-            ingest_span.tags.update(
-                touched=len(touched), invalidated=len(dropped_keys)
-            )
+            voided = len(dropped_keys)
+            if self.delta.scoring_time() != clock:
+                voided += self.cache.clear()
+                self._result_memo.clear()
+            ingest_span.tags.update(touched=len(touched), invalidated=voided)
         # the substrate moved: rebuild the extractor lazily, and drop
         # exactly the memoised pools/results the events can have
         # changed — a pool when its hop ball reaches an event endpoint
@@ -216,7 +224,8 @@ class ServingRecommender:
         # within reach unless an endpoint already was) or the hub set
         # changes (a pool is a set difference, blind to hub order), a
         # ranked result whenever its pool or any feature it was scored
-        # from moved, or the cache evicted rows
+        # from moved, or the cache evicted rows (a moved clock emptied
+        # the result memo above)
         self._extractor = None
         old_hubs = self._hubs_memo
         self._hubs_memo = None
@@ -232,14 +241,14 @@ class ServingRecommender:
                 del self._pool_memo[user]
             for user in [
                 user
-                for user, (*_, keys, _) in self._result_memo.items()
+                for user, (*_, keys) in self._result_memo.items()
                 if evicted or user in pool_dropped or not dropped_keys.isdisjoint(keys)
             ]:
                 del self._result_memo[user]
         else:
             self._pool_memo.clear()
             self._result_memo.clear()
-        return len(dropped_keys)
+        return voided
 
     # ------------------------------------------------------------------
     # scoring
@@ -313,7 +322,6 @@ class ServingRecommender:
                 raise ValueError(f"top_n must be >= 1, got {top_n}")
         extractor = self.extractor
         snapshot = self._snapshot()
-        present = extractor.present_time
 
         # serve memoised rankings where the substrate has not moved
         final: "list[list[Suggestion] | None]" = [None] * len(queries)
@@ -321,17 +329,11 @@ class ServingRecommender:
         for slot, (user, top_n) in enumerate(queries):
             memo = self._result_memo.get(user)
             if memo is not None:
-                pool, scores, order, _, scored_at = memo
-                drifted = (
-                    self.cache.max_staleness is not None
-                    and abs(present - scored_at) > self.cache.max_staleness
-                )
-                if not drifted:
-                    final[slot] = _top(pool, scores, order, top_n)
-                    self.result_hits += 1
-                    incr("serve.results.hits")
-                    continue
-                del self._result_memo[user]
+                pool, scores, order, _ = memo
+                final[slot] = _top(pool, scores, order, top_n)
+                self.result_hits += 1
+                incr("serve.results.hits")
+                continue
             self.result_misses += 1
             incr("serve.results.misses")
             compute.append((slot, user, top_n))
@@ -363,14 +365,11 @@ class ServingRecommender:
                         keys.append(key)
                         if key in cached or key in missed:
                             continue
-                        entry = self.cache.get(
-                            key,
-                            present_time=present,
-                            snapshot=snapshot,
-                            verify=self.verify,
+                        row = self.cache.get(
+                            key, snapshot=snapshot, verify=self.verify
                         )
-                        if entry is not None:
-                            cached[key] = entry.features
+                        if row is not None:
+                            cached[key] = row
                         else:
                             missed[key] = (user, cand)
                     keyed.append(keys)
@@ -387,7 +386,6 @@ class ServingRecommender:
                         key,
                         row,
                         footprint,
-                        present,
                         inner=ball,
                         snapshot=snapshot,
                         fingerprint=self.verify,
@@ -415,7 +413,6 @@ class ServingRecommender:
                     query_scores,
                     order,
                     frozenset(keyed[query_index]),
-                    present,
                 )
                 for slot, top_n in slots:
                     final[slot] = _top(pool, query_scores, order, top_n)
@@ -442,7 +439,9 @@ class _ScoreJob:
     user: Node
     top_n: int
     future: "asyncio.Future[list[Suggestion]]"
-    enqueued: float = field(default_factory=time.perf_counter)
+    #: when the request's first attempt started: a request served on a
+    #: retry has waited since then
+    started: float
     cancelled: bool = False
     #: requester's trace context — carried as a field because the queue
     #: hand-off to the worker task does not propagate contextvars
@@ -536,8 +535,9 @@ class AsyncScoringFrontend:
 
         Raises :class:`ServingTimeout` once the per-attempt deadline
         (``retry.chunk_timeout``) has expired ``retry.max_retries + 1``
-        times.  ``KeyError`` for unknown users fails fast, before any
-        batch admission.
+        times.  ``KeyError`` for unknown users and ``ValueError`` for a
+        ``top_n`` below 1 fail fast, before any batch admission, so a
+        bad request cannot fail the requests batched with it.
 
         ``rctx`` (lint R304) lets a caller attach the request to an
         existing trace; by default each request roots a fresh one.  The
@@ -548,6 +548,8 @@ class AsyncScoringFrontend:
         queue = self._require_started()
         if not self.recommender.delta.has_node(user):
             raise KeyError(f"user {user!r} not in network")
+        if top_n < 1:
+            raise ValueError(f"top_n must be >= 1, got {top_n}")
         started = time.perf_counter()
         timeout = self.retry.chunk_timeout
         attempts = self.retry.max_retries + 1
@@ -555,7 +557,11 @@ class AsyncScoringFrontend:
             ctx = request.ctx
             for attempt in range(attempts):
                 job = _ScoreJob(
-                    user, top_n, asyncio.get_running_loop().create_future(), ctx=ctx
+                    user,
+                    top_n,
+                    asyncio.get_running_loop().create_future(),
+                    started,
+                    ctx=ctx,
                 )
                 await queue.put(job)
                 try:
@@ -600,7 +606,8 @@ class AsyncScoringFrontend:
         rctx: "TraceContext | None" = None,
     ) -> int:
         """Apply edge events through the worker queue (ordered against
-        in-flight scoring); returns the cache invalidation count.
+        in-flight scoring); returns how many cached pairs they voided
+        (:meth:`ServingRecommender.ingest`).
         ``rctx`` (lint R304) attaches the ingest to an existing trace;
         by default it roots its own."""
         queue = self._require_started()
@@ -692,7 +699,7 @@ class AsyncScoringFrontend:
         for job, result in zip(live, results):
             if not job.future.done():
                 job.future.set_result(result)
-                latency = now - job.enqueued
+                latency = now - job.started
                 observe("serve.request_seconds", latency)
                 slo_observe(
                     "serve.request",

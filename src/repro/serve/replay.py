@@ -191,16 +191,18 @@ def run_replay(
         pool[int(i)] for i in rng.choice(len(pool), size=queries, p=weights)
     ]
 
-    # spread ingest batches evenly through the query stream
+    # spread ingest batches evenly through the query stream; with more
+    # batches than queries the last query admits the rest, in order
     batches = [
         tail[lo : lo + events_per_batch]
         for lo in range(0, len(tail), max(1, events_per_batch))
     ]
-    ingest_at: dict[int, list[tuple[Node, Node, float]]] = {}
+    ingest_at: dict[int, list[list[tuple[Node, Node, float]]]] = {}
     if batches:
         stride = max(1, queries // (len(batches) + 1))
         for index, batch in enumerate(batches):
-            ingest_at[min((index + 1) * stride, queries - 1)] = batch
+            at = min((index + 1) * stride, queries - 1)
+            ingest_at.setdefault(at, []).append(batch)
 
     latencies: list[float] = []
     timeouts = 0
@@ -222,8 +224,9 @@ def run_replay(
         ) as frontend:
             pending: "set[asyncio.Task[object]]" = set()
             for index, user in enumerate(user_stream):
-                batch = ingest_at.get(index)
-                if batch:
+                # each task enqueues its ingest in its first step, so
+                # the batches reach the worker in creation order
+                for batch in ingest_at.get(index, ()):
                     pending.add(asyncio.create_task(frontend.ingest(batch)))
                 pending.add(asyncio.create_task(_one(frontend, user)))
                 # one beat per admitted query — rec/s over completed
@@ -267,7 +270,7 @@ def run_replay(
         queries=queries,
         completed=completed,
         timeouts=timeouts,
-        ingested_events=sum(len(batch) for batch in batches),
+        ingested_events=core.delta.events_applied,
         seconds=seconds,
         recommendations_per_second=completed / seconds if seconds else 0.0,
         p50_ms=p50,

@@ -2,9 +2,10 @@
 
 :class:`CheckingCache` wraps :class:`FeatureCache` and compares each row
 ``get`` returns, bit for bit, against a fresh csr extraction of the pair
-over a cold rebuild of the network, at the clock of the probe and in the
-orientation the row was stored in (the cache keys rows by the unordered
-pair, so a row stored while serving ``a`` is checked as ``(a, b)``).
+over a cold rebuild of the network, at the clock the serving core scores
+at and in the orientation the row was stored in (the cache keys rows by
+the unordered pair, so a row stored while serving ``a`` is checked as
+``(a, b)``).
 """
 
 from __future__ import annotations
@@ -34,14 +35,17 @@ class SumModel:
 class CheckingCache(FeatureCache):
     """A feature cache that checks every row it serves.
 
-    Set :attr:`serving` to the user whose request is scored next, and
-    append every ingested event to :attr:`events`.
+    Set :attr:`core` to the serving core that probes it (the cache
+    holds no clock, so the check reads the core's), :attr:`serving` to
+    the user whose request is scored next, and append every ingested
+    event to :attr:`events`.
     """
 
     def __init__(self, config: SSFConfig, events: list) -> None:
         super().__init__()
         self.config = config
         self.events = events
+        self.core: "ServingRecommender | None" = None
         self.serving = None
         self.stored: dict = {}
         self.checked = 0
@@ -54,17 +58,16 @@ class CheckingCache(FeatureCache):
         super().put(key, features, *args, **kwargs)
 
     def get(self, key, **kwargs):
-        entry = super().get(key, **kwargs)
-        if entry is not None:
+        row = super().get(key, **kwargs)
+        if row is not None:
             pair = self.stored[key]
-            expected = self._cold_extractor(kwargs["present_time"]).extract_batch(
-                [pair]
-            )[0]
-            assert entry.features.view(np.uint64).tolist() == (
+            clock = self.core.delta.scoring_time()
+            expected = self._cold_extractor(clock).extract_batch([pair])[0]
+            assert row.view(np.uint64).tolist() == (
                 expected.view(np.uint64).tolist()
             ), f"stale row served for {pair}"
             self.checked += 1
-        return entry
+        return row
 
     def _cold_extractor(self, present_time: float) -> SSFExtractor:
         stamp = (len(self.events), present_time)
@@ -79,7 +82,8 @@ class CheckingCache(FeatureCache):
 def serving_core(events: list, config: SSFConfig, **kwargs) -> ServingRecommender:
     cache = CheckingCache(config, list(events))
     delta = DeltaCSRSnapshot.from_dynamic(DynamicNetwork(events), theta=config.theta)
-    return ServingRecommender(delta, SumModel(), config, cache=cache, **kwargs)
+    cache.core = ServingRecommender(delta, SumModel(), config, cache=cache, **kwargs)
+    return cache.core
 
 
 def serve(core: ServingRecommender, user: str) -> None:
@@ -87,9 +91,9 @@ def serve(core: ServingRecommender, user: str) -> None:
     core.recommend(user, top_n=3)
 
 
-def ingest(core: ServingRecommender, batch: list) -> None:
-    core.ingest(batch)
+def ingest(core: ServingRecommender, batch: list) -> int:
     core.cache.events.extend(batch)
+    return core.ingest(batch)
 
 
 def random_case(rng: random.Random) -> "tuple[list, list]":
@@ -240,3 +244,51 @@ def test_event_joining_a_neighbour_of_each_end_node_drops_the_row():
     assert key not in core.cache._slot_of
     assert core.cache.invalidations == 1
     assert stored.tobytes() != cold_row(core, ("u", "c")).tobytes()
+
+
+#: two components, a–b–c–d and x–y–w, over the distinct stamps {1, 2, 4}:
+#: the serving clock sits one median gap (1.5) past 4, at 5.5
+CLOCKED = [
+    ("a", "b", 1.0),
+    ("b", "c", 2.0),
+    ("c", "d", 4.0),
+    ("x", "y", 2.0),
+    ("y", "w", 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "event, clock, invalidated",
+    [
+        # a late event on new nodes: its stamp 3 lies inside the observed
+        # range, so the newest stamp stays 4, but the median gap of
+        # {1, 2, 3, 4} is 1; no inner ball holds an endpoint
+        (("p", "q", 3.0), 5.0, 0),
+        # a new newest stamp on a's link: (a, c) is invalidated, (x, w)
+        # only cleared; the median gap of {1, 2, 4, 6} is 2
+        (("a", "b", 6.0), 8.0, 1),
+    ],
+)
+def test_clock_moving_ingest_clears_the_cache_and_the_result_memo(
+    event, clock, invalidated
+):
+    config = SSFConfig(k=4, theta=0.5)
+    core = serving_core(CLOCKED, config, global_candidates=0)
+    assert core.delta.scoring_time() == 5.5
+    for user in ("a", "x"):
+        serve(core, user)
+    assert set(core.cache.stored) == {("'a'", "'c'"), ("'w'", "'x'")}
+    assert sorted(core._result_memo) == ["a", "x"]
+    newest = core.delta.last_timestamp()
+
+    # every row decays with the clock: the two rows go, one way or the
+    # other, and the ingest counts both
+    assert ingest(core, [event]) == 2
+    assert core.delta.scoring_time() == clock
+    assert (core.delta.last_timestamp() == newest) == (event[2] < newest)
+    assert core.cache.invalidations == invalidated
+    assert len(core.cache) == 0 and not core._result_memo
+    cold = serving_core(CLOCKED + [event], config, global_candidates=0)
+    for user in ("a", "x"):
+        serve(core, user)
+        assert core.recommend(user, top_n=3) == cold.recommend(user, top_n=3)

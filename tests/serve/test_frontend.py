@@ -6,10 +6,12 @@ import time
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.core.feature import SSFConfig, SSFExtractor
 from repro.datasets import get_dataset
 from repro.graph.csr import CSRSnapshot
 from repro.graph.temporal import DynamicNetwork
+from repro.obs.metrics import get_registry
 from repro.robust.policy import RetryPolicy
 from repro.serve import (
     AsyncScoringFrontend,
@@ -104,21 +106,18 @@ class TestIngestInvalidation:
             [(f"p{i}", f"p{i + 1}", float(i + 1)) for i in range(12)]
             + [("p0", "p5", 13.0), ("p3", "p8", 13.0)]
         )
-        # the far event moves the serving clock, so the ranked result
-        # survives it only under the unbounded-staleness opt-in
         serving = ServingRecommender.fit(
-            path,
-            config=SSFConfig(k=4),
-            seed=0,
-            global_candidates=0,
-            cache=FeatureCache(max_staleness=None),
+            path, config=SSFConfig(k=4), seed=0, global_candidates=0
         )
         serving.recommend("p0", top_n=3)
         baseline = len(serving.cache)
         assert baseline > 0
+        clock = serving.delta.scoring_time()
 
-        # far event: both endpoints outside every footprint p0 touched
-        serving.ingest([("p10", "p11", 20.0)])
+        # far event: both endpoints outside every footprint p0 touched,
+        # at an existing stamp, so the serving clock stays put
+        serving.ingest([("p10", "p11", 12.0)])
+        assert serving.delta.scoring_time() == clock
         assert serving.cache.invalidations == 0
         assert len(serving.cache) == baseline
         serving.recommend("p0", top_n=3)
@@ -236,9 +235,9 @@ class TestRejectedIngest:
             backend="csr",
         ).extract_batch(pairs)
         for pair, row in zip(pairs, cold):
-            entry = serving.cache.get(pair_key(*pair))
-            assert entry is not None
-            assert entry.features.tobytes() == row.tobytes(), pair
+            cached = serving.cache.get(pair_key(*pair))
+            assert cached is not None
+            assert cached.tobytes() == row.tobytes(), pair
 
 
 class TestAsyncFrontend:
@@ -323,6 +322,59 @@ class TestAsyncFrontend:
 
         with pytest.raises(KeyError, match="ghost"):
             asyncio.run(scenario())
+
+    def test_bad_top_n_fails_fast_alone(self, fresh):
+        # three requests that would share one batch: only the bad one
+        # fails, before it is enqueued
+        serving = fresh()
+
+        async def scenario():
+            async with AsyncScoringFrontend(serving) as frontend:
+                return await asyncio.gather(
+                    frontend.recommend("n0", top_n=3),
+                    frontend.recommend("n4", top_n=0),
+                    frontend.recommend("n7", top_n=3),
+                    return_exceptions=True,
+                )
+
+        first, bad, last = asyncio.run(scenario())
+        assert isinstance(bad, ValueError) and "top_n" in str(bad)
+        assert first == fresh().recommend("n0", top_n=3)
+        assert last == fresh().recommend("n7", top_n=3)
+
+    def test_retried_request_latency_counts_from_its_start(self, fresh):
+        # the first scoring call outlasts the first attempt's deadline;
+        # a retry is served at once, but the caller waited throughout
+        serving = fresh()
+        serving.recommend("n0", top_n=3)  # memoised: scoring is instant
+        inner = serving.recommend_many
+        calls = []
+
+        def slow_once(queries, **kwargs):
+            calls.append(len(queries))
+            if len(calls) == 1:
+                time.sleep(0.6)
+            return inner(queries, **kwargs)
+
+        serving.recommend_many = slow_once
+        retry = RetryPolicy(max_retries=2, chunk_timeout=0.4)
+
+        async def scenario():
+            async with AsyncScoringFrontend(serving, retry=retry) as frontend:
+                started = time.perf_counter()
+                await frontend.recommend("n0", top_n=3)
+                return time.perf_counter() - started
+
+        get_registry().reset()
+        obs.enable()
+        try:
+            waited = asyncio.run(scenario())
+            latency = get_registry().snapshot()["histograms"]["serve.request_seconds"]
+        finally:
+            obs.disable()
+            get_registry().reset()
+        assert len(calls) >= 2 and waited >= 0.6
+        assert latency["count"] == 1 and latency["max"] >= 0.6
 
     def test_requires_start(self, fresh):
         serving = fresh()

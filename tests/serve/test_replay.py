@@ -75,3 +75,17 @@ class TestRunReplay:
     def test_summary_mentions_throughput(self, result):
         text = result.summary()
         assert "rec/s" in text and "p99" in text
+
+
+def test_more_batches_than_queries_applies_every_batch():
+    # the tail in batches of 4 outnumbers the 10 queries: the batches
+    # past the stride all queue at the last query, and each is applied
+    network = synthetic_network(200, seed=0)
+    history, tail = split_replay_stream(network)
+    assert len(tail) > 4 * 10
+    result = run_replay(
+        network, queries=10, concurrency=4, max_events=200, events_per_batch=4
+    )
+    applied = min(len(tail), 200)
+    assert result.ingested_events == applied
+    assert result.links == history.number_of_links() + applied
