@@ -19,12 +19,15 @@ pair.  The digest covers, in this order:
 * one ``max_hop=1`` extraction.
 
 It prints one SHA-256 prefix per graph, then ``ALL <prefix>`` over all
-of them.  It also re-extracts the default-config ``extract_multi_batch``
-with the engine's slab budget (``repro.core.batch.SLAB_ENTRIES``) forced
-down to ``FORCED_SLAB_ENTRIES``, so every pass is cut into many chunks
-and slabs; it exits 1, naming the graph on stderr, if any row differs
-from the unforced call's.  The seven graphs take about 60 s on a 2-vCPU
-host.
+of them.  It also extracts, at the default config, the
+``extract_multi_batch`` rows and the ``extract_batch`` rows, footprints
+and inner balls of the whole workload twice: with each call run as one
+part, and with the engine's slab budget
+(``repro.core.batch.SLAB_ENTRIES``) forced down to
+``FORCED_SLAB_ENTRIES``, so every pass is cut into many chunks and slabs
+and, on a host with two or more usable CPUs, every call into parts that
+run on threads.  It exits 1, naming the graph on stderr, if the two
+differ anywhere.  The seven graphs take about 60 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -50,37 +53,53 @@ def _update(digest: "hashlib._Hash", array: np.ndarray) -> None:
     digest.update(np.ascontiguousarray(array).tobytes())
 
 
-def _slabbed_rows_match(
-    network: object, pairs: list, expected: "dict[str, np.ndarray]"
-) -> bool:
-    """Whether the default-config multi-mode rows come out bit for bit
-    the same with the slab budget forced to ``FORCED_SLAB_ENTRIES``."""
+def _default_outputs(network: object, pairs: list) -> "list[np.ndarray]":
+    """Every default-config output the forced budget must not move: the
+    multi-mode rows, then the single-mode rows, footprints and inner
+    balls."""
+    extractor = SSFExtractor(network, SSFConfig(), backend="csr")
+    multi = extractor.extract_multi_batch(pairs, ENTRY_MODES)
+    footprints: "list[np.ndarray]" = []
+    inner: "list[np.ndarray]" = []
+    rows = extractor.extract_batch(pairs, footprints, inner)
+    return [multi[mode] for mode in ENTRY_MODES] + [rows] + footprints + inner
+
+
+def _slabbed_outputs_match(network: object, pairs: list) -> bool:
+    """Whether the default-config outputs of calls run as one part come
+    out bit for bit the same with the slab budget forced to
+    ``FORCED_SLAB_ENTRIES`` (and the calls cut into parts)."""
+    usable_cpus = batch._usable_cpus
+    batch._usable_cpus = lambda: 1
+    try:
+        expected = _default_outputs(network, pairs)
+    finally:
+        batch._usable_cpus = usable_cpus
     saved = batch.SLAB_ENTRIES
     batch.SLAB_ENTRIES = FORCED_SLAB_ENTRIES
     try:
-        extractor = SSFExtractor(network, SSFConfig(), backend="csr")
-        out = extractor.extract_multi_batch(pairs, ENTRY_MODES)
+        forced = _default_outputs(network, pairs)
     finally:
         batch.SLAB_ENTRIES = saved
-    return all(out[m].tobytes() == expected[m].tobytes() for m in ENTRY_MODES)
+    return len(forced) == len(expected) and all(
+        got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for got, want in zip(forced, expected)
+    )
 
 
 def graph_digest(name: str) -> "tuple[str, bool]":
-    """The graph's digest, and whether its forced-slab rows match."""
+    """The graph's digest, and whether its forced-slab outputs match."""
     network = get_dataset(name).generate(seed=0, scale=1.0)
     pairs = workload_pairs(network, PAIRS, seed=0)
     a, b = pairs[0]
     pairs = pairs + [("missing node", a), pairs[1], (b, a)]
     digest = hashlib.sha256()
-    default_rows: "dict[str, np.ndarray]" = {}
     for k in (5, 10):
         for ordering in ("influence", "hops"):
             for compress in (True, False):
                 config = SSFConfig(k=k, ordering=ordering, compress=compress)
                 extractor = SSFExtractor(network, config, backend="csr")
                 out = extractor.extract_multi_batch(pairs, ENTRY_MODES)
-                if config == SSFConfig():
-                    default_rows = out
                 for mode in ENTRY_MODES:
                     _update(digest, out[mode])
     extractor = SSFExtractor(network, SSFConfig(), backend="csr")
@@ -95,7 +114,7 @@ def graph_digest(name: str) -> "tuple[str, bool]":
                 _update(digest, footprint)
     capped = SSFExtractor(network, SSFConfig(max_hop=1), backend="csr")
     _update(digest, capped.extract_batch(pairs))
-    return digest.hexdigest(), _slabbed_rows_match(network, pairs, default_rows)
+    return digest.hexdigest(), _slabbed_outputs_match(network, pairs)
 
 
 def main() -> int:
@@ -110,7 +129,7 @@ def main() -> int:
     print(f"ALL {total.hexdigest()[:16]}")
     for name in failed:
         print(
-            f"{name}: rows differ with SLAB_ENTRIES={FORCED_SLAB_ENTRIES}",
+            f"{name}: outputs differ with SLAB_ENTRIES={FORCED_SLAB_ENTRIES}",
             file=sys.stderr,
         )
     return 1 if failed else 0

@@ -47,7 +47,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro import obs
 from repro.analysis import network_report
@@ -182,7 +182,9 @@ def _method_name(text: str) -> str:
 
 #: output-path flags checked before any work runs: a missing or
 #: read-only directory would otherwise only fail after the whole command
-_OUTPUT_PATH_FLAGS = ("metrics_out", "trace_out", "heartbeat", "continuous_profile")
+_OUTPUT_PATH_FLAGS = (
+    "metrics_out", "trace_out", "heartbeat", "continuous_profile", "out"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -835,6 +837,18 @@ def _cmd_profile(args: argparse.Namespace) -> str:
     )
 
 
+def _read_json(flag: str, path: str) -> Any:
+    """The JSON document at ``path``, named on the command line by
+    ``flag``; a file that cannot be read or parsed is a usage error."""
+    import json
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise _UsageError(f"{flag} {path}: cannot read JSON ({exc})") from None
+
+
 def _cmd_bench(args: argparse.Namespace) -> "str | tuple[str, int]":
     import json
 
@@ -843,15 +857,11 @@ def _cmd_bench(args: argparse.Namespace) -> "str | tuple[str, int]":
     # load the baseline FIRST: --out and --compare may name the same
     # file, and the gate must diff against the committed state, not the
     # result this very run is about to write
-    baseline = None
-    if args.compare:
-        with open(args.compare, "r", encoding="utf-8") as fh:
-            baseline = json.load(fh)
+    baseline = _read_json("--compare", args.compare) if args.compare else None
 
     parts: list[str] = []
     if args.current:
-        with open(args.current, "r", encoding="utf-8") as fh:
-            current = json.load(fh)
+        current = _read_json("--current", args.current)
         parts.append(f"loaded current result from {args.current}")
     else:
         current = run_extraction_bench(

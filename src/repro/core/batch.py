@@ -48,6 +48,18 @@ through the CSR pipeline at once:
   as soon as they reach the same budget.  No chunk's pass state and no
   finished block outlives its slab; the call's ball cache, the slot-sum
   table and the multi-slot memo are shared by every slab.
+* **Parts** — every pair's row depends on the frozen snapshot alone, so
+  a call whose estimated h = 1 gather volume (each pair's degree sums
+  over both end nodes' closed neighbourhoods, read from ``indptr``)
+  exceeds one part's slab budget is cut into contiguous parts of about
+  equal volume, one per usable CPU.  The calling thread runs the first
+  part and short-lived threads the rest, each through the serial
+  pipeline with its own arena, its own ball cache and ``SLAB_ENTRIES /
+  parts`` of the budget; the numpy passes release the GIL, so the parts
+  overlap.  The influence, slot-sum, edge-key and repr-rank tables are
+  built before the parts start and only read by them, and every part
+  writes only its own rows, so the output is the serial call's bit for
+  bit.  Inside a pool worker a call runs as one part.
 
 The result is **bit-identical** to looping ``extract`` on the dict
 backend (the untouched reference) — every floating-point reduction below
@@ -55,18 +67,23 @@ replays the reference operation sequence exactly (integer reductions are
 always exact; the few genuinely sequential float sums stay scalar); the
 randomized batched differential suite enforces it across all entry modes.
 
-Arena lifetime rules: the engine (and its arena) lives as long as its
-:class:`~repro.core.feature.SSFExtractor` — in pool workers that is the
-whole worker lifetime, so chunks after the first allocate nothing
-|V|-sized.  Ball caches are scoped per batch; slot-sum tables, edge
-keys and multi-slot memos are scoped per engine; per-pair structures are
-dropped when their slab is finished.
+Arena lifetime rules: the engine (and its arenas, one per part) lives
+as long as its :class:`~repro.core.feature.SSFExtractor` — in pool
+workers that is the whole worker lifetime, so chunks after the first
+allocate nothing |V|-sized.  Ball caches are scoped per part; slot-sum
+tables, edge keys and multi-slot memos are scoped per engine; per-pair
+structures are dropped when their slab is finished.  An engine runs one
+call at a time: never share one engine across threads.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
-from typing import Hashable, Iterator, Sequence
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
@@ -91,13 +108,21 @@ Pair = "tuple[Node, Node]"
 #: over it runs alone), and finished pairs are finished once their
 #: entries reach it.  A call under it runs as one slab.  Chosen from the
 #: throughput-versus-budget sweep over the seven catalog graphs in
-#: docs/PERFORMANCE.md ("Slabs").
+#: docs/PERFORMANCE.md ("Slabs").  A call cut into parts gives each part
+#: an equal share of it (docs/PERFORMANCE.md, "Parts").
 SLAB_ENTRIES = 1_000_000
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 class BatchArena:
-    """The reusable |V|-sized work buffers, shared by every pair of an
-    engine.
+    """The reusable |V|-sized work buffers, shared by every pair of one
+    part (an engine keeps one per part and reuses them across calls).
 
     ``visited`` is *token-stamped* with per-ball BFS ownership: an entry
     is "set" only when it holds the ball's token, so reuse never needs a
@@ -173,6 +198,29 @@ class _Growth:
         self.prev = np.array(sorted((a_id, b_id)), dtype=np.int64)
 
 
+class _Part:
+    """One contiguous run of a call's pairs with both end nodes in the
+    snapshot: output rows ``rows``, end node ids ``a_ids``/``b_ids``.  It
+    runs the serial pipeline with its own ``arena`` and cuts its passes
+    and slabs at ``budget`` gathered entries."""
+
+    __slots__ = ("rows", "a_ids", "b_ids", "arena", "budget")
+
+    def __init__(
+        self,
+        rows: "list[int]",
+        a_ids: "list[int]",
+        b_ids: "list[int]",
+        arena: BatchArena,
+        budget: int,
+    ) -> None:
+        self.rows = rows
+        self.a_ids = a_ids
+        self.b_ids = b_ids
+        self.arena = arena
+        self.budget = budget
+
+
 class _PassState:
     """Merge-converged state of one cross-pair combine pass.
 
@@ -241,8 +289,8 @@ class _PassState:
 
 
 class _Chunk:
-    """Pairs of one combine pass whose balls gather at most
-    :data:`SLAB_ENTRIES` neighbour entries in total (or one pair over it).
+    """Pairs of one combine pass whose balls gather at most their part's
+    budget of neighbour entries in total (or one pair over it).
 
     ``nodes`` lays the pairs' unions out back to back, pair ``s`` owning
     rows ``row_offsets[s]:row_offsets[s + 1]``; ``degrees`` holds each
@@ -458,12 +506,18 @@ class BatchExtractionEngine:
         self._ordering = ordering
         self._max_hop = max_hop
         self._dim = k * (k - 1) // 2 - 1
-        self._arena = BatchArena(snapshot.number_of_nodes())
+        # a pool worker's siblings already hold the other CPUs, so its
+        # calls run as one part: threads never nest inside processes
+        in_worker = multiprocessing.parent_process() is not None
+        self._cpus = 1 if in_worker else _usable_cpus()
+        #: one arena per part, the first for serial calls
+        self._arenas = [BatchArena(snapshot.number_of_nodes())]
         self._positions = _feature_positions(k)
         self._slot_sums: "np.ndarray | None" = None
         self._edge_key_table: "np.ndarray | None" = None
         self._multi_slot_memo: dict[bytes, float] = {}
         self._repr_rank: "np.ndarray | None" = None
+        self._closed_volume_table: "np.ndarray | None" = None
 
     # ------------------------------------------------------------------
     # public entry points
@@ -523,13 +577,106 @@ class BatchExtractionEngine:
         inner_balls: "list[np.ndarray] | None" = (
             [_EMPTY_LEVEL] * len(pairs) if inner is not None else None
         )
-        for slab in self._grow_and_combine(pairs, grown, inner_balls):
-            self._finish(slab, modes, shared, out)
+        rows, a_ids, b_ids = self._resolve(pairs)
+        bounds = self._part_bounds(a_ids, b_ids)
+        n_parts = len(bounds) - 1
+        while len(self._arenas) < n_parts:
+            self._arenas.append(BatchArena(self._snapshot.number_of_nodes()))
+        budget = SLAB_ENTRIES // n_parts
+
+        def run(index: int) -> None:
+            lo, hi = bounds[index], bounds[index + 1]
+            part = _Part(
+                rows[lo:hi],
+                a_ids[lo:hi],
+                b_ids[lo:hi],
+                self._arenas[index],
+                budget,
+            )
+            for slab in self._grow_and_combine(part, grown, inner_balls):
+                self._finish(slab, modes, shared, out)
+
+        incr("batch.parts", n_parts if n_parts > 1 else 0)
+        if n_parts == 1:
+            run(0)
+        else:
+            self._run_parts(run, n_parts)
         if footprints is not None and grown is not None:
             footprints.extend(grown)
         if inner is not None and inner_balls is not None:
             inner.extend(inner_balls)
         return out
+
+    def _resolve(
+        self, pairs: "Sequence[Pair]"
+    ) -> "tuple[list[int], list[int], list[int]]":
+        """``(rows, a_ids, b_ids)`` of every pair with both end nodes in
+        the snapshot, in pair order; the other rows stay zero."""
+        snapshot = self._snapshot
+        rows: "list[int]" = []
+        a_ids: "list[int]" = []
+        b_ids: "list[int]" = []
+        for row, (a, b) in enumerate(pairs):
+            if not (snapshot.has_node(a) and snapshot.has_node(b)):
+                continue
+            a_id = snapshot.node_id(a)
+            b_id = snapshot.node_id(b)
+            if a_id == b_id:
+                raise ValueError("target link end nodes must be distinct")
+            rows.append(row)
+            a_ids.append(a_id)
+            b_ids.append(b_id)
+        return rows, a_ids, b_ids
+
+    def _part_bounds(self, a_ids: "list[int]", b_ids: "list[int]") -> "list[int]":
+        """Where the call's resolved pairs are cut into parts: ``[0, n]``
+        (one part) unless the call's estimated h = 1 gather volume exceeds
+        one part's share of :data:`SLAB_ENTRIES` and averages at least
+        ``SLAB_ENTRIES / 1000`` per pair, with one part per usable CPU.  A
+        pair goes to the part its volume's midpoint falls in, so the parts
+        are contiguous and of about equal volume."""
+        n_pairs = len(a_ids)
+        n_parts = min(self._cpus, n_pairs)
+        if n_parts < 2:
+            return [0, n_pairs]
+        closed = self._closed_volumes()
+        volumes = (
+            closed[np.array(a_ids, dtype=np.int64)]
+            + closed[np.array(b_ids, dtype=np.int64)]
+        )
+        total = int(volumes.sum())
+        # a thread pays off only where numpy passes, which release the GIL,
+        # outweigh the per-pair Python around them, which holds it: the
+        # call must fill one part's budget with pairs that average at
+        # least a thousandth of SLAB_ENTRIES (docs/PERFORMANCE.md, "Parts")
+        if total <= SLAB_ENTRIES // n_parts or total * 1000 < SLAB_ENTRIES * n_pairs:
+            return [0, n_pairs]
+        doubled_midpoints = 2 * np.cumsum(volumes) - volumes
+        cuts = np.searchsorted(
+            doubled_midpoints * n_parts,
+            2 * total * np.arange(1, n_parts, dtype=np.int64),
+        )
+        return sorted({0, n_pairs, *cuts.tolist()})
+
+    def _run_parts(self, run: "Callable[[int], None]", n_parts: int) -> None:
+        """``run(0)`` on the calling thread and ``run(1..n_parts - 1)`` on
+        short-lived threads, each in a copy of the caller's context (so
+        its spans nest under the caller's); every thread is joined before
+        this returns, and a part's exception is raised here."""
+        # the tables every part reads, built once, before any part starts
+        self._slot_sum_table()
+        self._edge_keys()
+        self._node_repr_rank()
+        with ThreadPoolExecutor(
+            max_workers=n_parts - 1, thread_name_prefix="batch-part"
+        ) as pool:
+            futures = [
+                pool.submit(contextvars.copy_context().run, run, index)
+                for index in range(1, n_parts)
+            ]
+            run(0)
+            for future in futures:
+                future.result()
 
     def _finish(
         self,
@@ -772,15 +919,15 @@ class BatchExtractionEngine:
     # ------------------------------------------------------------------
     def _grow_and_combine(
         self,
-        pairs: "Sequence[Pair]",
+        part: _Part,
         grown: "list[np.ndarray] | None",
         inner: "list[np.ndarray] | None",
     ) -> "Iterator[_Slab]":
-        """Def. 3 growth + Alg. 1 for every pair, yielding the finished
-        pairs in slabs of about :data:`SLAB_ENTRIES` gathered entries; a
-        finishing pair's union (its final radius-h ball) lands in
-        ``grown[row]`` and its inner ball (see :meth:`extract_batch`) in
-        ``inner[row]`` when asked.
+        """Def. 3 growth + Alg. 1 for every pair of ``part``, yielding the
+        finished pairs in slabs of about the part's budget of gathered
+        entries; a finishing pair's union (its final radius-h ball) lands
+        in ``grown[row]`` and its inner ball (see :meth:`extract_batch`)
+        in ``inner[row]`` when asked.
 
         Each level cuts its combine pass into chunks by gather volume
         (:meth:`_chunks`) and runs them one by one through
@@ -791,8 +938,8 @@ class BatchExtractionEngine:
         under ``structure_combination`` spans, so the two stage
         histograms time disjoint work."""
         k = self._k
-        with span("subgraph_growth", h=1, pairs=len(pairs)):
-            active = self._start_growth(pairs)
+        with span("subgraph_growth", h=1, pairs=len(part.rows)):
+            active = self._start_growth(part)
         slab = _Slab()
         h = 1
         while active:
@@ -807,16 +954,18 @@ class BatchExtractionEngine:
             # structure nodes: they only grow, alongside the first chunk
             small = [g for g in active if g.union.size < k]
             chunks: "list[_Chunk | None]" = []
-            chunks += self._chunks([g for g in active if g.union.size >= k])
+            chunks += self._chunks(
+                [g for g in active if g.union.size >= k], part.budget
+            )
             growing: "list[_Growth]" = []
             finished = 0
             for index, chunk in enumerate(chunks or [None]):
                 grew, count = self._advance_chunk(
-                    chunk, small if index == 0 else [], h, slab, grown, inner
+                    part, chunk, small if index == 0 else [], h, slab, grown, inner
                 )
                 growing += grew
                 finished += count
-                if slab.entries >= SLAB_ENTRIES:
+                if slab.entries >= part.budget:
                     yield slab
                     slab = _Slab()
             observe_many("subgraph.growth_h", [h] * finished)
@@ -827,6 +976,7 @@ class BatchExtractionEngine:
 
     def _advance_chunk(
         self,
+        part: _Part,
         chunk: "_Chunk | None",
         small: "list[_Growth]",
         h: int,
@@ -846,7 +996,7 @@ class BatchExtractionEngine:
         state: "_PassState | None" = None
         if chunk is not None:
             with span("structure_combination", h=h, pairs=len(chunk.growths)):
-                state = self._combine_many(chunk)
+                state = self._combine_many(chunk, part.arena)
             for segment, count in enumerate(state.group_counts.tolist()):
                 if count >= k:
                     done.append(segment)
@@ -861,7 +1011,7 @@ class BatchExtractionEngine:
                 forced = pending
             else:
                 with span("subgraph_growth", h=h + 1, pairs=len(pending)):
-                    forced, growing = self._grow_pending(pending, h)
+                    forced, growing = self._grow_pending(pending, h, part.arena)
         # a pair that reached K keeps B_{h-1} as its inner ball; a forced
         # one keeps B_h, where one more edge could let its ball grow
         reached = [chunk.growths[s] for s in done] if chunk is not None else []
@@ -881,20 +1031,19 @@ class BatchExtractionEngine:
                 if done:
                     assert state is not None and chunk is not None
                     slab.add(state, chunk, done)
-                for part in self._chunks(leftover):
+                for left in self._chunks(leftover, part.budget):
                     slab.add(
-                        self._combine_many(part),
-                        part,
-                        list(range(len(part.growths))),
+                        self._combine_many(left, part.arena),
+                        left,
+                        list(range(len(left.growths))),
                     )
         return growing, len(done) + len(leftover)
 
-    def _chunks(self, growths: "list[_Growth]") -> "list[_Chunk]":
+    def _chunks(self, growths: "list[_Growth]", budget: int) -> "list[_Chunk]":
         """Cut one combine pass's pairs, in order, into chunks of at most
-        :data:`SLAB_ENTRIES` gathered entries (a pair over the budget
-        alone).  The volume is each union's snapshot degree sum, read from
-        ``indptr`` before any gather; a pass under the budget is one
-        chunk."""
+        ``budget`` gathered entries (a pair over the budget alone).  The
+        volume is each union's snapshot degree sum, read from ``indptr``
+        before any gather; a pass under the budget is one chunk."""
         if not growths:
             return []
         indptr = self._snapshot.indptr
@@ -905,7 +1054,6 @@ class BatchExtractionEngine:
         degrees = (indptr[nodes + 1] - indptr[nodes]).astype(np.int64)
         entry_bounds = np.zeros(nodes.size + 1, dtype=np.int64)
         np.cumsum(degrees, out=entry_bounds[1:])
-        budget = SLAB_ENTRIES
         if int(entry_bounds[-1]) <= budget:
             return [_Chunk(growths, row_offsets, nodes, degrees, entry_bounds)]
         #: entries gathered before each pair
@@ -929,11 +1077,10 @@ class BatchExtractionEngine:
             start = end
         return chunks
 
-    def _start_growth(self, pairs: "Sequence[Pair]") -> "list[_Growth]":
-        """Radius-1 growth state for every pair with both end nodes in the
-        snapshot; endpoint balls are shared across the batch."""
-        snapshot = self._snapshot
-        arena = self._arena
+    def _start_growth(self, part: _Part) -> "list[_Growth]":
+        """Radius-1 growth state for every pair of ``part``; endpoint balls
+        are shared across the part."""
+        arena = part.arena
         balls: dict[int, _Ball] = {}
         hits = 0
         misses = 0
@@ -952,31 +1099,27 @@ class BatchExtractionEngine:
             return ball
 
         active: "list[_Growth]" = []
-        for row, (a, b) in enumerate(pairs):
-            if not (snapshot.has_node(a) and snapshot.has_node(b)):
-                continue
-            a_id = snapshot.node_id(a)
-            b_id = snapshot.node_id(b)
-            if a_id == b_id:
-                raise ValueError("target link end nodes must be distinct")
+        for row, a_id, b_id in zip(part.rows, part.a_ids, part.b_ids):
             growth = _Growth(row, a_id, b_id)
             growth.ball_a = ball_of(a_id)
             growth.ball_b = ball_of(b_id)
             active.append(growth)
         incr("batch.ball_reuse_hits", hits)
         incr("batch.ball_reuse_misses", misses)
-        self._extend_balls([g.ball_a for g in active] + [g.ball_b for g in active], 1)
+        self._extend_balls(
+            [g.ball_a for g in active] + [g.ball_b for g in active], 1, arena
+        )
         init_parts: "list[np.ndarray]" = []
         init_owner: "list[int]" = []
         for index, growth in enumerate(active):
             assert growth.ball_a is not None and growth.ball_b is not None
-            for part in (
+            for level in (
                 growth.ball_a.levels[0],
                 growth.ball_a.level(1),
                 growth.ball_b.levels[0],
                 growth.ball_b.level(1),
             ):
-                init_parts.append(part)
+                init_parts.append(level)
                 init_owner.append(index)
         merged, bounds = self._merge_per_pair(init_parts, init_owner, len(active))
         for index, growth in enumerate(active):
@@ -987,7 +1130,10 @@ class BatchExtractionEngine:
         return active
 
     def _grow_pending(
-        self, pending: "list[tuple[_Growth, int | None]]", h: int
+        self,
+        pending: "list[tuple[_Growth, int | None]]",
+        h: int,
+        arena: BatchArena,
     ) -> "tuple[list[tuple[_Growth, int | None]], list[_Growth]]":
         """Advance every pending pair from radius ``h`` to ``h + 1``.
 
@@ -997,6 +1143,7 @@ class BatchExtractionEngine:
         self._extend_balls(
             [g.ball_a for g, _ in pending] + [g.ball_b for g, _ in pending],
             h + 1,
+            arena,
         )
         # One global merge decides both questions per pair — did the
         # radius-(h+1) ball grow (else the pair is forced), and what is
@@ -1051,7 +1198,9 @@ class BatchExtractionEngine:
         )
         return merged, bounds
 
-    def _extend_balls(self, requested: "list[_Ball | None]", depth: int) -> None:
+    def _extend_balls(
+        self, requested: "list[_Ball | None]", depth: int, arena: BatchArena
+    ) -> None:
         """Grow every requested ball to ``depth`` in shared array passes.
 
         All live balls sit at the same level (growth is level-synchronous),
@@ -1063,7 +1212,7 @@ class BatchExtractionEngine:
         this can cause is harmless.
         """
         snapshot = self._snapshot
-        visited = self._arena.visited
+        visited = arena.visited
         n_nodes = snapshot.number_of_nodes()
         seen: "set[int]" = set()
         need: "list[_Ball]" = []
@@ -1112,7 +1261,7 @@ class BatchExtractionEngine:
                 if not ball.exhausted and len(ball.levels) - 1 < depth
             ]
 
-    def _combine_many(self, chunk: _Chunk) -> _PassState:
+    def _combine_many(self, chunk: _Chunk, arena: BatchArena) -> _PassState:
         """Algorithm 1 over every pair of one chunk, in shared array
         passes — same partition, adjacency and member order per pair as
         :func:`~repro.core.structure.combine_structures_csr`."""
@@ -1135,8 +1284,8 @@ class BatchExtractionEngine:
         # the arena's row map: stamp a segment's rows, then read its
         # entries.  Earlier segments and calls left only stamps below the
         # segment's first row, so "stamp >= first row" is membership.
-        row_of = self._arena.row_of
-        base = self._arena.claim_rows(n_rows)
+        row_of = arena.row_of
+        base = arena.claim_rows(n_rows)
         stamps = base + np.arange(n_rows, dtype=np.int64)
         dst_stamp = np.empty(flat.size, dtype=np.int64)
         row_bounds = row_offsets.tolist()
@@ -1248,6 +1397,19 @@ class BatchExtractionEngine:
             )
             self._edge_key_table = sources * n_nodes + snapshot.indices
         return self._edge_key_table
+
+    def _closed_volumes(self) -> np.ndarray:
+        """Each node's h = 1 gather volume: the snapshot degrees summed
+        over its closed neighbourhood, read from ``indptr``."""
+        if self._closed_volume_table is None:
+            snapshot = self._snapshot
+            degrees = np.diff(snapshot.indptr)
+            reach = np.zeros(snapshot.indices.size + 1, dtype=np.int64)
+            np.cumsum(degrees[snapshot.indices], out=reach[1:])
+            self._closed_volume_table = (
+                degrees + reach[snapshot.indptr[1:]] - reach[snapshot.indptr[:-1]]
+            )
+        return self._closed_volume_table
 
     def _node_repr_rank(self) -> np.ndarray:
         """Rank of each node's label repr among the snapshot's distinct

@@ -11,6 +11,8 @@ valid ones).
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -650,14 +652,17 @@ class TestSlabs:
     def test_forced_budget_changes_nothing(self, case, monkeypatch):
         from repro.core import batch
 
+        # one part, so the ball-reuse counters compare one ball cache
+        # (TestParts checks a call cut into parts)
+        monkeypatch.setattr(batch, "_usable_cpus", lambda: 1)
         network, pairs = case
         multi, rows, footprints, counters, snapshot = self._run(network, pairs)
 
         chunks: list = []
         cut = batch.BatchExtractionEngine._chunks
 
-        def recording(engine, growths):
-            parts = cut(engine, growths)
+        def recording(engine, growths, budget):
+            parts = cut(engine, growths, budget)
             assert [g for part in parts for g in part.growths] == growths
             chunks.extend(parts)
             return parts
@@ -693,6 +698,294 @@ class TestSlabs:
         }
         assert len(radii) >= 3, radii
         assert footprints[pairs.index(("missing", "n0"))].size == 0
+
+
+class TestParts:
+    """A call cut into parts that run on threads returns the one-part
+    call's rows, footprints and inner balls bit for bit, raises its
+    errors, and leaves no thread behind."""
+
+    BUDGET = 2048
+
+    @pytest.fixture(autouse=True)
+    def budget(self, monkeypatch):
+        from repro.core import batch
+
+        monkeypatch.setattr(batch, "SLAB_ENTRIES", self.BUDGET)
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = random.Random(89)
+        network = _random_network(rng, 200, 900)
+        network.add_edges_from(
+            [
+                ("hub", f"n{v}", float(rng.randint(1, 50)))
+                for v in rng.sample(range(200), 120)
+            ]
+        )
+        network.add_edges_from([("t0", "t1", 1.0), ("t1", "t2", 2.0)])
+        for c in range(3):
+            network.add_edges_from(
+                [
+                    (f"c{c}_{i}", f"c{c}_{j}", float(1 + (i * j) % 5))
+                    for i in range(9)
+                    for j in range(i + 1, 9)
+                ]
+            )
+        pairs = _random_pairs(rng, 200, 30)
+        pairs += [("hub", "n3"), ("missing", "n0"), pairs[0], pairs[4][::-1]]
+        pairs += [("t2", "t0")] + [(f"c{c}_0", f"c{c}_1") for c in range(3)]
+        pairs += _random_pairs(rng, 200, 10)
+        return network, pairs
+
+    @staticmethod
+    def _extractor(network, cpus, monkeypatch):
+        from repro.core import batch
+
+        monkeypatch.setattr(batch, "_usable_cpus", lambda: cpus)
+        return SSFExtractor(network, SSFConfig(k=10), backend="csr")
+
+    def _extract(self, network, pairs, cpus, monkeypatch):
+        extractor = self._extractor(network, cpus, monkeypatch)
+        get_registry().reset()
+        obs.enable()
+        try:
+            multi = extractor.extract_multi_batch(pairs, ENTRY_MODES)
+            footprints: list = []
+            inner: list = []
+            rows = extractor.extract_batch(pairs, footprints, inner)
+            counters = get_registry().snapshot()["counters"]
+        finally:
+            obs.disable()
+            get_registry().reset()
+        return (multi, rows, footprints, inner), counters
+
+    @staticmethod
+    def _assert_same(got, expected):
+        multi, rows, footprints, inner = got
+        for mode in ENTRY_MODES:
+            assert multi[mode].tobytes() == expected[0][mode].tobytes(), mode
+        assert rows.tobytes() == expected[1].tobytes()
+        assert [f.tolist() for f in footprints] == [f.tolist() for f in expected[2]]
+        assert [f.tolist() for f in inner] == [f.tolist() for f in expected[3]]
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_parts_equal_the_one_part_call(self, case, cpus, monkeypatch):
+        from repro.core import batch
+
+        network, pairs = case
+        expected, serial_counters = self._extract(network, pairs, 1, monkeypatch)
+
+        budgets: list = []
+        cut = batch.BatchExtractionEngine._chunks
+
+        def recording(engine, growths, budget):
+            budgets.append(budget)
+            chunks = cut(engine, growths, budget)
+            for chunk in chunks:
+                volume = chunk.entries(np.arange(len(chunk.growths)))
+                assert len(chunk.growths) == 1 or volume <= budget
+            return chunks
+
+        monkeypatch.setattr(batch.BatchExtractionEngine, "_chunks", recording)
+        before = set(threading.enumerate())
+        got, counters = self._extract(network, pairs, cpus, monkeypatch)
+        assert not set(threading.enumerate()) - before
+
+        self._assert_same(got, expected)
+        assert serial_counters["batch.parts"] == 0
+        # both calls (multi-mode and single-mode) split, one part per CPU,
+        # each part cutting its passes at its share of the budget
+        assert counters["batch.parts"] == 2 * cpus
+        assert set(budgets) == {self.BUDGET // cpus}
+        assert counters["batch.slabs"] > serial_counters["batch.slabs"]
+
+    @staticmethod
+    def _estimate(snapshot, pairs):
+        """The call's h = 1 volume estimate, from its definition: each
+        pair's degrees summed over both end nodes' closed
+        neighbourhoods."""
+        indptr, indices = snapshot.indptr.tolist(), snapshot.indices.tolist()
+
+        def closed(node):
+            v = snapshot.node_id(node)
+            nbrs = indices[indptr[v] : indptr[v + 1]]
+            return len(nbrs) + sum(indptr[x + 1] - indptr[x] for x in nbrs)
+
+        return sum(
+            closed(a) + closed(b)
+            for a, b in pairs
+            if snapshot.has_node(a) and snapshot.has_node(b)
+        )
+
+    def _parts_run(self, network, pairs, budget, monkeypatch):
+        from repro.core import batch
+
+        monkeypatch.setattr(batch, "SLAB_ENTRIES", budget)
+        _, counters = self._extract(network, pairs, 2, monkeypatch)
+        return counters["batch.parts"]
+
+    def test_split_rule_keys_on_volume(self, case, monkeypatch):
+        """A call splits once its estimate exceeds one part's share of
+        the budget, unless its pairs average under a thousandth of it."""
+        network, pairs = case
+        snapshot = CSRSnapshot.from_dynamic(network)
+        total = self._estimate(snapshot, pairs)
+        assert self._parts_run(network, pairs, 2 * total, monkeypatch) == 0
+        assert self._parts_run(network, pairs, 2 * total - 2, monkeypatch) == 4
+        # thin pairs (a 3-node path) pull the mean under SLAB_ENTRIES/1000:
+        # at SLAB_ENTRIES = thin_total the mean is thin_total / len(thin)
+        thin = pairs + [("t2", "t0")] * 2000
+        thin_total = self._estimate(snapshot, thin)
+        assert len(thin) > 1000
+        assert self._parts_run(network, thin, thin_total, monkeypatch) == 0
+        assert self._parts_run(network, pairs, total, monkeypatch) == 4
+
+    def test_many_parts_under_a_short_switch_interval(self, case, monkeypatch):
+        """More parts than this host's cores, switching threads every few
+        microseconds: a lost or crossed write would move a row."""
+        network, pairs = case
+        expected, _ = self._extract(network, pairs, 1, monkeypatch)
+        extractor = self._extractor(network, 6, monkeypatch)
+        results: list = []
+
+        def stress():
+            for _ in range(3):
+                results.append(extractor.extract_multi_batch(pairs, ENTRY_MODES))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(target=stress, daemon=True)
+            runner.start()
+            runner.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert len(results) == 3
+        for multi in results:
+            for mode in ENTRY_MODES:
+                assert multi[mode].tobytes() == expected[0][mode].tobytes()
+
+    def test_self_pair_in_the_last_part_raises_the_serial_error(
+        self, case, monkeypatch
+    ):
+        network, pairs = case
+        bad = pairs + [("n7", "n7")]
+        with pytest.raises(ValueError) as serial:
+            self._extractor(network, 1, monkeypatch).extract_batch(bad)
+        before = set(threading.enumerate())
+        with pytest.raises(ValueError) as split:
+            self._extractor(network, 2, monkeypatch).extract_batch(bad)
+        assert str(split.value) == str(serial.value)
+        assert not set(threading.enumerate()) - before
+
+    def test_an_error_in_a_thread_part_is_raised_after_the_join(
+        self, case, monkeypatch
+    ):
+        from repro.core import batch
+
+        network, pairs = case
+        last_row = len(pairs) - 1
+        combine = batch.BatchExtractionEngine._combine_many
+        failed_on: list = []
+
+        def failing(engine, chunk, arena):
+            if any(growth.row == last_row for growth in chunk.growths):
+                failed_on.append(threading.get_ident())
+                raise RuntimeError("part failed")
+            return combine(engine, chunk, arena)
+
+        monkeypatch.setattr(batch.BatchExtractionEngine, "_combine_many", failing)
+        extractor = self._extractor(network, 2, monkeypatch)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="part failed"):
+            extractor.extract_batch(pairs)
+        assert not set(threading.enumerate()) - before
+        assert failed_on and failed_on[0] != threading.get_ident()
+
+    def test_one_cpu_starts_no_thread(self, case, monkeypatch):
+        network, pairs = case
+        extractor = self._extractor(network, 1, monkeypatch)
+
+        def refuse(thread):
+            raise AssertionError(f"thread {thread.name} started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        rows = extractor.extract_batch(pairs)
+        assert rows.shape == (len(pairs), extractor.feature_dim)
+
+    def test_split_call_stage_spans_share_the_callers_trace(
+        self, case, monkeypatch
+    ):
+        network, pairs = case
+        extractor = self._extractor(network, 2, monkeypatch)
+        obs.drain_span_records()
+        obs.enable()
+        obs.record_spans(True)
+        try:
+            with obs.span("request", root=True) as request:
+                extractor.extract_batch(pairs)
+            records = obs.drain_span_records()
+        finally:
+            obs.record_spans(False)
+            obs.disable()
+            get_registry().reset()
+        stages = [
+            r
+            for r in records
+            if r["name"]
+            in (
+                "subgraph_growth",
+                "structure_combination",
+                "palette_wl",
+                "influence_matrix",
+            )
+        ]
+        assert {r["name"] for r in stages} == {
+            "subgraph_growth",
+            "structure_combination",
+            "palette_wl",
+            "influence_matrix",
+        }
+        assert len({r["tid"] for r in stages}) == 2
+        assert {r.get("trace_id") for r in stages} == {request.trace_id}
+        assert all(
+            r["path"].startswith("request/feature.temporal/") for r in stages
+        )
+
+    def test_pool_workers_after_a_split_call_run_one_part(
+        self, case, monkeypatch
+    ):
+        network, pairs = case
+        expected = self._extractor(network, 1, monkeypatch).extract_batch(pairs)
+        # forked workers inherit both patches: only the engine's own
+        # rule keeps them to one part
+        split = self._extractor(network, 2, monkeypatch).extract_batch(pairs)
+        assert split.tobytes() == expected.tobytes()
+        monkeypatch.setenv("REPRO_START_METHOD", "fork")
+        before = set(threading.enumerate())
+        get_registry().reset()
+        obs.enable()
+        try:
+            pooled = parallel_extract_batch(
+                network,
+                SSFConfig(k=10),
+                pairs,
+                workers=2,
+                min_pairs=1,
+                chunksize=len(pairs) // 2,
+            )
+            counters = get_registry().snapshot()["counters"]
+        finally:
+            obs.disable()
+            get_registry().reset()
+        assert pooled.tobytes() == expected.tobytes()
+        assert not set(threading.enumerate()) - before
+        # the workers' engine counters reached the parent, none of a part
+        assert counters["parallel.pairs_extracted"] == len(pairs)
+        assert counters["batch.slabs"] > 0
+        assert counters.get("batch.parts", 0) == 0
 
 
 class TestPaletteWLManyParity:

@@ -208,6 +208,35 @@ class TestBadInput:
         )
         assert flag in err
 
+    @pytest.mark.parametrize(
+        "argv", [["bench"], ["serve", "--replay", "--nodes", "50", "--queries", "5"]]
+    )
+    def test_out_path_in_missing_directory(
+        self, capsys, handler_calls, tmp_path, argv
+    ):
+        target = tmp_path / "missing" / "o.json"
+        err = self._assert_usage_error(
+            capsys, handler_calls, argv + ["--out", str(target)]
+        )
+        assert f"--out {target}" in err
+
+    @pytest.mark.parametrize("flag", ["--current", "--compare"])
+    @pytest.mark.parametrize("content", [None, '{"bench": '])
+    def test_unreadable_bench_json_is_a_usage_error(
+        self, capsys, tmp_path, flag, content
+    ):
+        path = tmp_path / "result.json"
+        if content is not None:
+            path.write_text(content, encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", flag, str(path)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"{flag} {path}" in errors[0]
+        assert "Traceback" not in err
+
     def test_valid_output_path_reaches_the_handler(
         self, capsys, handler_calls, tmp_path
     ):
