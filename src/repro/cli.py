@@ -183,7 +183,13 @@ def _method_name(text: str) -> str:
 #: output-path flags checked before any work runs: a missing or
 #: read-only directory would otherwise only fail after the whole command
 _OUTPUT_PATH_FLAGS = (
-    "metrics_out", "trace_out", "heartbeat", "continuous_profile", "out"
+    "metrics_out",
+    "trace_out",
+    "heartbeat",
+    "continuous_profile",
+    "out",
+    "output",
+    "json_out",
 )
 
 

@@ -7,22 +7,23 @@ scoring *many* candidate links against one frozen snapshot — most of that
 cost is shareable.  :class:`BatchExtractionEngine` runs a whole pair list
 through the CSR pipeline at once:
 
-* **Frontier-sharing BFS** — h-hop balls are grown per *endpoint* (one
-  level ahead, lazily) and cached for the whole batch, so pairs touching
-  the same hub expand its ball once (``batch.ball_reuse_hits`` /
-  ``batch.ball_reuse_misses`` count the sharing).  A pair's joint ball at
-  radius ``h`` is exactly the union of its two endpoint balls, and
-  "exhausted" is exactly "the union stopped growing".  Growth is
-  level-synchronous: every pair still growing at radius ``h`` is advanced
-  together, so all structure combination at one radius happens in ONE
-  cross-pair array pass (:meth:`BatchExtractionEngine._combine_many`)
-  instead of one quadratic-ish pass per pair.  That pass groups nodes
-  once: the first same-neighbourhood grouping is already Alg. 1's fixed
-  point, so combination is one merge round.
-* **Arena buffers** — the |V|-sized BFS visited map and the |V|-sized
-  node → combination-row map are allocated once per engine and reused
-  across every pair of every batch via monotonically increasing stamps
-  (never cleared, never reallocated).
+* **Growth as pair-indexed arrays** — the pairs still growing at radius
+  ``h`` are one set of flat arrays (:class:`_Pairs`): output rows, end
+  nodes, and every pair's ball B_h and B_{h-1} laid out back to back.
+  Growth is level-synchronous: every pair still growing at radius ``h``
+  is advanced together, so all structure combination at one radius
+  happens in ONE cross-pair array pass
+  (:meth:`BatchExtractionEngine._combine_many`) instead of one
+  quadratic-ish pass per pair.  That pass gathers the snapshot row of
+  every node of every ball, which is also all a pair needs to grow:
+  B_{h+1} is B_h plus the gathered neighbours outside it, and a pair
+  whose gather leaves B_h nowhere has an exhausted ball.  The pass
+  groups nodes once: the first same-neighbourhood grouping is already
+  Alg. 1's fixed point, so combination is one merge round.
+* **Arena buffer** — the |V|-sized node → combination-row map is
+  allocated once per engine and part and reused across every pair of
+  every batch via monotonically increasing stamps (never cleared, never
+  reallocated).
 * **Vectorized Palette-WL** — all structure subgraphs of a batch are laid
   out flat and refined together by
   :func:`repro.core.palette_wl.palette_wl_order_many`; tie-break scores
@@ -46,20 +47,20 @@ through the CSR pipeline at once:
   :data:`SLAB_ENTRIES` gathered entries, counted from ``indptr`` before
   the gather; finished pairs are finished (Palette-WL, top-K, Eq. 4/5)
   as soon as they reach the same budget.  No chunk's pass state and no
-  finished block outlives its slab; the call's ball cache, the slot-sum
-  table and the multi-slot memo are shared by every slab.
+  finished block outlives its slab; the slot-sum table and the
+  multi-slot memo are shared by every slab.
 * **Parts** — every pair's row depends on the frozen snapshot alone, so
   a call whose estimated h = 1 gather volume (each pair's degree sums
   over both end nodes' closed neighbourhoods, read from ``indptr``)
   exceeds one part's slab budget is cut into contiguous parts of about
   equal volume, one per usable CPU.  The calling thread runs the first
   part and short-lived threads the rest, each through the serial
-  pipeline with its own arena, its own ball cache and ``SLAB_ENTRIES /
-  parts`` of the budget; the numpy passes release the GIL, so the parts
-  overlap.  The influence, slot-sum, edge-key and repr-rank tables are
-  built before the parts start and only read by them, and every part
-  writes only its own rows, so the output is the serial call's bit for
-  bit.  Inside a pool worker a call runs as one part.
+  pipeline with its own arena and ``SLAB_ENTRIES / parts`` of the
+  budget; the numpy passes release the GIL, so the parts overlap.  The
+  influence, slot-sum, edge-key and repr-rank tables are built before
+  the parts start and only read by them, and every part writes only its
+  own rows, so the output is the serial call's bit for bit.  Inside a
+  pool worker a call runs as one part.
 
 The result is **bit-identical** to looping ``extract`` on the dict
 backend (the untouched reference) — every floating-point reduction below
@@ -70,10 +71,10 @@ randomized batched differential suite enforces it across all entry modes.
 Arena lifetime rules: the engine (and its arenas, one per part) lives
 as long as its :class:`~repro.core.feature.SSFExtractor` — in pool
 workers that is the whole worker lifetime, so chunks after the first
-allocate nothing |V|-sized.  Ball caches are scoped per part; slot-sum
-tables, edge keys and multi-slot memos are scoped per engine; per-pair
-structures are dropped when their slab is finished.  An engine runs one
-call at a time: never share one engine across threads.
+allocate nothing |V|-sized.  Slot-sum tables, edge keys and multi-slot
+memos are scoped per engine; per-pair structures are dropped when their
+slab is finished.  An engine runs one call at a time: never share one
+engine across threads.
 """
 
 from __future__ import annotations
@@ -121,27 +122,17 @@ def _usable_cpus() -> int:
 
 
 class BatchArena:
-    """The reusable |V|-sized work buffers, shared by every pair of one
+    """The reusable |V|-sized work buffer, shared by every pair of one
     part (an engine keeps one per part and reuses them across calls).
 
-    ``visited`` is *token-stamped* with per-ball BFS ownership: an entry
-    is "set" only when it holds the ball's token, so reuse never needs a
-    clearing pass.  ``row_of`` maps a node to its combination row, stamped
-    ``base + row`` from a monotone per-arena base (never-stamped entries
-    hold −1), so a stamp below the current segment's first row is stale.
-    It cannot share ``visited``: pending balls still read their tokens.
+    ``row_of`` maps a node to its combination row, stamped ``base + row``
+    from a monotone per-arena base (never-stamped entries hold −1), so a
+    stamp below the current segment's first row is stale.
     """
 
     def __init__(self, n_nodes: int) -> None:
-        self.visited = np.zeros(n_nodes, dtype=np.int64)
         self.row_of = np.full(n_nodes, -1, dtype=np.int64)
-        self._token = 0
         self._row_base = 0
-
-    def next_token(self) -> int:
-        """A fresh BFS ownership token for :attr:`visited`."""
-        self._token += 1
-        return self._token
 
     def claim_rows(self, n_rows: int) -> int:
         """A stamp base for ``n_rows`` fresh rows of :attr:`row_of`, above
@@ -151,51 +142,92 @@ class BatchArena:
         return base
 
 
-_EMPTY_LEVEL = np.zeros(0, dtype=np.int64)
+_NO_NODES = np.zeros(0, dtype=np.int64)
 
 
-class _Ball:
-    """Level-synchronously grown single-source BFS ball around one endpoint.
+def _ragged_positions(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``starts[i], ..., starts[i] + counts[i] - 1`` for every ``i``, in
+    order: the positions of many slices of one flat array."""
+    ends = counts.cumsum()
+    positions = np.arange(int(ends[-1]) if ends.size else 0, dtype=np.int64)
+    positions += (starts - ends + counts).repeat(counts)
+    return positions
 
-    ``levels[d]`` holds the (sorted) node ids first claimed by this ball at
-    level ``d``; extension stops when a level comes back empty (the
-    component is absorbed).  Balls share the arena's token-stamped
-    ``visited`` map, so a concurrently growing ball may re-stamp a node
-    this ball already claimed and cause it to be *re*-claimed at a later
-    level — harmless, because pair unions deduplicate (the union over
-    ``levels[0..d]`` is always exactly the radius-``d`` ball as a set)
-    and redundant frontier work is bounded by one level per clobber.
+
+class _Pairs:
+    """Growth state of the pairs at one radius ``h``, as pair-indexed
+    arrays.
+
+    Pair ``i`` fills output row ``rows[i]`` (ascending) and has end node
+    ids ``a_ids[i]``/``b_ids[i]``.  Its ball B_h is ``nodes[bounds[i]:
+    bounds[i + 1]]`` and the ball one growth step before, B_{h-1} (the
+    end nodes at h = 1), ``prev[prev_bounds[i]:prev_bounds[i + 1]]``,
+    both ascending.
     """
 
-    __slots__ = ("levels", "token", "exhausted")
+    __slots__ = ("rows", "a_ids", "b_ids", "nodes", "bounds", "prev", "prev_bounds")
 
-    def __init__(self, seed: int, token: int) -> None:
-        self.levels: list[np.ndarray] = [np.array([seed], dtype=np.int64)]
-        self.token = token
-        self.exhausted = False
+    def __init__(
+        self,
+        rows: np.ndarray,
+        a_ids: np.ndarray,
+        b_ids: np.ndarray,
+        nodes: np.ndarray,
+        bounds: np.ndarray,
+        prev: np.ndarray,
+        prev_bounds: np.ndarray,
+    ) -> None:
+        self.rows = rows
+        self.a_ids = a_ids
+        self.b_ids = b_ids
+        self.nodes = nodes
+        self.bounds = bounds
+        self.prev = prev
+        self.prev_bounds = prev_bounds
 
-    def level(self, depth: int) -> np.ndarray:
-        """The nodes claimed at ``depth`` (empty beyond the last level)."""
-        if depth < len(self.levels):
-            return self.levels[depth]
-        return _EMPTY_LEVEL
+    def __len__(self) -> int:
+        return int(self.rows.size)
 
+    def slice(self, lo: int, hi: int) -> "_Pairs":
+        """Pairs ``lo:hi``, as views."""
+        first, last = int(self.bounds[lo]), int(self.bounds[hi])
+        prev_first = int(self.prev_bounds[lo])
+        prev_last = int(self.prev_bounds[hi])
+        return _Pairs(
+            self.rows[lo:hi],
+            self.a_ids[lo:hi],
+            self.b_ids[lo:hi],
+            self.nodes[first:last],
+            self.bounds[lo : hi + 1] - first,
+            self.prev[prev_first:prev_last],
+            self.prev_bounds[lo : hi + 1] - prev_first,
+        )
 
-class _Growth:
-    """Level-synchronous growth state for one not-yet-finished pair:
-    ``union`` is its radius-h ball B_h and ``prev`` the ball one growth
-    step before, B_{h-1} (the end nodes at h = 1)."""
+    @staticmethod
+    def concat(pieces: "list[_Pairs]") -> "_Pairs | None":
+        """The pairs of ``pieces`` in order (``None`` for none)."""
+        pieces = [piece for piece in pieces if len(piece)]
+        if len(pieces) < 2:
+            return pieces[0] if pieces else None
 
-    __slots__ = ("row", "a_id", "b_id", "ball_a", "ball_b", "union", "prev")
+        def bounds(name: str) -> np.ndarray:
+            sizes = np.concatenate([np.diff(getattr(p, name)) for p in pieces])
+            out = np.zeros(sizes.size + 1, dtype=np.int64)
+            sizes.cumsum(out=out[1:])
+            return out
 
-    def __init__(self, row: int, a_id: int, b_id: int) -> None:
-        self.row = row
-        self.a_id = a_id
-        self.b_id = b_id
-        self.ball_a: "_Ball | None" = None
-        self.ball_b: "_Ball | None" = None
-        self.union = np.zeros(0, dtype=np.int64)
-        self.prev = np.array(sorted((a_id, b_id)), dtype=np.int64)
+        def joined(name: str) -> np.ndarray:
+            return np.concatenate([getattr(p, name) for p in pieces])
+
+        return _Pairs(
+            joined("rows"),
+            joined("a_ids"),
+            joined("b_ids"),
+            joined("nodes"),
+            bounds("bounds"),
+            joined("prev"),
+            bounds("prev_bounds"),
+        )
 
 
 class _Part:
@@ -208,9 +240,9 @@ class _Part:
 
     def __init__(
         self,
-        rows: "list[int]",
-        a_ids: "list[int]",
-        b_ids: "list[int]",
+        rows: np.ndarray,
+        a_ids: np.ndarray,
+        b_ids: np.ndarray,
         arena: BatchArena,
         budget: int,
     ) -> None:
@@ -228,7 +260,10 @@ class _PassState:
     group ids ``group_offsets[s]:group_offsets[s+1]``; ``grp_row`` maps
     every node-row (rows in (segment, node) order) to its global group.
     ``adj_indptr``/``adj_dst`` is the final global group-level adjacency
-    (rows ascending).
+    (rows ascending).  ``flat`` holds the pass's gathered neighbour
+    entries, segment ``s`` owning ``flat[entry_bounds[s]:entry_bounds[s
+    + 1]]``, and ``inside`` says which of them lie in their segment's
+    ball.
     """
 
     __slots__ = (
@@ -238,6 +273,9 @@ class _PassState:
         "group_offsets",
         "adj_indptr",
         "adj_dst",
+        "flat",
+        "inside",
+        "entry_bounds",
     )
 
     def __init__(
@@ -248,6 +286,9 @@ class _PassState:
         group_offsets: np.ndarray,
         adj_indptr: np.ndarray,
         adj_dst: np.ndarray,
+        flat: np.ndarray,
+        inside: np.ndarray,
+        entry_bounds: np.ndarray,
     ) -> None:
         self.node_of_row = node_of_row
         self.grp_row = grp_row
@@ -255,6 +296,9 @@ class _PassState:
         self.group_offsets = group_offsets
         self.adj_indptr = adj_indptr
         self.adj_dst = adj_dst
+        self.flat = flat
+        self.inside = inside
+        self.entry_bounds = entry_bounds
 
     def block(
         self, segments: np.ndarray, first_group: int
@@ -271,9 +315,7 @@ class _PassState:
         """
         counts = self.group_counts[segments]
         n_groups = int(counts.sum())
-        groups = np.arange(n_groups, dtype=np.int64) + np.repeat(
-            self.group_offsets[segments] - (np.cumsum(counts) - counts), counts
-        )
+        groups = _ragged_positions(self.group_offsets[segments], counts)
         renumber = np.full(int(self.group_offsets[-1]), -1, dtype=np.int64)
         renumber[groups] = np.arange(n_groups, dtype=np.int64)
         degrees = self.adj_indptr[groups + 1] - self.adj_indptr[groups]
@@ -281,7 +323,7 @@ class _PassState:
             concatenate_neighbor_slices(self.adj_indptr, self.adj_dst, groups)
         ]
         row_group = renumber[self.grp_row]
-        rows = np.flatnonzero(row_group >= 0)
+        rows = (row_group >= 0).nonzero()[0]
         row_group = row_group[rows]
         members = self.node_of_row[rows[stable_argsort(row_group, n_groups)]]
         member_counts = np.bincount(row_group, minlength=n_groups)
@@ -292,31 +334,24 @@ class _Chunk:
     """Pairs of one combine pass whose balls gather at most their part's
     budget of neighbour entries in total (or one pair over it).
 
-    ``nodes`` lays the pairs' unions out back to back, pair ``s`` owning
-    rows ``row_offsets[s]:row_offsets[s + 1]``; ``degrees`` holds each
+    ``pairs`` lays the pairs' balls out back to back, pair ``s`` owning
+    rows ``pairs.bounds[s]:pairs.bounds[s + 1]``; ``degrees`` holds each
     row's snapshot degree and ``entry_bounds`` their running sum from 0,
     so row ``r`` gathers entries ``entry_bounds[r]:entry_bounds[r + 1]``.
     """
 
-    __slots__ = ("growths", "row_offsets", "nodes", "degrees", "entry_bounds")
+    __slots__ = ("pairs", "degrees", "entry_bounds")
 
     def __init__(
-        self,
-        growths: "list[_Growth]",
-        row_offsets: np.ndarray,
-        nodes: np.ndarray,
-        degrees: np.ndarray,
-        entry_bounds: np.ndarray,
+        self, pairs: _Pairs, degrees: np.ndarray, entry_bounds: np.ndarray
     ) -> None:
-        self.growths = growths
-        self.row_offsets = row_offsets
-        self.nodes = nodes
+        self.pairs = pairs
         self.degrees = degrees
         self.entry_bounds = entry_bounds
 
     def entries(self, segments: np.ndarray) -> int:
         """Neighbour entries the pairs ``segments`` gather."""
-        bounds = self.entry_bounds[self.row_offsets]
+        bounds = self.entry_bounds[self.pairs.bounds]
         return int((bounds[segments + 1] - bounds[segments]).sum())
 
 
@@ -338,14 +373,12 @@ class _Slab:
         self.groups = 0
         self.entries = 0
 
-    def add(self, state: _PassState, chunk: _Chunk, segments: "list[int]") -> None:
+    def add(self, state: _PassState, chunk: _Chunk, segments: np.ndarray) -> None:
         """Add the finished ``segments`` of ``chunk``'s pass ``state``."""
-        picked = np.array(segments, dtype=np.int64)
-        block = state.block(picked, self.groups)
+        block = state.block(segments, self.groups)
         self.groups += int(block[0].sum())
-        self.entries += chunk.entries(picked)
-        rows = np.array([chunk.growths[s].row for s in segments], dtype=np.int64)
-        self.blocks.append((rows,) + block)
+        self.entries += chunk.entries(segments)
+        self.blocks.append((chunk.pairs.rows[segments],) + block)
 
 
 _MIX_INCREMENT = np.uint64(0x9E3779B97F4A7C15)
@@ -406,36 +439,35 @@ def _group_ragged_rows(
     if flat.size:
         # entries are small ids: mixing each distinct value once is cheaper
         mixed = _mix64(np.arange(int(flat.max()) + 1, dtype=np.int64))
-        np.cumsum(mixed[flat], out=running[1:])
+        mixed[flat].cumsum(out=running[1:])
     words = (running[hi] - running[lo]) ^ _mix64((segs << 32) + lengths)
 
     # repro-lint: disable=R602 -- tie order inside a run is never read
-    order = np.argsort(words)
+    order = words.argsort()
     sorted_words = words[order]
     run_start = np.empty(count, dtype=bool)
     run_start[0] = True
     np.not_equal(sorted_words[1:], sorted_words[:-1], out=run_start[1:])
-    run_starts = np.flatnonzero(run_start)
+    run_starts = run_start.nonzero()[0]
     run_of = np.empty(count, dtype=np.int64)
-    run_of[order] = np.cumsum(run_start) - 1
+    run_of[order] = run_start.cumsum() - 1
     rep = np.minimum.reduceat(order, run_starts)[run_of]
 
-    follower = np.flatnonzero(rep != np.arange(count, dtype=np.int64))
+    follower = (rep != np.arange(count, dtype=np.int64)).nonzero()[0]
     if follower.size:
         lead = rep[follower]
         differs = (lengths[follower] != lengths[lead]) | (
             segs[follower] != segs[lead]
         )
-        check = np.flatnonzero(~differs)
+        check = (~differs).nonzero()[0]
         widths = lengths[follower[check]]
         n_entries = int(widths.sum())
         if n_entries:
-            offsets = np.arange(n_entries, dtype=np.int64) - np.repeat(
-                np.cumsum(widths) - widths, widths
-            )
-            mine = flat[np.repeat(lo[follower[check]], widths) + offsets]
-            theirs = flat[np.repeat(lo[lead[check]], widths) + offsets]
-            owner = np.repeat(check, widths)
+            offsets = np.arange(n_entries, dtype=np.int64)
+            offsets -= (widths.cumsum() - widths).repeat(widths)
+            mine = flat[lo[follower[check]].repeat(widths) + offsets]
+            theirs = flat[lo[lead[check]].repeat(widths) + offsets]
+            owner = check.repeat(widths)
             differs[owner[mine != theirs]] = True
         if bool(differs.any()):
             run_bounds = np.append(run_starts, count).tolist()
@@ -447,9 +479,9 @@ def _group_ragged_rows(
                     rep[t] = firsts.setdefault(key, t)
 
     is_first = rep == np.arange(count, dtype=np.int64)
-    number = np.cumsum(is_first) - 1
+    number = is_first.cumsum() - 1
     counts = np.bincount(segs[is_first], minlength=n_segs)
-    seg_base = np.cumsum(counts) - counts
+    seg_base = counts.cumsum() - counts
     return number[rep] - seg_base[segs], counts
 
 
@@ -572,10 +604,10 @@ class BatchExtractionEngine:
             return out
 
         grown: "list[np.ndarray] | None" = (
-            [_EMPTY_LEVEL] * len(pairs) if footprints is not None else None
+            [_NO_NODES] * len(pairs) if footprints is not None else None
         )
         inner_balls: "list[np.ndarray] | None" = (
-            [_EMPTY_LEVEL] * len(pairs) if inner is not None else None
+            [_NO_NODES] * len(pairs) if inner is not None else None
         )
         rows, a_ids, b_ids = self._resolve(pairs)
         bounds = self._part_bounds(a_ids, b_ids)
@@ -609,41 +641,32 @@ class BatchExtractionEngine:
 
     def _resolve(
         self, pairs: "Sequence[Pair]"
-    ) -> "tuple[list[int], list[int], list[int]]":
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """``(rows, a_ids, b_ids)`` of every pair with both end nodes in
         the snapshot, in pair order; the other rows stay zero."""
         snapshot = self._snapshot
-        rows: "list[int]" = []
-        a_ids: "list[int]" = []
-        b_ids: "list[int]" = []
-        for row, (a, b) in enumerate(pairs):
-            if not (snapshot.has_node(a) and snapshot.has_node(b)):
-                continue
-            a_id = snapshot.node_id(a)
-            b_id = snapshot.node_id(b)
-            if a_id == b_id:
-                raise ValueError("target link end nodes must be distinct")
-            rows.append(row)
-            a_ids.append(a_id)
-            b_ids.append(b_id)
+        a_ids = snapshot.node_ids((a for a, _ in pairs), len(pairs))
+        b_ids = snapshot.node_ids((b for _, b in pairs), len(pairs))
+        rows = ((a_ids >= 0) & (b_ids >= 0)).nonzero()[0]
+        a_ids = a_ids[rows]
+        b_ids = b_ids[rows]
+        if bool((a_ids == b_ids).any()):
+            raise ValueError("target link end nodes must be distinct")
         return rows, a_ids, b_ids
 
-    def _part_bounds(self, a_ids: "list[int]", b_ids: "list[int]") -> "list[int]":
+    def _part_bounds(self, a_ids: np.ndarray, b_ids: np.ndarray) -> "list[int]":
         """Where the call's resolved pairs are cut into parts: ``[0, n]``
         (one part) unless the call's estimated h = 1 gather volume exceeds
         one part's share of :data:`SLAB_ENTRIES` and averages at least
         ``SLAB_ENTRIES / 1000`` per pair, with one part per usable CPU.  A
         pair goes to the part its volume's midpoint falls in, so the parts
         are contiguous and of about equal volume."""
-        n_pairs = len(a_ids)
+        n_pairs = int(a_ids.size)
         n_parts = min(self._cpus, n_pairs)
         if n_parts < 2:
             return [0, n_pairs]
         closed = self._closed_volumes()
-        volumes = (
-            closed[np.array(a_ids, dtype=np.int64)]
-            + closed[np.array(b_ids, dtype=np.int64)]
-        )
+        volumes = closed[a_ids] + closed[b_ids]
         total = int(volumes.sum())
         # a thread pays off only where numpy passes, which release the GIL,
         # outweigh the per-pair Python around them, which holds it: the
@@ -651,10 +674,9 @@ class BatchExtractionEngine:
         # least a thousandth of SLAB_ENTRIES (docs/PERFORMANCE.md, "Parts")
         if total <= SLAB_ENTRIES // n_parts or total * 1000 < SLAB_ENTRIES * n_pairs:
             return [0, n_pairs]
-        doubled_midpoints = 2 * np.cumsum(volumes) - volumes
-        cuts = np.searchsorted(
-            doubled_midpoints * n_parts,
-            2 * total * np.arange(1, n_parts, dtype=np.int64),
+        doubled_midpoints = 2 * volumes.cumsum() - volumes
+        cuts = (doubled_midpoints * n_parts).searchsorted(
+            2 * total * np.arange(1, n_parts, dtype=np.int64)
         )
         return sorted({0, n_pairs, *cuts.tolist()})
 
@@ -699,13 +721,13 @@ class BatchExtractionEngine:
         del blocks
         n_segments = sizes.size
         seg_indptr = np.zeros(n_segments + 1, dtype=np.int64)
-        np.cumsum(sizes, out=seg_indptr[1:])
+        sizes.cumsum(out=seg_indptr[1:])
         total = int(seg_indptr[-1])
-        seg_ids = np.repeat(np.arange(n_segments, dtype=np.int64), sizes)
+        seg_ids = np.arange(n_segments, dtype=np.int64).repeat(sizes)
         nbr_indptr = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(degrees, out=nbr_indptr[1:])
+        degrees.cumsum(out=nbr_indptr[1:])
         member_indptr = np.zeros(total + 1, dtype=np.int64)
-        np.cumsum(member_counts, out=member_indptr[1:])
+        member_counts.cumsum(out=member_indptr[1:])
         n_nodes = self._snapshot.number_of_nodes()
 
         def link_slots(
@@ -727,14 +749,14 @@ class BatchExtractionEngine:
             width = member_counts[large]
             per_link = member_counts[small] * width
             bounds = np.zeros(q_seg.size + 1, dtype=np.int64)
-            np.cumsum(per_link, out=bounds[1:])
+            per_link.cumsum(out=bounds[1:])
             offsets = np.arange(int(bounds[-1]), dtype=np.int64)
-            offsets -= np.repeat(bounds[:-1], per_link)
-            width = np.repeat(width, per_link)
-            u = np.repeat(member_indptr[small], per_link) + offsets // width
-            v = np.repeat(member_indptr[large], per_link) + offsets % width
+            offsets -= bounds[:-1].repeat(per_link)
+            width = width.repeat(per_link)
+            u = member_indptr[small].repeat(per_link) + offsets // width
+            v = member_indptr[large].repeat(per_link) + offsets % width
             keys = members_flat[u] * n_nodes + members_flat[v]
-            return np.searchsorted(self._edge_keys(), keys), bounds
+            return self._edge_keys().searchsorted(keys), bounds
 
         def tie_break(nodes: np.ndarray) -> np.ndarray:
             """Eq. 4 tie-break scores of tied structure nodes: from 0.0,
@@ -762,7 +784,7 @@ class BatchExtractionEngine:
             )
             scores = np.zeros(nodes.size, dtype=np.float64)
             for endpoint in (0, 1):
-                hit = np.flatnonzero(adjacent[endpoint])
+                hit = adjacent[endpoint].nonzero()[0]
                 if hit.size:
                     scores[hit] -= self._link_influences(
                         *link_slots(
@@ -795,12 +817,18 @@ class BatchExtractionEngine:
 
         # Each structure node's hop distances to the two end nodes: the
         # Palette-WL initial key, and (their element-wise min) the Eq. 5
-        # distance to the target link.
+        # distance to the target link.  One BFS sweep serves both: over
+        # two copies of the flat adjacency, the second shifted by
+        # ``total``, from end node 0 in the first and end node 1 in the
+        # second.
         with span("palette_wl", nodes=total, segments=n_segments):
-            from_a = flat_hop_distances(nbr_indptr, nbr_indices, seg_indptr[:-1])
-            from_b = flat_hop_distances(
-                nbr_indptr, nbr_indices, seg_indptr[:-1] + 1
+            both = flat_hop_distances(
+                np.concatenate([nbr_indptr, nbr_indptr[1:] + nbr_indptr[-1]]),
+                np.concatenate([nbr_indices, nbr_indices + total]),
+                np.concatenate([seg_indptr[:-1], seg_indptr[:-1] + 1 + total]),
             )
+            from_a = both[:total]
+            from_b = both[total:]
             orders = palette_wl_order_many(
                 seg_indptr,
                 nbr_indptr,
@@ -819,8 +847,8 @@ class BatchExtractionEngine:
         selected_mask = orders <= k
         sel_sizes = np.minimum(sizes, k)
         sel_indptr = np.zeros(n_segments + 1, dtype=np.int64)
-        np.cumsum(sel_sizes, out=sel_indptr[1:])
-        sel_nodes = np.flatnonzero(selected_mask)
+        sel_sizes.cumsum(out=sel_indptr[1:])
+        sel_nodes = selected_mask.nonzero()[0]
         sel_flat = np.empty(int(sel_indptr[-1]), dtype=np.int64)
         sel_flat[sel_indptr[seg_ids[sel_nodes]] + orders[sel_nodes] - 1] = sel_nodes
         position_of = np.where(selected_mask, orders, 0)
@@ -829,9 +857,9 @@ class BatchExtractionEngine:
         # adjacency gather; (m, n) kept when n > m, minus the target link.
         deg_sel = nbr_indptr[sel_flat + 1] - nbr_indptr[sel_flat]
         gathered = concatenate_neighbor_slices(nbr_indptr, nbr_indices, sel_flat)
-        m_orders = np.repeat(orders[sel_flat], deg_sel)
-        src_rep = np.repeat(sel_flat, deg_sel)
-        seg_rep = np.repeat(seg_ids[sel_flat], deg_sel)
+        m_orders = orders[sel_flat].repeat(deg_sel)
+        src_rep = sel_flat.repeat(deg_sel)
+        seg_rep = seg_ids[sel_flat].repeat(deg_sel)
         n_orders = position_of[gathered]
         present = (n_orders > m_orders) & ~((m_orders == 1) & (n_orders == 2))
         link_m = m_orders[present]
@@ -882,9 +910,7 @@ class BatchExtractionEngine:
                     slots, bounds = slots_of_links()
                     ts_indptr = self._snapshot.ts_indptr
                     prefix = np.zeros(slots.size + 1, dtype=np.int64)
-                    np.cumsum(
-                        ts_indptr[slots + 1] - ts_indptr[slots], out=prefix[1:]
-                    )
+                    (ts_indptr[slots + 1] - ts_indptr[slots]).cumsum(out=prefix[1:])
                     values = (prefix[bounds[1:]] - prefix[bounds[:-1]]).astype(
                         np.float64
                     )
@@ -933,43 +959,32 @@ class BatchExtractionEngine:
         (:meth:`_chunks`) and runs them one by one through
         :meth:`_advance_chunk`, so a chunk's pass state is gone before
         the next chunk gathers.  A slab is yielded between chunks, never
-        inside a span.  Ball extension and the per-pair merges run under
-        ``subgraph_growth`` spans, combination and block extraction
-        under ``structure_combination`` spans, so the two stage
-        histograms time disjoint work."""
-        k = self._k
+        inside a span.  Growth runs under ``subgraph_growth`` spans,
+        combination and block extraction under ``structure_combination``
+        spans, so the two stage histograms time disjoint work."""
         with span("subgraph_growth", h=1, pairs=len(part.rows)):
-            active = self._start_growth(part)
+            pairs: "_Pairs | None" = self._start_growth(part)
         slab = _Slab()
         h = 1
-        while active:
+        while pairs is not None:
             if obs_enabled():
-                sizes = [int(g.union.size) for g in active]
-                observe_many("subgraph.ball_size", sizes)
+                sizes = np.diff(pairs.bounds)
+                observe_many("subgraph.ball_size", sizes.tolist())
                 observe_many(
                     "subgraph.frontier_size",
-                    [size - g.prev.size for size, g in zip(sizes, active)],
+                    (sizes - np.diff(pairs.prev_bounds)).tolist(),
                 )
-            # pairs whose ball holds fewer than K nodes cannot reach K
-            # structure nodes: they only grow, alongside the first chunk
-            small = [g for g in active if g.union.size < k]
-            chunks: "list[_Chunk | None]" = []
-            chunks += self._chunks(
-                [g for g in active if g.union.size >= k], part.budget
-            )
-            growing: "list[_Growth]" = []
+            growing: "list[_Pairs]" = []
             finished = 0
-            for index, chunk in enumerate(chunks or [None]):
-                grew, count = self._advance_chunk(
-                    part, chunk, small if index == 0 else [], h, slab, grown, inner
-                )
-                growing += grew
+            for chunk in self._chunks(pairs, part.budget):
+                grew, count = self._advance_chunk(part, chunk, h, slab, grown, inner)
+                growing.append(grew)
                 finished += count
                 if slab.entries >= part.budget:
                     yield slab
                     slab = _Slab()
             observe_many("subgraph.growth_h", [h] * finished)
-            active = growing
+            pairs = _Pairs.concat(growing)
             h += 1
         if slab.blocks:
             yield slab
@@ -977,99 +992,78 @@ class BatchExtractionEngine:
     def _advance_chunk(
         self,
         part: _Part,
-        chunk: "_Chunk | None",
-        small: "list[_Growth]",
+        chunk: _Chunk,
         h: int,
         slab: _Slab,
         grown: "list[np.ndarray] | None",
         inner: "list[np.ndarray] | None",
-    ) -> "tuple[list[_Growth], int]":
+    ) -> "tuple[_Pairs, int]":
         """One chunk of level ``h``: Alg. 1 over its pairs, growth to
-        ``h + 1`` of those short of K structure nodes (and of ``small``),
-        and every pair that finishes at ``h`` added to ``slab``.
+        ``h + 1`` of those short of K structure nodes, and every pair that
+        finishes at ``h`` added to ``slab``.  A pair whose ball holds
+        fewer than K nodes cannot reach K structure nodes; it is combined
+        all the same, and grows.
 
         Returns ``(growing, finished)``: the pairs whose ball grew, and
         how many pairs finished.  The pass state dies on return."""
-        k = self._k
-        done: "list[int]" = []
-        pending: "list[tuple[_Growth, int | None]]" = []
-        state: "_PassState | None" = None
-        if chunk is not None:
-            with span("structure_combination", h=h, pairs=len(chunk.growths)):
-                state = self._combine_many(chunk, part.arena)
-            for segment, count in enumerate(state.group_counts.tolist()):
-                if count >= k:
-                    done.append(segment)
-                else:
-                    pending.append((chunk.growths[segment], segment))
-        pending += [(growth, None) for growth in small]
-
-        forced: "list[tuple[_Growth, int | None]]" = []
-        growing: "list[_Growth]" = []
-        if pending:
-            if self._max_hop is not None and h >= self._max_hop:
-                forced = pending
-            else:
-                with span("subgraph_growth", h=h + 1, pairs=len(pending)):
-                    forced, growing = self._grow_pending(pending, h, part.arena)
-        # a pair that reached K keeps B_{h-1} as its inner ball; a forced
+        pairs = chunk.pairs
+        with span("structure_combination", h=h, pairs=len(pairs)):
+            state = self._combine_many(chunk, part.arena)
+        reached = state.group_counts >= self._k
+        stopped = ~reached
+        growing = pairs.slice(0, 0)
+        pending = stopped.nonzero()[0]
+        if pending.size and (self._max_hop is None or h < self._max_hop):
+            with span("subgraph_growth", h=h + 1, pairs=int(pending.size)):
+                growing, grew = self._grow(pairs, state, pending)
+            stopped[pending[grew]] = False
+        done = (reached | stopped).nonzero()[0]
+        # a pair that reached K keeps B_{h-1} as its inner ball; a stopped
         # one keeps B_h, where one more edge could let its ball grow
-        reached = [chunk.growths[s] for s in done] if chunk is not None else []
-        stopped = [growth for growth, _segment in forced]
-        done += [segment for _growth, segment in forced if segment is not None]
-        leftover = [growth for growth, segment in forced if segment is None]
-        if grown is not None:
-            for growth in reached + stopped:
-                grown[growth.row] = growth.union
-        if inner is not None:
-            for growth in reached:
-                inner[growth.row] = growth.prev
-            for growth in stopped:
-                inner[growth.row] = growth.union
-        if done or leftover:
-            with span("structure_combination", h=h, pairs=len(done) + len(leftover)):
-                if done:
-                    assert state is not None and chunk is not None
-                    slab.add(state, chunk, done)
-                for left in self._chunks(leftover, part.budget):
-                    slab.add(
-                        self._combine_many(left, part.arena),
-                        left,
-                        list(range(len(left.growths))),
+        if grown is not None or inner is not None:
+            bounds = pairs.bounds.tolist()
+            prev_bounds = pairs.prev_bounds.tolist()
+            for segment, row in zip(done.tolist(), pairs.rows[done].tolist()):
+                ball = pairs.nodes[bounds[segment] : bounds[segment + 1]]
+                if grown is not None:
+                    grown[row] = ball
+                if inner is not None:
+                    inner[row] = (
+                        ball
+                        if stopped[segment]
+                        else pairs.prev[
+                            prev_bounds[segment] : prev_bounds[segment + 1]
+                        ]
                     )
-        return growing, len(done) + len(leftover)
+        if done.size:
+            with span("structure_combination", h=h, pairs=int(done.size)):
+                slab.add(state, chunk, done)
+        return growing, int(done.size)
 
-    def _chunks(self, growths: "list[_Growth]", budget: int) -> "list[_Chunk]":
+    def _chunks(self, pairs: _Pairs, budget: int) -> "list[_Chunk]":
         """Cut one combine pass's pairs, in order, into chunks of at most
         ``budget`` gathered entries (a pair over the budget alone).  The
-        volume is each union's snapshot degree sum, read from ``indptr``
+        volume is each ball's snapshot degree sum, read from ``indptr``
         before any gather; a pass under the budget is one chunk."""
-        if not growths:
-            return []
         indptr = self._snapshot.indptr
-        sizes = np.array([g.union.size for g in growths], dtype=np.int64)
-        row_offsets = np.zeros(len(growths) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=row_offsets[1:])
-        nodes = np.concatenate([g.union for g in growths])
+        nodes = pairs.nodes
         degrees = (indptr[nodes + 1] - indptr[nodes]).astype(np.int64)
         entry_bounds = np.zeros(nodes.size + 1, dtype=np.int64)
-        np.cumsum(degrees, out=entry_bounds[1:])
+        degrees.cumsum(out=entry_bounds[1:])
         if int(entry_bounds[-1]) <= budget:
-            return [_Chunk(growths, row_offsets, nodes, degrees, entry_bounds)]
+            return [_Chunk(pairs, degrees, entry_bounds)]
         #: entries gathered before each pair
-        before = entry_bounds[row_offsets]
+        before = entry_bounds[pairs.bounds]
         chunks: "list[_Chunk]" = []
         start = 0
-        while start < len(growths):
+        while start < len(pairs):
             limit = int(before[start]) + budget
-            end = int(np.searchsorted(before, limit, side="right")) - 1
+            end = int(before.searchsorted(limit, side="right")) - 1
             end = max(end, start + 1)
-            lo, hi = int(row_offsets[start]), int(row_offsets[end])
+            lo, hi = int(pairs.bounds[start]), int(pairs.bounds[end])
             chunks.append(
                 _Chunk(
-                    growths[start:end],
-                    row_offsets[start : end + 1] - lo,
-                    nodes[lo:hi],
+                    pairs.slice(start, end),
                     degrees[lo:hi],
                     entry_bounds[lo : hi + 1] - entry_bounds[lo],
                 )
@@ -1077,189 +1071,95 @@ class BatchExtractionEngine:
             start = end
         return chunks
 
-    def _start_growth(self, part: _Part) -> "list[_Growth]":
-        """Radius-1 growth state for every pair of ``part``; endpoint balls
-        are shared across the part."""
-        arena = part.arena
-        balls: dict[int, _Ball] = {}
-        hits = 0
-        misses = 0
-
-        def ball_of(node_id: int) -> _Ball:
-            nonlocal hits, misses
-            ball = balls.get(node_id)
-            if ball is None:
-                misses += 1
-                token = arena.next_token()
-                arena.visited[node_id] = token
-                ball = _Ball(node_id, token)
-                balls[node_id] = ball
-            else:
-                hits += 1
-            return ball
-
-        active: "list[_Growth]" = []
-        for row, a_id, b_id in zip(part.rows, part.a_ids, part.b_ids):
-            growth = _Growth(row, a_id, b_id)
-            growth.ball_a = ball_of(a_id)
-            growth.ball_b = ball_of(b_id)
-            active.append(growth)
-        incr("batch.ball_reuse_hits", hits)
-        incr("batch.ball_reuse_misses", misses)
-        self._extend_balls(
-            [g.ball_a for g in active] + [g.ball_b for g in active], 1, arena
-        )
-        init_parts: "list[np.ndarray]" = []
-        init_owner: "list[int]" = []
-        for index, growth in enumerate(active):
-            assert growth.ball_a is not None and growth.ball_b is not None
-            for level in (
-                growth.ball_a.levels[0],
-                growth.ball_a.level(1),
-                growth.ball_b.levels[0],
-                growth.ball_b.level(1),
-            ):
-                init_parts.append(level)
-                init_owner.append(index)
-        merged, bounds = self._merge_per_pair(init_parts, init_owner, len(active))
-        for index, growth in enumerate(active):
-            growth.union = (
-                merged[bounds[index] : bounds[index + 1]]
-                - index * self._snapshot.number_of_nodes()
-            )
-        return active
-
-    def _grow_pending(
-        self,
-        pending: "list[tuple[_Growth, int | None]]",
-        h: int,
-        arena: BatchArena,
-    ) -> "tuple[list[tuple[_Growth, int | None]], list[_Growth]]":
-        """Advance every pending pair from radius ``h`` to ``h + 1``.
-
-        Returns ``(forced, growing)``: pairs whose ball stopped growing
-        (they finish at ``h``) and pairs whose union grew.
-        """
-        self._extend_balls(
-            [g.ball_a for g, _ in pending] + [g.ball_b for g, _ in pending],
-            h + 1,
-            arena,
-        )
-        # One global merge decides both questions per pair — did the
-        # radius-(h+1) ball grow (else the pair is forced), and what is
-        # the new union if it did.
-        probe_parts: "list[np.ndarray]" = []
-        probe_owner: "list[int]" = []
-        for index, (growth, _segment) in enumerate(pending):
-            assert growth.ball_a is not None
-            assert growth.ball_b is not None
-            for part in (
-                growth.union,
-                growth.ball_a.level(h + 1),
-                growth.ball_b.level(h + 1),
-            ):
-                probe_parts.append(part)
-                probe_owner.append(index)
-        merged, bounds = self._merge_per_pair(probe_parts, probe_owner, len(pending))
-        n_nodes = self._snapshot.number_of_nodes()
-        forced: "list[tuple[_Growth, int | None]]" = []
-        growing: "list[_Growth]" = []
-        for index, (growth, segment) in enumerate(pending):
-            lo, hi = int(bounds[index]), int(bounds[index + 1])
-            if hi - lo == growth.union.size:
-                forced.append((growth, segment))
-            else:
-                growth.prev = growth.union
-                growth.union = merged[lo:hi] - index * n_nodes
-                growing.append(growth)
-        return forced, growing
-
-    def _merge_per_pair(
-        self,
-        parts: "list[np.ndarray]",
-        owner: "list[int]",
-        n_pairs: int,
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Sorted-unique merge of many per-pair node-id piles at once.
-
-        ``parts[i]`` belongs to pair ``owner[i]``; the merge of each
-        pair's piles is one slice of the returned globally sorted key
-        array (keys are ``pair * |V| + node`` — subtract the pair offset
-        to recover node ids).  One global :func:`sorted_unique` replaces
-        a Python-level unique/union call per pair.
-        """
-        n_nodes = self._snapshot.number_of_nodes()
-        sizes = np.array([part.size for part in parts], dtype=np.int64)
-        cat = np.concatenate(parts) if parts else _EMPTY_LEVEL
-        owners = np.repeat(np.array(owner, dtype=np.int64), sizes)
-        merged = sorted_unique(owners * n_nodes + cat)
-        bounds = np.searchsorted(
-            merged, np.arange(n_pairs + 1, dtype=np.int64) * n_nodes
-        )
-        return merged, bounds
-
-    def _extend_balls(
-        self, requested: "list[_Ball | None]", depth: int, arena: BatchArena
-    ) -> None:
-        """Grow every requested ball to ``depth`` in shared array passes.
-
-        All live balls sit at the same level (growth is level-synchronous),
-        so one pass gathers the neighbours of EVERY ball's frontier at
-        once, masks out nodes already stamped with their ball's token, and
-        splits the per-(ball, node) unique survivors back into per-ball
-        sorted levels.  Nodes claimed by two balls in the same pass keep
-        only one stamp — see :class:`_Ball` for why the later re-claim
-        this can cause is harmless.
-        """
+    def _start_growth(self, part: _Part) -> "_Pairs | None":
+        """Radius-1 growth state for every pair of ``part``: B_1 is the
+        two end nodes and their neighbours, B_0 the end nodes."""
         snapshot = self._snapshot
-        visited = arena.visited
         n_nodes = snapshot.number_of_nodes()
-        seen: "set[int]" = set()
-        need: "list[_Ball]" = []
-        for ball in requested:
-            if (
-                ball is not None
-                and ball.token not in seen
-                and not ball.exhausted
-                and len(ball.levels) - 1 < depth
-            ):
-                seen.add(ball.token)
-                need.append(ball)
-        while need:
-            frontier_sizes = np.array(
-                [ball.levels[-1].size for ball in need], dtype=np.int64
+        count = int(part.rows.size)
+        if not count:
+            return None
+        ends = np.concatenate([part.a_ids, part.b_ids])
+        index = np.arange(count, dtype=np.int64)
+        owner = np.concatenate([index, index])
+        degrees = snapshot.indptr[ends + 1] - snapshot.indptr[ends]
+        keys = sorted_unique(
+            np.concatenate(
+                [
+                    owner * n_nodes + ends,
+                    owner.repeat(degrees) * n_nodes
+                    + concatenate_neighbor_slices(
+                        snapshot.indptr, snapshot.indices, ends
+                    ),
+                ]
             )
-            frontier = np.concatenate([ball.levels[-1] for ball in need])
-            degrees = (
-                snapshot.indptr[frontier + 1] - snapshot.indptr[frontier]
-            ).astype(np.int64)
-            owner = np.repeat(
-                np.repeat(np.arange(len(need), dtype=np.int64), frontier_sizes),
-                degrees,
+        )
+        bounds = keys.searchsorted(np.arange(count + 1, dtype=np.int64) * n_nodes)
+        nodes = keys - (np.arange(count, dtype=np.int64) * n_nodes).repeat(
+            bounds[1:] - bounds[:-1]
+        )
+        prev = np.empty(2 * count, dtype=np.int64)
+        np.minimum(part.a_ids, part.b_ids, out=prev[0::2])
+        np.maximum(part.a_ids, part.b_ids, out=prev[1::2])
+        return _Pairs(
+            part.rows,
+            part.a_ids,
+            part.b_ids,
+            nodes,
+            bounds,
+            prev,
+            np.arange(0, 2 * count + 1, 2, dtype=np.int64),
+        )
+
+    def _grow(
+        self, pairs: _Pairs, state: _PassState, pending: np.ndarray
+    ) -> "tuple[_Pairs, np.ndarray]":
+        """Advance the ``pending`` pairs of one pass from radius ``h`` to
+        ``h + 1``.
+
+        B_{h+1} is B_h plus every neighbour the pass gathered outside B_h
+        (a node outside B_h adjacent to it is adjacent to its frontier).
+        Returns the pairs whose ball grew, at ``h + 1``, and which of
+        ``pending`` they are; a pending pair with no outside neighbour
+        has an exhausted ball and finishes at ``h``."""
+        n_nodes = self._snapshot.number_of_nodes()
+        seg_entries = state.entry_bounds
+        counts = seg_entries[pending + 1] - seg_entries[pending]
+        positions = _ragged_positions(seg_entries[pending], counts)
+        outside = ~state.inside[positions]
+        owner = pending.repeat(counts)[outside]
+        grew_seg = np.zeros(len(pairs), dtype=bool)
+        grew_seg[owner] = True
+        grew = grew_seg[pending]
+        segments = pending[grew]
+        ball_sizes = pairs.bounds[segments + 1] - pairs.bounds[segments]
+        ball = pairs.nodes[_ragged_positions(pairs.bounds[segments], ball_sizes)]
+        keys = sorted_unique(
+            np.concatenate(
+                [
+                    (segments * n_nodes).repeat(ball_sizes) + ball,
+                    owner * n_nodes + state.flat[positions[outside]],
+                ]
             )
-            neighbors = concatenate_neighbor_slices(
-                snapshot.indptr, snapshot.indices, frontier
-            )
-            tokens = np.array([ball.token for ball in need], dtype=np.int64)
-            fresh = visited[neighbors] != tokens[owner]
-            claim = sorted_unique(owner[fresh] * n_nodes + neighbors[fresh])
-            claim_owner = claim // n_nodes
-            claim_node = claim % n_nodes
-            visited[claim_node] = tokens[claim_owner]
-            bounds = np.searchsorted(
-                claim_owner, np.arange(len(need) + 1, dtype=np.int64)
-            )
-            for index, ball in enumerate(need):
-                level = claim_node[bounds[index] : bounds[index + 1]]
-                if level.size == 0:
-                    ball.exhausted = True
-                else:
-                    ball.levels.append(level)
-            need = [
-                ball
-                for ball in need
-                if not ball.exhausted and len(ball.levels) - 1 < depth
-            ]
+        )
+        bounds = keys.searchsorted(
+            np.concatenate([segments, [len(pairs)]]) * n_nodes
+        )
+        new_sizes = bounds[1:] - bounds[:-1]
+        prev_bounds = np.zeros(segments.size + 1, dtype=np.int64)
+        ball_sizes.cumsum(out=prev_bounds[1:])
+        return (
+            _Pairs(
+                pairs.rows[segments],
+                pairs.a_ids[segments],
+                pairs.b_ids[segments],
+                keys - (segments * n_nodes).repeat(new_sizes),
+                bounds - bounds[0],
+                ball,
+                prev_bounds,
+            ),
+            grew,
+        )
 
     def _combine_many(self, chunk: _Chunk, arena: BatchArena) -> _PassState:
         """Algorithm 1 over every pair of one chunk, in shared array
@@ -1267,23 +1167,25 @@ class BatchExtractionEngine:
         :func:`~repro.core.structure.combine_structures_csr`."""
         snapshot = self._snapshot
         n_nodes = snapshot.number_of_nodes()
-        growths = chunk.growths
-        n_segments = len(growths)
-        row_offsets = chunk.row_offsets
-        ball_sizes = np.diff(row_offsets)
+        pairs = chunk.pairs
+        n_segments = len(pairs)
+        row_offsets = pairs.bounds
+        ball_sizes = row_offsets[1:] - row_offsets[:-1]
         n_rows = int(row_offsets[-1])
-        node_of_row = chunk.nodes
-        seg_of_row = np.repeat(np.arange(n_segments, dtype=np.int64), ball_sizes)
+        node_of_row = pairs.nodes
+        seg_of_row = np.arange(n_segments, dtype=np.int64).repeat(ball_sizes)
 
         flat = concatenate_neighbor_slices(
             snapshot.indptr, snapshot.indices, node_of_row
         )
         entry_bounds = chunk.entry_bounds
-        owner_row = np.repeat(np.arange(n_rows, dtype=np.int64), chunk.degrees)
+        owner_row = np.arange(n_rows, dtype=np.int64).repeat(chunk.degrees)
         # Membership AND destination row of every gathered neighbour from
         # the arena's row map: stamp a segment's rows, then read its
         # entries.  Earlier segments and calls left only stamps below the
-        # segment's first row, so "stamp >= first row" is membership.
+        # segment's first row, so "stamp >= first row" is membership.  A
+        # node can lie in many segments' balls, so the one |V|-sized map
+        # holds one segment's stamps at a time.
         row_of = arena.row_of
         base = arena.claim_rows(n_rows)
         stamps = base + np.arange(n_rows, dtype=np.int64)
@@ -1297,28 +1199,25 @@ class BatchExtractionEngine:
             e_lo, e_hi = entry_list[s], entry_list[s + 1]
             dst_stamp[e_lo:e_hi] = row_of[flat[e_lo:e_hi]]
         dst_row = dst_stamp - base
-        kept = np.flatnonzero(
-            dst_row >= np.repeat(row_offsets[:-1], np.diff(seg_entry_bounds))
+        inside = dst_row >= row_offsets[:-1].repeat(
+            seg_entry_bounds[1:] - seg_entry_bounds[:-1]
         )
+        kept = inside.nonzero()[0]
         kept_dst_row = dst_row[kept]
         kept_owner_row = owner_row[kept]
         kept_indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(kept_owner_row, minlength=n_rows), out=kept_indptr[1:]
-        )
+        np.bincount(kept_owner_row, minlength=n_rows).cumsum(out=kept_indptr[1:])
 
         # Per-segment sorted balls + disjoint per-segment key ranges give
         # one globally sorted haystack for the two end rows per segment.
         haystack = seg_of_row * n_nodes + node_of_row
-        a_ids = np.array([g.a_id for g in growths], dtype=np.int64)
-        b_ids = np.array([g.b_id for g in growths], dtype=np.int64)
-        seg_range = np.arange(n_segments, dtype=np.int64)
-        row_a = np.searchsorted(haystack, seg_range * n_nodes + a_ids)
-        row_b = np.searchsorted(haystack, seg_range * n_nodes + b_ids)
+        seg_keys = np.arange(n_segments, dtype=np.int64) * n_nodes
+        row_a = haystack.searchsorted(seg_keys + pairs.a_ids)
+        row_b = haystack.searchsorted(seg_keys + pairs.b_ids)
         is_end_row = np.zeros(n_rows, dtype=bool)
         is_end_row[row_a] = True
         is_end_row[row_b] = True
-        rest_rows = np.flatnonzero(~is_end_row)
+        rest_rows = (~is_end_row).nonzero()[0]
 
         # Group non-end nodes by restricted-neighbour content per segment
         # (ascending node order = ascending row order), then pin the end
@@ -1328,7 +1227,7 @@ class BatchExtractionEngine:
         )
         group_counts = extra_counts + 2
         group_offsets = np.zeros(n_segments + 1, dtype=np.int64)
-        np.cumsum(group_counts, out=group_offsets[1:])
+        group_counts.cumsum(out=group_offsets[1:])
         grp_row = np.empty(n_rows, dtype=np.int64)
         grp_row[row_a] = group_offsets[:-1]
         grp_row[row_b] = group_offsets[:-1] + 1
@@ -1349,14 +1248,12 @@ class BatchExtractionEngine:
         adj_src = unique_codes // n_groups_total
         adj_dst = unique_codes - adj_src * n_groups_total
         adj_indptr = np.zeros(n_groups_total + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(adj_src, minlength=n_groups_total), out=adj_indptr[1:]
-        )
+        np.bincount(adj_src, minlength=n_groups_total).cumsum(out=adj_indptr[1:])
 
         if obs_enabled():
             observe_many("structure.merge_rounds", [1] * n_segments)
-            nodes_in = [int(ball_sizes[s]) for s in range(n_segments)]
-            nodes_out = [int(group_counts[s]) for s in range(n_segments)]
+            nodes_in = ball_sizes.tolist()
+            nodes_out = group_counts.tolist()
             observe_many("structure.nodes_in", nodes_in)
             observe_many("structure.nodes_out", nodes_out)
             observe_many(
@@ -1370,6 +1267,9 @@ class BatchExtractionEngine:
             group_offsets,
             adj_indptr,
             adj_dst,
+            flat,
+            inside,
+            seg_entry_bounds,
         )
 
     # ------------------------------------------------------------------
@@ -1381,8 +1281,7 @@ class BatchExtractionEngine:
         if self._slot_sums is None:
             snapshot = self._snapshot
             table = snapshot.influence_table(self._present, self._theta)
-            layout = _ColumnLayout(snapshot.ts_indptr)
-            self._slot_sums = layout.sums(table[layout.entries])
+            self._slot_sums = _ColumnLayout(snapshot.ts_indptr).sums(table)
         return self._slot_sums
 
     def _edge_keys(self) -> np.ndarray:
@@ -1392,8 +1291,8 @@ class BatchExtractionEngine:
         if self._edge_key_table is None:
             snapshot = self._snapshot
             n_nodes = snapshot.number_of_nodes()
-            sources = np.repeat(
-                np.arange(n_nodes, dtype=np.int64), np.diff(snapshot.indptr)
+            sources = np.arange(n_nodes, dtype=np.int64).repeat(
+                np.diff(snapshot.indptr)
             )
             self._edge_key_table = sources * n_nodes + snapshot.indices
         return self._edge_key_table
@@ -1405,7 +1304,7 @@ class BatchExtractionEngine:
             snapshot = self._snapshot
             degrees = np.diff(snapshot.indptr)
             reach = np.zeros(snapshot.indices.size + 1, dtype=np.int64)
-            np.cumsum(degrees[snapshot.indices], out=reach[1:])
+            degrees[snapshot.indices].cumsum(out=reach[1:])
             self._closed_volume_table = (
                 degrees + reach[snapshot.indptr[1:]] - reach[snapshot.indptr[:-1]]
             )
@@ -1433,12 +1332,12 @@ class BatchExtractionEngine:
     ) -> np.ndarray:
         """Normalized influences (Eq. 3) of many structure links, link
         ``q`` owning edge slots ``slots[bounds[q]:bounds[q + 1]]``."""
-        per_link = np.diff(bounds)
+        per_link = bounds[1:] - bounds[:-1]
         values = np.zeros(per_link.size, dtype=np.float64)
-        single = np.flatnonzero(per_link == 1)
+        single = (per_link == 1).nonzero()[0]
         if single.size:
             values[single] = self._slot_sum_table()[slots[bounds[single]]]
-        multi = np.flatnonzero(per_link > 1)
+        multi = (per_link > 1).nonzero()[0]
         if multi.size:
             values[multi] = self._multi_slot_influence_many(
                 slots, bounds[multi], bounds[multi + 1]
@@ -1480,28 +1379,25 @@ class BatchExtractionEngine:
         rows = np.array(miss_rows, dtype=np.int64)
         n_slots = hi[rows] - lo[rows]
         slot_offsets = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(n_slots, out=slot_offsets[1:])
+        n_slots.cumsum(out=slot_offsets[1:])
         slot_pos = np.arange(int(slot_offsets[-1]), dtype=np.int64)
-        slot_pos -= np.repeat(slot_offsets[:-1], n_slots)
-        flat_slots = slots[np.repeat(lo[rows], n_slots) + slot_pos]
-        slot_owner = np.repeat(np.arange(rows.size, dtype=np.int64), n_slots)
+        slot_pos -= slot_offsets[:-1].repeat(n_slots)
+        flat_slots = slots[lo[rows].repeat(n_slots) + slot_pos]
+        slot_owner = np.arange(rows.size, dtype=np.int64).repeat(n_slots)
         ev_counts = ts_indptr[flat_slots + 1] - ts_indptr[flat_slots]
         ev_offsets = np.zeros(flat_slots.size + 1, dtype=np.int64)
-        np.cumsum(ev_counts, out=ev_offsets[1:])
+        ev_counts.cumsum(out=ev_offsets[1:])
         ev_pos = np.arange(int(ev_offsets[-1]), dtype=np.int64)
-        ev_pos -= np.repeat(ev_offsets[:-1], ev_counts)
-        ev_src = np.repeat(ts_indptr[flat_slots], ev_counts) + ev_pos
-        ev_owner = np.repeat(slot_owner, ev_counts)
+        ev_pos -= ev_offsets[:-1].repeat(ev_counts)
+        ev_src = ts_indptr[flat_slots].repeat(ev_counts) + ev_pos
+        ev_owner = slot_owner.repeat(ev_counts)
         # Stable (owner, ts) sort == per-query argsort(ts, kind="stable")
         # over the slot-order concatenation the reference builds.
         order = np.lexsort((self._snapshot.ts[ev_src], ev_owner))
         values_sorted = table[ev_src[order]]
         query_offsets = np.zeros(rows.size + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(ev_owner, minlength=rows.size), out=query_offsets[1:]
-        )
-        layout = _ColumnLayout(query_offsets)
-        sums = layout.sums(values_sorted[layout.entries])
+        np.bincount(ev_owner, minlength=rows.size).cumsum(out=query_offsets[1:])
+        sums = _ColumnLayout(query_offsets).sums(values_sorted)
         out[rows] = sums
         for key, value in zip(miss_keys, sums.tolist()):
             memo[key] = value

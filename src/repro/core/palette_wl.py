@@ -194,9 +194,9 @@ def _dense_rank(values: Sequence[float]) -> list[int]:
 # per-subgraph loop of the reference path becomes one flat array pass.
 # Every floating-point reduction below replays the reference path's
 # left-to-right scalar accumulation order exactly, keeping batched
-# results bit-identical per segment: ragged rows are ranked longest
-# first and their entries laid out column by column (:class:`_ColumnLayout`),
-# so column ``p`` is one contiguous block added into the leading rows.
+# results bit-identical per segment: ragged rows are banded by length
+# and padded with trailing zeros (:class:`_ColumnLayout`), so each band
+# adds its ``p``-th entries into its rows' accumulators in one call.
 # ----------------------------------------------------------------------
 
 
@@ -228,56 +228,130 @@ def flat_hop_distances(
         # read back with one scan of the node range, which beats sorting
         # it; a smaller one is de-duplicated by a sort.
         if fresh.size * 8 > n:
-            frontier = np.flatnonzero(dist == depth)
+            frontier = (dist == depth).nonzero()[0]
         else:
             frontier = sorted_unique(fresh)
     return dist
 
 
+_NO_INTS = np.zeros(0, dtype=np.int64)
+
+
 def _segment_ids(seg_indptr: np.ndarray) -> np.ndarray:
     sizes = seg_indptr[1:] - seg_indptr[:-1]
-    return np.repeat(np.arange(seg_indptr.size - 1, dtype=np.int64), sizes)
+    return np.arange(seg_indptr.size - 1, dtype=np.int64).repeat(sizes)
 
 
 class _ColumnLayout:
-    """Length-sorted, column-major layout of a ragged CSR for sequential
-    row sums.
+    """Length-banded, padded layout of a ragged CSR for sequential row
+    sums.
 
-    Rows are ranked by length, longest first (equal lengths in row
-    order), so the rows longer than ``p`` are exactly the first
-    ``widths[p]`` ranks.  ``entries`` lists the CSR entry positions
-    column by column — column ``p`` is the ``p``-th entry of ranks
-    ``0 .. widths[p] - 1``, one contiguous block.
-    :meth:`sums` adds column ``p`` into the leading ``widths[p]``
-    accumulators, so every row adds its entries left to right starting
-    from 0.0 — the reference's :func:`_left_to_right_sum`, bit for bit.
+    Rows are cut into bands by length: band ``j`` holds the rows of
+    ``2**j`` to ``2**(j + 1) - 1`` entries and is one C-ordered ``(L,
+    w)`` block of a padded buffer, ``L`` its longest row and ``w`` its
+    row count (at least 2): cell ``(p, c)`` holds the ``p``-th entry of
+    the band's ``c``-th row, 0.0 past that row's end.  Reducing a block
+    over axis 0 adds cell row ``p`` into ``w`` accumulators for ``p = 0,
+    1, ...``, so every row adds its entries left to right, starting from
+    its first — the reference's :func:`_left_to_right_sum`, bit for bit
+    (``0.0 + v == v``, and a trailing ``+ 0.0`` changes no non-negative
+    sum).  A one-column block would reduce pairwise instead, so a band
+    of one row gets a second, all-zero column.  A sum costs one numpy
+    call per band, not one per entry column, and the padding stays
+    below the entries' own count.
+
+    ``cells[e]`` is the buffer cell of CSR entry ``e`` (``indptr[0]`` is
+    0), so :meth:`sums` takes the values in CSR order; empty rows sum to
+    0.0.
     """
 
-    __slots__ = ("rank", "widths", "entries")
+    __slots__ = ("cells", "size", "bands", "inverse", "slots")
 
     def __init__(self, indptr: np.ndarray) -> None:
         lengths = indptr[1:] - indptr[:-1]
-        max_len = int(lengths.max()) if lengths.size else 0
-        #: ``rank[r]`` is the row at length rank ``r``
-        self.rank = stable_argsort(max_len - lengths, max_len + 1)
-        widths = lengths.size - np.cumsum(np.bincount(lengths))[:max_len]
-        self.widths: "list[int]" = widths.tolist()
-        column = np.repeat(np.arange(max_len, dtype=np.int64), widths)
-        ranks = np.arange(column.size, dtype=np.int64)
-        ranks -= np.repeat(np.cumsum(widths) - widths, widths)
-        self.entries = indptr[self.rank][ranks] + column
+        # band + 1 of a row: floor(log2(length)) + 1, 0 for an empty row;
+        # under 64, so a one-byte stable (radix) sort ranks the rows
+        key = np.frexp(lengths)[1]
+        rank = key.astype(np.int8).argsort(kind="stable")
+        ranked = lengths[rank]
+        counts = np.bincount(key, minlength=1)
+        empty = int(counts[0])
+        per_band = counts[1:]
+        used = per_band.nonzero()[0]
+        count = per_band[used]
+        first = (per_band.cumsum() - per_band)[used] + empty
+        longest = (
+            np.maximum.reduceat(ranked, first) if used.size else _NO_INTS
+        )
+        width = np.maximum(count, 2)
+        cells = longest * width
+        cell_base = cells.cumsum() - cells
+        acc_base = width.cumsum() - width
+        #: (first cell, longest row, width, first accumulator) per band
+        self.bands: "list[tuple[int, int, int, int]]" = list(
+            zip(
+                cell_base.tolist(),
+                longest.tolist(),
+                width.tolist(),
+                acc_base.tolist(),
+            )
+        )
+        self.size = int(cells.sum())
+        # empty rows read the one zero accumulator past the bands
+        self.slots = int(width.sum()) + 1
+        # the non-empty rows, in rank order: their band and column
+        filled = rank[empty:]
+        of_band = np.arange(used.size, dtype=np.int64).repeat(count)
+        column = np.arange(filled.size, dtype=np.int64) - (first - empty)[of_band]
+        row_width = np.zeros(rank.size, dtype=np.int64)
+        row_width[filled] = width[of_band]
+        row_cell = np.zeros(rank.size, dtype=np.int64)
+        row_cell[filled] = cell_base[of_band] + column
+        # entry e of a row starting at CSR position a lands in cell
+        # (e - a) * width + the row's first cell: built in place, as it
+        # runs as long as the CSR itself
+        self.cells = np.arange(int(indptr[-1]), dtype=np.int64)
+        self.cells -= indptr[:-1].repeat(lengths)
+        self.cells *= row_width.repeat(lengths)
+        self.cells += row_cell.repeat(lengths)
+        self.inverse = np.empty(rank.size, dtype=np.int64)
+        self.inverse[rank[:empty]] = self.slots - 1
+        self.inverse[filled] = acc_base[of_band] + column
 
-    def sums(self, column_values: np.ndarray) -> np.ndarray:
-        """Per-row left-to-right sums of ``column_values``, the entry
-        values gathered in :attr:`entries` order."""
-        acc = np.zeros(self.rank.size, dtype=np.float64)
-        start = 0
-        for width in self.widths:
-            acc[:width] += column_values[start : start + width]
-            start += width
-        out = np.empty_like(acc)
-        out[self.rank] = acc
-        return out
+    def padded(self, values: np.ndarray, fill: "int | float") -> np.ndarray:
+        """The buffer of ``values`` (one per CSR entry), ``fill`` in every
+        padding cell."""
+        buffer = np.full(self.size, fill, dtype=values.dtype)
+        buffer[self.cells] = values
+        return buffer
+
+    def reduce(self, buffer: np.ndarray) -> np.ndarray:
+        """Per-row left-to-right sums of a padded float64 buffer."""
+        acc = np.zeros(self.slots, dtype=np.float64)
+        for block, into in _band_blocks(self.bands, buffer, acc):
+            np.add.reduce(block, axis=0, out=into)
+        return acc[self.inverse]
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-row left-to-right sums of ``values``, one per CSR entry."""
+        return self.reduce(self.padded(values, 0.0))
+
+
+def _band_blocks(
+    bands: "list[tuple[int, int, int, int]]", buffer: np.ndarray, acc: np.ndarray
+) -> "list[tuple[np.ndarray, np.ndarray]]":
+    """Per band of a :class:`_ColumnLayout`, its ``(L, w)`` block of the
+    padded ``buffer`` and the accumulators of ``acc`` (``slots`` long,
+    zero-filled) its sums go to: ``np.add.reduce(block, axis=0,
+    out=into)`` for every pair leaves each row's sum in
+    ``acc[inverse[row]]``."""
+    return [
+        (
+            buffer[cell : cell + longest * width].reshape(longest, width),
+            acc[first : first + width],
+        )
+        for cell, longest, width, first in bands
+    ]
 
 
 def bilateral_distance_scores_many(
@@ -307,7 +381,7 @@ def _initial_colors_many(
     colors = np.zeros(scores.size, dtype=np.int64)
     colors[position == 0] = 1
     colors[position == 1] = 2
-    tail = np.flatnonzero(position >= 2)
+    tail = (position >= 2).nonzero()[0]
     if tail.size == 0:
         return colors
     sortable = np.where(scores[tail] >= 0, scores[tail], np.inf)
@@ -320,11 +394,11 @@ def _initial_colors_many(
     boundary[1:] = (sorted_vals[1:] != sorted_vals[:-1]) | (
         sorted_segs[1:] != sorted_segs[:-1]
     )
-    cum = np.cumsum(boundary)
+    cum = boundary.cumsum()
     seg_first = np.zeros(seg_indptr.size - 1, dtype=np.int64)
-    starts = np.flatnonzero(
-        np.concatenate([[True], sorted_segs[1:] != sorted_segs[:-1]])
-    )
+    starts = np.concatenate(
+        [[True], sorted_segs[1:] != sorted_segs[:-1]]
+    ).nonzero()[0]
     seg_first[sorted_segs[starts]] = cum[starts]
     ranks = cum - seg_first[sorted_segs] + 1
     colors[tail[order]] = ranks + 2
@@ -346,55 +420,72 @@ def _split_ties(
     reference's 1e-9 chain starts a new rank at every class boundary and
     a pass only splits classes.  A singleton class keeps one rank; only
     nodes of larger classes (class id ``seg_start + colour − 1``) are
-    sorted, by (class, hash).  A colour-``c`` hash lies in ``[c, c + 1)``,
-    so inside one segment hash order already is (class, hash) order: the
-    tied nodes are sorted by hash, then stably by segment start.  A
-    node's new colour is the number of new classes before its class in
-    the segment plus its 1-based rank within the class.
+    sorted, by (class, hash).  A node's new colour is its old one plus
+    the *splits* (new ranks started inside a class) of its segment's
+    lower classes, plus, inside a tied class, the splits at or before
+    its own sorted position.
 
     Within a class the reference chain is replayed exactly: a
     consecutive difference > 1e-9 is always a rank boundary (the running
     rank start is never above the previous value).  A block between such
-    definite boundaries whose total span is ≤ 1e-9 is one rank; the rare
-    wider block is re-scanned with the scalar anchored chain (block
-    starts are rank starts, so blocks are independent).
+    definite boundaries that reaches more than 1e-9 above its first
+    value is re-scanned with the scalar anchored chain (block starts are
+    rank starts, so blocks are independent); that is rare.
     """
     n = hashes.size
     class_of = seg_start + colors - 1
-    class_size = np.bincount(class_of, minlength=n)
-    #: classes each class id splits into (0 for unused ids)
-    parts = (class_size > 0).astype(np.int64)
-    rank = np.ones(n, dtype=np.int64)
-    tied = np.flatnonzero(class_size[class_of] > 1)
-    if tied.size:
-        # repro-lint: disable=R602 -- exactly equal hashes share one rank; their order is never read
-        by_hash = tied[np.argsort(hashes[tied])]
-        order = by_hash[stable_argsort(seg_start[by_hash], n)]
-        sorted_vals = hashes[order]
-        sorted_class = class_of[order]
-        class_start = np.empty(tied.size, dtype=bool)
-        class_start[0] = True
-        class_start[1:] = sorted_class[1:] != sorted_class[:-1]
-        boundary = class_start.copy()
-        boundary[1:] |= (sorted_vals[1:] - sorted_vals[:-1]) > 1e-9
-        block_starts = np.flatnonzero(boundary)
-        block_ends = np.append(block_starts[1:], tied.size)
-        spans = sorted_vals[block_ends - 1] - sorted_vals[block_starts]
-        for block in np.flatnonzero(spans > 1e-9).tolist():
-            start, end = int(block_starts[block]), int(block_ends[block])
-            previous = sorted_vals[start]
+    tied = (np.bincount(class_of, minlength=n)[class_of] > 1).nonzero()[0]
+    if tied.size == 0:
+        # every class a singleton: nothing can split
+        return colors
+    # repro-lint: disable=R602 -- exactly equal hashes share one rank; their order is never read
+    by_hash = tied[hashes[tied].argsort()]
+    order = by_hash[stable_argsort(class_of[by_hash], n)]
+    values = hashes[order]
+    classes = class_of[order]
+    class_start = np.empty(tied.size, dtype=bool)
+    class_start[0] = True
+    np.not_equal(classes[1:], classes[:-1], out=class_start[1:])
+    #: sorted positions that start a new rank
+    step = np.empty(tied.size, dtype=bool)
+    step[0] = True
+    np.greater(values[1:] - values[:-1], 1e-9, out=step[1:])
+    step |= class_start
+    block = step.cumsum() - 1
+    wide = (values - values[step][block] > 1e-9).nonzero()[0]
+    if wide.size:
+        starts = np.append(step.nonzero()[0], tied.size).tolist()
+        for index in sorted(set(block[wide].tolist())):
+            start, end = starts[index], starts[index + 1]
+            previous = values[start]
             for i in range(start + 1, end):
-                if sorted_vals[i] - previous > 1e-9:
-                    boundary[i] = True
-                    previous = sorted_vals[i]
-        cum = np.cumsum(boundary)
-        firsts = np.flatnonzero(class_start)
-        rank_sorted = cum - np.repeat(cum[firsts] - 1, np.diff(firsts, append=tied.size))
-        rank[order] = rank_sorted
-        lasts = np.append(firsts[1:], tied.size) - 1
-        parts[sorted_class[firsts]] = rank_sorted[lasts]
-    before = np.cumsum(parts) - parts
-    return before[class_of] - before[seg_start] + rank
+                if values[i] - previous > 1e-9:
+                    step[i] = True
+                    previous = values[i]
+    split = step & ~class_start
+    if not split.any():
+        return colors
+    #: splits in the class ids below each class id
+    lower = np.bincount(classes[split], minlength=n)
+    lower = lower.cumsum() - lower
+    new = colors + lower[class_of] - lower[seg_start]
+    inside = split.cumsum()
+    new[order] += inside - np.maximum.accumulate(np.where(class_start, inside, 0))
+    return new
+
+
+@lru_cache(maxsize=None)
+def _log_prime_table(bits: int) -> np.ndarray:
+    """``log(P(c))`` at index ``c`` for every colour ``c < 2**bits``, and
+    0.0 at index 0 (the padding colour).  Read-only: one table per size
+    serves every caller."""
+    size = 1 << bits
+    table = np.zeros(size, dtype=np.float64)
+    table[1:] = np.fromiter(
+        (_log_prime(c) for c in range(1, size)), dtype=np.float64, count=size - 1
+    )
+    table.flags.writeable = False
+    return table
 
 
 def _refine_many(
@@ -408,52 +499,58 @@ def _refine_many(
 
     Every pass recomputes every segment (a converged segment is at a fixed
     point of the deterministic update, so recommitting it is a no-op) and
-    per-segment convergence is tracked only for the iteration metrics and
-    the global stop condition — results equal the per-subgraph reference.
+    the loop stops at the first pass that changes no colour; per-segment
+    convergence is tracked only for the iteration metrics — results equal
+    the per-subgraph reference.
     """
+    n = colors.size
     seg_starts = seg_indptr[:-1]
-    sizes = seg_indptr[1:] - seg_indptr[:-1]
-    max_color = int(sizes.max())
-    table = np.empty(max_color + 1, dtype=np.float64)
-    table[0] = 0.0
-    for color in range(1, max_color + 1):
-        table[color] = _log_prime(color)
     n_segments = seg_starts.size
+    table = _log_prime_table(int((seg_indptr[1:] - seg_starts).max()).bit_length())
     # One layout serves both ragged sums: rows 0..S-1 are the segments
     # (their nodes in index order, for the totals), rows S.. the nodes'
-    # neighbour lists.  Its column loop runs as long as the longer of
-    # the two kinds of row, not as long as both together.
+    # neighbour lists.  Padding cells read node n, whose colour 0 has
+    # log 0.0.
     layout = _ColumnLayout(
         np.concatenate([seg_indptr, nbr_indptr[1:] + seg_indptr[-1]])
     )
-    summed_ids = np.concatenate(
-        [np.arange(colors.size, dtype=np.int64), nbr_indices]
-    )[layout.entries]
+    summed = layout.padded(
+        np.concatenate([np.arange(n, dtype=np.int64), nbr_indices]), n
+    )
+    neighbor_sum = layout.inverse[n_segments:]
+    total_of_node = layout.inverse[:n_segments][seg_ids]
+    # the cell map is spent before the value buffer is allocated
+    bands, size, slots = layout.bands, layout.size, layout.slots
+    del layout
+    acc = np.zeros(slots, dtype=np.float64)
+    values = np.empty(size, dtype=np.float64)
+    blocks = _band_blocks(bands, values, acc)
     node_seg_start = seg_starts[seg_ids]
+    current = np.zeros(n + 1, dtype=np.int64)
+    track = obs_enabled()
     iterations = np.zeros(n_segments, dtype=np.int64)
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        log_primes = table[colors]
-        row_sums = layout.sums(log_primes[summed_ids])
-        totals = row_sums[:n_segments]
-        neighbor_sums = row_sums[n_segments:]
-        hashes = colors.astype(np.float64) + neighbor_sums / np.abs(totals)[seg_ids]
+        current[:n] = colors
+        # mode="clip" writes straight into ``values`` ("raise" buffers)
+        table[current].take(summed, out=values, mode="clip")
+        for block, into in blocks:
+            np.add.reduce(block, axis=0, out=into)
+        # totals are positive (log 2 per node), so |total| is the total
+        hashes = colors + acc[neighbor_sum] / acc[total_of_node]
         new_colors = _split_ties(hashes, colors, node_seg_start)
-        new_colors[seg_starts] = 1
-        new_colors[seg_starts + 1] = 2
-        changed = (
-            np.add.reduceat((new_colors != colors).astype(np.int64), seg_starts) > 0
-        )
-        newly_converged = (~changed) & (iterations == 0)
-        iterations[newly_converged] = iteration
-        colors = new_colors
-        if not bool(changed.any()) and bool((iterations > 0).all()):
+        # a pass only splits classes, so it changed something iff it
+        # returned new colours, and the end nodes' singleton classes 1
+        # and 2 keep their colours (the reference pins them)
+        if track:
+            still = np.logical_or.reduceat(new_colors != colors, seg_starts)
+            iterations[~still & (iterations == 0)] = iteration
+        if new_colors is colors:
             break
-    capped = iterations == 0
-    if obs_enabled():
-        observe_many(
-            "palette_wl.iterations",
-            [count if count else _MAX_ITERATIONS for count in iterations.tolist()],
-        )
+        colors = new_colors
+    if track:
+        capped = iterations == 0
+        iterations[capped] = _MAX_ITERATIONS
+        observe_many("palette_wl.iterations", iterations.tolist())
         if bool(capped.any()):
             incr("palette_wl.max_iterations_hit", int(capped.sum()))
     return colors
@@ -495,12 +592,12 @@ def _strict_order_many(
     seg_start = seg_indptr[seg_ids]
     class_of = seg_start + colors - 1
     class_size = np.bincount(class_of, minlength=n)
-    below = np.cumsum(class_size) - class_size
+    below = class_size.cumsum() - class_size
     out = below[class_of] - seg_start + 1
     tied = class_size[class_of] > 1
     if limit is not None:
         tied &= out <= limit
-    tied = np.flatnonzero(tied)
+    tied = tied.nonzero()[0]
     if tied.size == 0:
         return out
     tied_class = class_of[tied]
@@ -514,9 +611,9 @@ def _strict_order_many(
     same[1:] = (tied_class[order[1:]] == tied_class[order[:-1]]) & (
         ties[order[1:]] == ties[order[:-1]]
     )
-    run_starts = np.flatnonzero(~same)
+    run_starts = (~same).nonzero()[0]
     run_ends = np.append(run_starts[1:], tied.size)
-    ambiguous = np.flatnonzero(run_ends - run_starts > 1)
+    ambiguous = (run_ends - run_starts > 1).nonzero()[0]
     if ambiguous.size:
         # Residual ties resolve by label key.  Interning every tied
         # node's key as its rank among the distinct keys (ranks ordered
@@ -524,17 +621,14 @@ def _strict_order_many(
         # rank column replace a Python re-sort per tied run; equal keys
         # keep first-lexsort order, matching sorted()'s stability.
         lengths = run_ends[ambiguous] - run_starts[ambiguous]
-        offsets = np.arange(int(lengths.sum()), dtype=np.int64) - np.repeat(
-            np.cumsum(lengths) - lengths, lengths
-        )
+        offsets = np.arange(int(lengths.sum()), dtype=np.int64)
+        offsets -= (lengths.cumsum() - lengths).repeat(lengths)
         #: positions in ``tied`` of every node of an ambiguous run
-        slow = order[np.repeat(run_starts[ambiguous], lengths) + offsets]
+        slow = order[run_starts[ambiguous].repeat(lengths) + offsets]
         ranks = np.zeros(tied.size, dtype=np.int64)
         if singleton_ranks is not None:
             slow_ranks = singleton_ranks()[tied[slow]]
-            run_of = np.repeat(
-                np.arange(ambiguous.size, dtype=np.int64), lengths
-            )
+            run_of = np.arange(ambiguous.size, dtype=np.int64).repeat(lengths)
             run_ok = np.ones(ambiguous.size, dtype=bool)
             run_ok[run_of[slow_ranks < 0]] = False
             ok = run_ok[run_of]

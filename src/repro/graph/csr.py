@@ -37,7 +37,7 @@ import itertools
 import pickle
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Hashable
+from typing import TYPE_CHECKING, Hashable, Iterable
 
 import numpy as np
 
@@ -177,6 +177,14 @@ class CSRSnapshot:
 
     def has_node(self, label: Node) -> bool:
         return label in self._id_of
+
+    def node_ids(self, labels: "Iterable[Node]", count: int) -> np.ndarray:
+        """Dense int ids of ``count`` labels as one int64 array, −1 for
+        a label not in the snapshot."""
+        id_of = self._id_of
+        return np.fromiter(
+            (id_of.get(label, -1) for label in labels), dtype=np.int64, count=count
+        )
 
     def label_of(self, node_id: int) -> Node:
         return self.labels[node_id]
@@ -451,8 +459,9 @@ def sorted_unique(values: np.ndarray) -> np.ndarray:
     integer array depends only on its values, so the two agree bit for
     bit, and the sort may use numpy's default (SIMD) kind.
     """
-    # repro-lint: disable=R602 -- equal integers are indistinguishable; only distinct values leave
-    ordered = np.sort(values)
+    # equal integers are indistinguishable, so any sort kind will do
+    ordered = values.copy()
+    ordered.sort()
     keep = np.ones(ordered.size, dtype=bool)
     np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
     return ordered[keep]
@@ -473,8 +482,10 @@ def stable_argsort(keys: np.ndarray, bound: int) -> np.ndarray:
     composite = keys.astype(np.int64)
     composite *= n
     composite += np.arange(n, dtype=np.int64)
-    # repro-lint: disable=R602 -- composite keys are unique
-    return np.sort(composite) % n
+    # composite keys are unique, so any sort kind will do
+    composite.sort()
+    composite %= n
+    return composite
 
 
 def concatenate_neighbor_slices(
@@ -493,13 +504,12 @@ def concatenate_neighbor_slices(
         return indices[indptr[row] : indptr[row + 1]]
     starts = indptr[rows]
     counts = indptr[rows + 1] - starts
-    total = int(counts.sum())
+    ends = counts.cumsum()
+    total = int(ends[-1]) if ends.size else 0
     if total == 0:
         return np.zeros(0, dtype=indices.dtype)
-    offsets = np.zeros(len(rows), dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
     flat = np.arange(total, dtype=np.int64)
-    flat += np.repeat(starts - offsets, counts)
+    flat += (starts - ends + counts).repeat(counts)
     return indices[flat]
 
 

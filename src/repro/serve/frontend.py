@@ -376,21 +376,24 @@ class ServingRecommender:
                 probe.tags.update(hits=len(cached), misses=len(missed))
 
             if missed:
-                footprints: list[np.ndarray] = []
-                inner: list[np.ndarray] = []
-                fresh = extractor.extract_batch(
-                    list(missed.values()), footprints, inner
-                )
-                for key, row, footprint, ball in zip(missed, fresh, footprints, inner):
-                    self.cache.put(
-                        key,
-                        row,
-                        footprint,
-                        inner=ball,
-                        snapshot=snapshot,
-                        fingerprint=self.verify,
+                with span("serve.extract", pairs=len(missed)):
+                    footprints: list[np.ndarray] = []
+                    inner: list[np.ndarray] = []
+                    fresh = extractor.extract_batch(
+                        list(missed.values()), footprints, inner
                     )
-                    cached[key] = row
+                    for key, row, footprint, ball in zip(
+                        missed, fresh, footprints, inner
+                    ):
+                        self.cache.put(
+                            key,
+                            row,
+                            footprint,
+                            inner=ball,
+                            snapshot=snapshot,
+                            fingerprint=self.verify,
+                        )
+                        cached[key] = row
 
             # one model call for the whole batch, split back per query
             offsets = [0]
@@ -398,24 +401,26 @@ class ServingRecommender:
             for keys in keyed:
                 rows.extend(cached[key] for key in keys)
                 offsets.append(len(rows))
-            scores = (
-                self.model.decision_scores(np.vstack(rows))  # type: ignore[attr-defined]
-                if rows
-                else np.zeros(0)
-            )
-            for query_index, (user, slots) in enumerate(compute_map.items()):
-                pool = pools[query_index]
-                lo, hi = offsets[query_index], offsets[query_index + 1]
-                query_scores = scores[lo:hi]
-                order = np.argsort(-query_scores, kind="mergesort")
-                self._result_memo[user] = (
-                    pool,
-                    query_scores,
-                    order,
-                    frozenset(keyed[query_index]),
+            with span("serve.model", rows=len(rows)):
+                scores = (
+                    self.model.decision_scores(np.vstack(rows))  # type: ignore[attr-defined]
+                    if rows
+                    else np.zeros(0)
                 )
-                for slot, top_n in slots:
-                    final[slot] = _top(pool, query_scores, order, top_n)
+            with span("serve.rank", queries=len(compute_map)):
+                for query_index, (user, slots) in enumerate(compute_map.items()):
+                    pool = pools[query_index]
+                    lo, hi = offsets[query_index], offsets[query_index + 1]
+                    query_scores = scores[lo:hi]
+                    order = np.argsort(-query_scores, kind="mergesort")
+                    self._result_memo[user] = (
+                        pool,
+                        query_scores,
+                        order,
+                        frozenset(keyed[query_index]),
+                    )
+                    for slot, top_n in slots:
+                        final[slot] = _top(pool, query_scores, order, top_n)
         incr("serve.queries", len(queries))
         observe("serve.extract_pairs", float(len(missed)))
         return [result if result is not None else [] for result in final]

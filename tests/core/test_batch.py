@@ -575,24 +575,6 @@ class TestStageSpans:
         assert growth + combination <= total("feature.temporal")
 
 
-class TestBallReuse:
-    def test_shared_endpoints_hit_ball_cache(self):
-        rng = random.Random(31)
-        network = _random_network(rng, 50, 150)
-        snapshot = CSRSnapshot.from_dynamic(network)
-        extractor = SSFExtractor(snapshot, SSFConfig(k=6), backend="csr")
-        obs.enable()
-        try:
-            # every pair shares endpoint n0 → its ball expands once
-            pairs = [(f"n{i}", "n0") for i in range(1, 6)]
-            extractor.extract_batch(pairs)
-            counters = get_registry().snapshot()["counters"]
-            assert counters["batch.ball_reuse_hits"] >= len(pairs) - 1
-            assert counters["batch.ball_reuse_misses"] >= 1
-        finally:
-            obs.disable()
-
-
 class TestSlabs:
     """A call cut into slabs of a few thousand gathered entries returns
     the uncut call's rows, footprints and ball sharing."""
@@ -652,7 +634,7 @@ class TestSlabs:
     def test_forced_budget_changes_nothing(self, case, monkeypatch):
         from repro.core import batch
 
-        # one part, so the ball-reuse counters compare one ball cache
+        # one part, so the slab counts compare one serial pipeline
         # (TestParts checks a call cut into parts)
         monkeypatch.setattr(batch, "_usable_cpus", lambda: 1)
         network, pairs = case
@@ -661,9 +643,11 @@ class TestSlabs:
         chunks: list = []
         cut = batch.BatchExtractionEngine._chunks
 
-        def recording(engine, growths, budget):
-            parts = cut(engine, growths, budget)
-            assert [g for part in parts for g in part.growths] == growths
+        def recording(engine, pass_pairs, budget):
+            parts = cut(engine, pass_pairs, budget)
+            assert np.concatenate([part.pairs.rows for part in parts]).tolist() == (
+                pass_pairs.rows.tolist()
+            )
             chunks.extend(parts)
             return parts
 
@@ -677,14 +661,12 @@ class TestSlabs:
             assert slab_multi[mode].tobytes() == multi[mode].tobytes(), mode
         assert slab_rows.tobytes() == rows.tobytes()
         assert [f.tolist() for f in slab_footprints] == [f.tolist() for f in footprints]
-        for name in ("batch.ball_reuse_hits", "batch.ball_reuse_misses"):
-            assert slab_counters[name] == counters[name], name
         # one slab per uncut call; many once cut
         assert counters["batch.slabs"] == 2
         assert slab_counters["batch.slabs"] > 2 * 4
         for chunk in chunks:
-            volume = chunk.entries(np.arange(len(chunk.growths)))
-            assert len(chunk.growths) == 1 or volume <= self.BUDGET
+            volume = chunk.entries(np.arange(len(chunk.pairs)))
+            assert len(chunk.pairs) == 1 or volume <= self.BUDGET
 
         # the batch covers what slabbing must keep apart
         indptr = snapshot.indptr
@@ -779,12 +761,12 @@ class TestParts:
         budgets: list = []
         cut = batch.BatchExtractionEngine._chunks
 
-        def recording(engine, growths, budget):
+        def recording(engine, pass_pairs, budget):
             budgets.append(budget)
-            chunks = cut(engine, growths, budget)
+            chunks = cut(engine, pass_pairs, budget)
             for chunk in chunks:
-                volume = chunk.entries(np.arange(len(chunk.growths)))
-                assert len(chunk.growths) == 1 or volume <= budget
+                volume = chunk.entries(np.arange(len(chunk.pairs)))
+                assert len(chunk.pairs) == 1 or volume <= budget
             return chunks
 
         monkeypatch.setattr(batch.BatchExtractionEngine, "_chunks", recording)
@@ -891,7 +873,7 @@ class TestParts:
         failed_on: list = []
 
         def failing(engine, chunk, arena):
-            if any(growth.row == last_row for growth in chunk.growths):
+            if last_row in chunk.pairs.rows.tolist():
                 failed_on.append(threading.get_ident())
                 raise RuntimeError("part failed")
             return combine(engine, chunk, arena)
@@ -988,6 +970,28 @@ class TestParts:
         assert counters.get("batch.parts", 0) == 0
 
 
+def _flat_subgraphs(subgraphs):
+    """The flat layout of ``palette_wl_order_many`` over structure
+    subgraphs: ``(seg_indptr, nbr_indptr, nbr_indices, sort_key)``."""
+    sizes = [s.number_of_structure_nodes() for s in subgraphs]
+    seg_indptr = np.zeros(len(subgraphs) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=seg_indptr[1:])
+    degrees, indices = [], []
+    for seg, sub in enumerate(subgraphs):
+        for i in range(sizes[seg]):
+            row = sub.adjacency_sorted(i)
+            degrees.append(len(row))
+            indices.extend(j + int(seg_indptr[seg]) for j in row)
+    nbr_indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
+    np.cumsum(np.array(degrees, dtype=np.int64), out=nbr_indptr[1:])
+
+    def sort_key(flat: int):
+        seg = int(np.searchsorted(seg_indptr, flat, side="right")) - 1
+        return subgraphs[seg].sort_key(flat - int(seg_indptr[seg]))
+
+    return seg_indptr, nbr_indptr, np.array(indices, dtype=np.int64), sort_key
+
+
 class TestPaletteWLManyParity:
     def test_matches_per_subgraph_reference(self):
         rng = random.Random(41)
@@ -999,23 +1003,7 @@ class TestPaletteWLManyParity:
                 continue
             subgraphs.append(combine_structures(network, nodes, a, b))
         assert subgraphs
-        sizes = [s.number_of_structure_nodes() for s in subgraphs]
-        seg_indptr = np.zeros(len(subgraphs) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=seg_indptr[1:])
-        degrees, indices = [], []
-        for seg, sub in enumerate(subgraphs):
-            for i in range(sizes[seg]):
-                row = sub.adjacency_sorted(i)
-                degrees.append(len(row))
-                indices.extend(j + int(seg_indptr[seg]) for j in row)
-        nbr_indptr = np.zeros(len(degrees) + 1, dtype=np.int64)
-        np.cumsum(np.array(degrees, dtype=np.int64), out=nbr_indptr[1:])
-        nbr_indices = np.array(indices, dtype=np.int64)
-
-        def sort_key(flat: int):
-            seg = int(np.searchsorted(seg_indptr, flat, side="right")) - 1
-            return subgraphs[seg].sort_key(flat - int(seg_indptr[seg]))
-
+        seg_indptr, nbr_indptr, nbr_indices, sort_key = _flat_subgraphs(subgraphs)
         ends = seg_indptr[:-1]
         from_a = flat_hop_distances(nbr_indptr, nbr_indices, ends)
         from_b = flat_hop_distances(nbr_indptr, nbr_indices, ends + 1)
@@ -1029,6 +1017,142 @@ class TestPaletteWLManyParity:
             ]
         )
         assert np.array_equal(batched, expected)
+
+
+class TestRefinementCap:
+    """At a refinement cap of 1, 2 or 3 passes, segments still splitting
+    stop where the per-subgraph reference stops."""
+
+    @pytest.fixture(params=[1, 2, 3])
+    def cap(self, request, monkeypatch):
+        from repro.core import palette_wl
+
+        monkeypatch.setattr(palette_wl, "_MAX_ITERATIONS", request.param)
+        return request.param
+
+    def test_batched_order_equals_the_reference(self, cap, monkeypatch):
+        from repro.core import palette_wl
+
+        still_splitting = 0
+        for seed in range(6):
+            rng = random.Random(300 + seed)
+            n = rng.randint(30, 70)
+            network = _random_network(rng, n, rng.randint(2 * n, 4 * n))
+            subgraphs = []
+            for a, b in _random_pairs(rng, n, 10):
+                nodes = h_hop_node_set(network, a, b, rng.choice([1, 2]))
+                if len(nodes) >= 2:
+                    subgraphs.append(combine_structures(network, nodes, a, b))
+            seg_indptr, nbr_indptr, nbr_indices, sort_key = _flat_subgraphs(
+                subgraphs
+            )
+            ends = seg_indptr[:-1]
+            batched = palette_wl_order_many(
+                seg_indptr,
+                nbr_indptr,
+                nbr_indices,
+                flat_hop_distances(nbr_indptr, nbr_indices, ends),
+                flat_hop_distances(nbr_indptr, nbr_indices, ends + 1),
+                None,
+                sort_key,
+            )
+            capped = [palette_wl_order(sub) for sub in subgraphs]
+            assert batched.tolist() == [o for order in capped for o in order]
+            with monkeypatch.context() as uncapped:
+                uncapped.setattr(palette_wl, "_MAX_ITERATIONS", 100)
+                still_splitting += sum(
+                    palette_wl_order(sub) != order
+                    for sub, order in zip(subgraphs, capped)
+                )
+        # the cap cut some segments short while their classes still split
+        assert still_splitting > 0
+
+    @pytest.mark.parametrize("mode", ENTRY_MODES)
+    def test_engine_equals_dict(self, cap, mode):
+        rng = random.Random(400 + ENTRY_MODES.index(mode))
+        n = rng.randint(40, 70)
+        network = _random_network(rng, n, rng.randint(2 * n, 4 * n))
+        config = SSFConfig(
+            k=rng.choice([6, 10]),
+            entry_mode=mode,
+            ordering=rng.choice(["influence", "hops"]),
+        )
+        pairs = _random_pairs(rng, n, 16)
+        ref = SSFExtractor(network, config, backend="dict")
+        got = SSFExtractor(network, config, backend="csr")
+        assert ref.extract_batch(pairs).tobytes() == got.extract_batch(pairs).tobytes()
+
+
+class TestCallSizeInvariance:
+    """One engine answers a pair list alike as one call, as 1-pair calls
+    and as calls of random sizes: rows in every mode, footprints and
+    inner balls."""
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        rng = random.Random(97)
+        network = _random_network(rng, 120, 420)
+        # a 3-node path: a component smaller than K
+        network.add_edges_from([("t0", "t1", 3.0), ("t1", "t2", 5.0)])
+        pairs = _random_pairs(rng, 120, 30)
+        pairs += [
+            pairs[3],  # a duplicate
+            pairs[5][::-1],  # a reversed pair
+            ("missing", "n4"),  # a missing end node
+            ("t0", "t2"),
+            ("n7", "t1"),
+        ]
+        rng.shuffle(pairs)
+        return network, pairs
+
+    @staticmethod
+    def _splits(pairs, seed):
+        rng = random.Random(seed)
+        one = [pairs]
+        single = [[pair] for pair in pairs]
+        sized = []
+        start = 0
+        while start < len(pairs):
+            end = start + rng.randint(1, 9)
+            sized.append(pairs[start:end])
+            start = end
+        return {"one call": one, "1-pair calls": single, "random sizes": sized}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("max_hop", [None, 1])
+    def test_rows_footprints_and_inner_balls(self, case, cpus, max_hop, monkeypatch):
+        from repro.core import batch
+
+        monkeypatch.setattr(batch, "_usable_cpus", lambda: cpus)
+        network, pairs = case
+        extractor = SSFExtractor(network, SSFConfig(k=10, max_hop=max_hop), backend="csr")
+        answers = {}
+        for name, calls in self._splits(pairs, 5 + cpus).items():
+            multi = {mode: [] for mode in ENTRY_MODES}
+            rows, footprints, inner = [], [], []
+            for call in calls:
+                for mode, matrix in extractor.extract_multi_batch(
+                    call, ENTRY_MODES
+                ).items():
+                    multi[mode].append(matrix)
+                rows.append(extractor.extract_batch(call, footprints, inner))
+            answers[name] = (
+                {mode: np.vstack(m).tobytes() for mode, m in multi.items()},
+                np.vstack(rows).tobytes(),
+                [f.tolist() for f in footprints],
+                [b.tolist() for b in inner],
+            )
+        expected = answers.pop("one call")
+        for name, got in answers.items():
+            assert got[0] == expected[0], name
+            assert got[1:] == expected[1:], name
+        # the edge cases are in the list, and the small component's
+        # pairs finish on a stopped ball
+        footprints = expected[2]
+        assert footprints[pairs.index(("missing", "n4"))] == []
+        snapshot = extractor.snapshot
+        small = {snapshot.node_id(f"t{i}") for i in range(3)}
+        assert set(footprints[pairs.index(("t0", "t2"))]) == small
 
 
 class TestPoolPathDifferential:

@@ -218,7 +218,7 @@ class TestBatchedPrimitives:
         size = int(indptr[-1])
         values = (1.0 - rng.random(size)) * 10.0 ** rng.integers(-8, 9, size)
         layout = _ColumnLayout(indptr)
-        sums = layout.sums(values[layout.entries])
+        sums = layout.sums(values)
         for row in range(len(lengths)):
             expected = _left_to_right_sum(values[indptr[row] : indptr[row + 1]].tolist())
             assert sums[row] == expected, row

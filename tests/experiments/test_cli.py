@@ -220,6 +220,20 @@ class TestBadInput:
         )
         assert f"--out {target}" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--dataset", "co-author", "--scale", "0.1", "--output"],
+            ["report", "--metrics", "m.json", "--json-out"],
+        ],
+    )
+    def test_report_path_in_missing_directory(
+        self, capsys, handler_calls, tmp_path, argv
+    ):
+        target = tmp_path / "missing" / "r.md"
+        err = self._assert_usage_error(capsys, handler_calls, argv + [str(target)])
+        assert f"{argv[-1]} {target}" in err
+
     @pytest.mark.parametrize("flag", ["--current", "--compare"])
     @pytest.mark.parametrize("content", [None, '{"bench": '])
     def test_unreadable_bench_json_is_a_usage_error(

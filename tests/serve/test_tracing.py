@@ -94,6 +94,48 @@ class TestFrontendTrace:
         assert validate_trace(payload) == []
         assert validate_flow_events(payload) == []
 
+    def test_score_span_splits_into_extract_model_and_rank(self, fresh):
+        """A slow batch is attributed from its trace: every serve.score
+        span holds its model call and its ranking, and a batch with
+        cache misses its extraction, which holds the engine call."""
+        serving = fresh()
+
+        async def scenario():
+            async with AsyncScoringFrontend(serving) as frontend:
+                await asyncio.gather(
+                    *[frontend.recommend(f"n{i}", top_n=3) for i in range(2, 6)]
+                )
+                await frontend.ingest([("n2", "n9", 70.0)])
+                await frontend.recommend("n2", top_n=3)
+
+        asyncio.run(scenario())
+        records = obs.drain_span_records()
+        scores = [r for r in records if r["name"] == "serve.score"]
+        assert len(scores) >= 2
+
+        def children(parent, name):
+            return [
+                r
+                for r in records
+                if r["name"] == name and r.get("parent_span_id") == parent["span_id"]
+            ]
+
+        for score in scores:
+            assert len(children(score, "serve.model")) == 1
+            assert len(children(score, "serve.rank")) == 1
+            assert len(children(score, "serve.extract")) <= 1
+        extracts = [e for s in scores for e in children(s, "serve.extract")]
+        assert extracts and all(e["tags"]["pairs"] > 0 for e in extracts)
+        # the engine's feature span nests under the extraction
+        features = [r for r in records if r["name"].startswith("feature.")]
+        assert features
+        assert all(
+            f["path"].startswith("serve.score/serve.extract/") for f in features
+        )
+        payload = {"traceEvents": trace_events(records)}
+        assert validate_trace(payload) == []
+        assert validate_flow_events(payload) == []
+
     def test_batch_fans_in_all_member_request_traces(self, fresh):
         serving = fresh()
 
