@@ -10,7 +10,7 @@ For each graph it prints one SHA-256 prefix over every method's test
 scores (``MethodResult.extras["test_scores"]``), since a score can move
 while its AUC does not: run it on the parent commit and on the change,
 and the printed lines must match.  It exits 1, naming each moved,
-missing or extra cell on stderr.  The seven graphs take about 51 s on a
+missing or extra cell on stderr.  The seven graphs take about 20 s on a
 2-vCPU host.
 
 A change that means to move the table says so, then regenerates

@@ -123,20 +123,14 @@ class ProjectIndex:
         self.modules = modules
         self.functions = functions
         self._by_name: dict[str, list[str]] = {}
-        self._by_location: dict[tuple[str, int], str] = {}
         for qualname, info in functions.items():
             self._by_name.setdefault(info.name, []).append(qualname)
-            self._by_location[(info.module, info.line)] = qualname
 
     # ------------------------------------------------------------------
     # lookups
     # ------------------------------------------------------------------
     def functions_named(self, name: str) -> "list[FunctionInfo]":
         return [self.functions[q] for q in self._by_name.get(name, ())]
-
-    def function_at(self, module: str, line: int) -> "FunctionInfo | None":
-        qualname = self._by_location.get((module, line))
-        return self.functions.get(qualname) if qualname else None
 
     def module_of(self, qualname: str) -> "ModuleInfo | None":
         info = self.functions.get(qualname)

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 __all__ = ["CFG", "ENTRY", "EXIT", "RAISE", "build_cfg", "own_exprs"]
 
@@ -65,10 +65,6 @@ class CFG:
         for index, stmt in enumerate(self.nodes):
             if stmt is not None:
                 yield index, stmt
-
-    def find_nodes(self, predicate: Callable[[ast.stmt], bool]) -> set[int]:
-        """Node ids whose statement satisfies ``predicate``."""
-        return {i for i, stmt in self.statement_nodes() if predicate(stmt)}
 
 
 def own_exprs(stmt: ast.stmt) -> Iterator[ast.AST]:

@@ -25,7 +25,7 @@ from repro.baselines.temporal import (
     TemporalResourceAllocation,
 )
 from repro.baselines.weighted import ReliableWeightedResourceAllocation
-from repro.baselines.wlf import WLFExtractor, wlf_feature_dim
+from repro.baselines.wlf import WLFExtractor
 
 __all__ = [
     "LinkScorer",
@@ -46,5 +46,4 @@ __all__ = [
     "TemporalNMF",
     "SpectralEmbedding",
     "WLFExtractor",
-    "wlf_feature_dim",
 ]

@@ -7,120 +7,50 @@ algorithm, and its 0/1 upper-triangle adjacency (minus the target entry)
 is unfolded into a vector of length ``K(K-1)/2 - 1`` — consumed by the
 WLLR (linear regression) and WLNM (neural machine) baselines.
 
-Implementation reuses the structure-subgraph machinery with merging
-disabled: a degenerate :class:`~repro.core.structure.StructureSubgraph`
-whose structure nodes are all singletons is ordered by the identical
-Palette-WL code path, which keeps the two baselines' ordering semantics
-exactly comparable.
+WLF is the SSF pipeline with Algorithm 1 off: every plain node is its own
+structure node, so growth stops at K nodes or an exhausted component,
+Palette-WL orders by hop distances alone (``ordering="hops"``) and the
+entries are 0/1 (``entry_mode="binary"``); timestamps and multiplicities
+are never read.  The dict backend is the oracle; on csr single pairs run
+the per-pair array path and batches the batched engine, bit for bit.
 """
 
 from __future__ import annotations
 
-from typing import Hashable
-
-import numpy as np
-
-from repro.core.distance import distances_to_link
-from repro.core.palette_wl import palette_wl_order
-from repro.core.structure import StructureSubgraph
+from repro.core.feature import SSFConfig, SSFExtractor
+from repro.graph.csr import CSRSnapshot
 from repro.graph.temporal import DynamicNetwork
 
-Node = Hashable
 
-
-def wlf_feature_dim(k: int) -> int:
-    """Length of a WLF vector: ``K(K-1)/2 - 1`` (same shape as SSF)."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    return k * (k - 1) // 2 - 1
-
-
-class WLFExtractor:
+class WLFExtractor(SSFExtractor):
     """Extracts WLF vectors for target links of one observed network.
 
-    Args:
-        network: the observed history; the static structure is used
-            (timestamps and multiplicities ignored, per the paper's
-            "static version" protocol).
-        k: number of enclosing-subgraph nodes (paper default 10).
+    Example:
+        >>> from repro.graph import DynamicNetwork
+        >>> g = DynamicNetwork([("a", "c", 1), ("b", "c", 2), ("c", "d", 3)])
+        >>> WLFExtractor(g, k=4).extract("a", "b")
+        array([1., 1., 0., 0., 1.])
     """
 
-    def __init__(self, network: DynamicNetwork, k: int = 10) -> None:
-        if k < 3:
-            raise ValueError(f"k must be >= 3 for a non-empty feature, got {k}")
-        self._network = network
-        self._k = k
+    _merge = False
 
-    @property
-    def k(self) -> int:
-        return self._k
-
-    @property
-    def feature_dim(self) -> int:
-        return wlf_feature_dim(self._k)
-
-    def extract(self, a: Node, b: Node) -> np.ndarray:
-        """The WLF vector of target link ``(a, b)``.
-
-        Unseen end nodes yield the all-zero vector, mirroring
-        :class:`~repro.core.feature.SSFExtractor`.
+    def __init__(
+        self,
+        network: "DynamicNetwork | CSRSnapshot",
+        k: int = 10,
+        backend: str = "csr",
+    ) -> None:
+        """Args:
+        network: the observed history — a :class:`DynamicNetwork` or a
+            prebuilt :class:`CSRSnapshot`; only its static structure is
+            read (the paper's "static version" protocol).
+        k: number of enclosing-subgraph nodes (paper default 10).
+        backend: ``"csr"`` (the default; a :class:`DynamicNetwork` is
+            frozen here, as :class:`SSFExtractor` does) or ``"dict"``
+            (the reference).  Both give bit-identical features.
         """
-        out = np.zeros(self.feature_dim, dtype=np.float64)
-        if not (self._network.has_node(a) and self._network.has_node(b)):
-            return out
-
-        selected, subgraph = self._enclosing_subgraph(a, b)
-        k = self._k
-        pos = 0
-        for n in range(3, k + 1):
-            for m in range(1, n):
-                if (
-                    n <= len(selected)
-                    and subgraph.has_structure_link(selected[m - 1], selected[n - 1])
-                ):
-                    out[pos] = 1.0
-                pos += 1
-        return out
-
-    def extract_batch(self, pairs: "list[tuple[Node, Node]]") -> np.ndarray:
-        if not pairs:
-            return np.zeros((0, self.feature_dim))
-        return np.stack([self.extract(a, b) for a, b in pairs])
-
-    def _enclosing_subgraph(
-        self, a: Node, b: Node
-    ) -> tuple[list[int], StructureSubgraph]:
-        """Top-K plain nodes by Palette-WL order, plus their subgraph."""
-        distances = distances_to_link(self._network, a, b)
-        max_distance = max(distances.values())
-        h = 0
-        node_set: set[Node] = set()
-        while True:
-            h += 1
-            node_set = {n for n, d in distances.items() if d <= h}
-            if len(node_set) >= self._k or h >= max(1, max_distance):
-                break
-
-        subgraph = _singleton_structure_subgraph(self._network, node_set, a, b)
-        order = palette_wl_order(subgraph)
-        by_order = sorted(range(len(order)), key=lambda i: order[i])
-        return by_order[: min(self._k, len(by_order))], subgraph
-
-
-def _singleton_structure_subgraph(
-    network: DynamicNetwork, node_set: set[Node], a: Node, b: Node
-) -> StructureSubgraph:
-    """A StructureSubgraph whose nodes are all singletons (no merging)."""
-    ordered = [a, b] + [n for n in node_set if n != a and n != b]
-    index = {n: i for i, n in enumerate(ordered)}
-    adjacency = []
-    for n in ordered:
-        row = network.neighbor_view(n)
-        adjacency.append(frozenset(index[m] for m in row if m in index))
-    return StructureSubgraph(
-        network=network,
-        node_set=frozenset(node_set),
-        member_sets=[frozenset([n]) for n in ordered],
-        adjacency=adjacency,
-        endpoints=(a, b),
-    )
+        super().__init__(
+            network,
+            SSFConfig(k=k, entry_mode="binary", ordering="hops"),
+            backend=backend,
+        )

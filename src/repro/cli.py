@@ -815,7 +815,7 @@ def _cmd_stream(args: argparse.Namespace) -> str:
         warmup_fraction=args.warmup,
         drift_threshold=drift_threshold,
     )
-    lines = [f"prequential streaming on {name}: mean AUC={result.mean_auc:.3f}"]
+    lines = [f"prequential streaming on {name}: {result.summary()}"]
     lines.extend(
         f"  t={stamp:6.0f}  AUC={auc:.3f}"
         for stamp, auc in zip(result.timestamps, result.aucs)

@@ -19,7 +19,8 @@ through the CSR pipeline at once:
   B_{h+1} is B_h plus the gathered neighbours outside it, and a pair
   whose gather leaves B_h nowhere has an exhausted ball.  The pass
   groups nodes once: the first same-neighbourhood grouping is already
-  Alg. 1's fixed point, so combination is one merge round.
+  Alg. 1's fixed point, so combination is one merge round.  With
+  ``merge=False`` (the WLF baseline) the grouping is the identity.
 * **Arena buffer** — the |V|-sized node → combination-row map is
   allocated once per engine and part and reused across every pair of
   every batch via monotonically increasing stamps (never cleared, never
@@ -529,7 +530,11 @@ class BatchExtractionEngine:
         compress: bool,
         ordering: str,
         max_hop: "int | None",
+        *,
+        merge: bool = True,
     ) -> None:
+        """``merge=False`` turns Alg. 1 off: every node of a ball is its
+        own structure node (WLF, :class:`~repro.baselines.wlf.WLFExtractor`)."""
         self._snapshot = snapshot
         self._k = k
         self._theta = theta
@@ -537,6 +542,7 @@ class BatchExtractionEngine:
         self._compress = compress
         self._ordering = ordering
         self._max_hop = max_hop
+        self._merge = merge
         self._dim = k * (k - 1) // 2 - 1
         # a pool worker's siblings already hold the other CPUs, so its
         # calls run as one part: threads never nest inside processes
@@ -1221,17 +1227,25 @@ class BatchExtractionEngine:
 
         # Group non-end nodes by restricted-neighbour content per segment
         # (ascending node order = ascending row order), then pin the end
-        # nodes to local groups 0/1.
-        rest_ids, extra_counts = _group_ragged_rows(
-            kept_indptr, kept_dst_row, rest_rows, seg_of_row[rest_rows], n_segments
-        )
+        # nodes to local groups 0/1.  Without merging each non-end node is
+        # its own group, in the same order.
+        rest_segs = seg_of_row[rest_rows]
+        if self._merge:
+            rest_ids, extra_counts = _group_ragged_rows(
+                kept_indptr, kept_dst_row, rest_rows, rest_segs, n_segments
+            )
+        else:
+            extra_counts = ball_sizes - 2
+            rest_ids = np.arange(rest_rows.size, dtype=np.int64) - (
+                extra_counts.cumsum() - extra_counts
+            )[rest_segs]
         group_counts = extra_counts + 2
         group_offsets = np.zeros(n_segments + 1, dtype=np.int64)
         group_counts.cumsum(out=group_offsets[1:])
         grp_row = np.empty(n_rows, dtype=np.int64)
         grp_row[row_a] = group_offsets[:-1]
         grp_row[row_b] = group_offsets[:-1] + 1
-        grp_row[rest_rows] = group_offsets[seg_of_row[rest_rows]] + 2 + rest_ids
+        grp_row[rest_rows] = group_offsets[rest_segs] + 2 + rest_ids
 
         # This grouping is already Alg. 1's fixed point, so the group
         # adjacency is built once.  Twins r, s (equal restricted
@@ -1251,7 +1265,7 @@ class BatchExtractionEngine:
         np.bincount(adj_src, minlength=n_groups_total).cumsum(out=adj_indptr[1:])
 
         if obs_enabled():
-            observe_many("structure.merge_rounds", [1] * n_segments)
+            observe_many("structure.merge_rounds", [int(self._merge)] * n_segments)
             nodes_in = ball_sizes.tolist()
             nodes_out = group_counts.tolist()
             observe_many("structure.nodes_in", nodes_in)

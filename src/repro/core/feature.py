@@ -179,6 +179,10 @@ class SSFExtractor:
         (5,)
     """
 
+    #: Alg. 1 structure combination; only the WLF baseline turns it off
+    #: (:class:`~repro.baselines.wlf.WLFExtractor`, Table I)
+    _merge = True
+
     def __init__(
         self,
         network: "DynamicNetwork | CSRSnapshot",
@@ -269,6 +273,7 @@ class SSFExtractor:
                 compress=self._config.compress,
                 ordering=self._config.ordering,
                 max_hop=self._config.max_hop,
+                merge=self._merge,
             )
         return self._batch_engine
 
@@ -429,6 +434,7 @@ class SSFExtractor:
             self._config.k,
             max_hop=self._config.max_hop,
             tie_break=self._ordering_tie_break(),
+            merge=self._merge,
         )
 
     def _ordering_tie_break(

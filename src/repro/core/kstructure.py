@@ -116,6 +116,8 @@ def extract_k_structure_subgraph(
     k: int,
     max_hop: "int | None" = None,
     tie_break: "Callable[[AnyStructureSubgraph], list[float]] | None" = None,
+    *,
+    merge: bool = True,
 ) -> KStructureSubgraph:
     """Grow ``h`` until the structure subgraph holds >= ``k`` structure
     nodes, order it with Palette-WL, and select the top ``k``.
@@ -133,6 +135,9 @@ def extract_k_structure_subgraph(
             earlier) ordering WL-tied structure nodes, e.g. by influence
             strength toward the end nodes (see
             :class:`~repro.core.feature.SSFExtractor`).
+        merge: ``False`` turns Algorithm 1 off, so every node is its own
+            structure node and growth stops at ``k`` plain nodes — the
+            WLF subgraph (:class:`~repro.baselines.wlf.WLFExtractor`).
 
     Returns:
         The ordered selection; ``len(selected) < k`` only when the
@@ -142,9 +147,9 @@ def extract_k_structure_subgraph(
         raise ValueError(f"k must be >= 2, got {k}")
 
     if isinstance(network, CSRSnapshot):
-        subgraph, h = _grow_csr(network, a, b, k, max_hop)
+        subgraph, h = _grow_csr(network, a, b, k, max_hop, merge)
     else:
-        subgraph, h = _grow_dict(network, a, b, k, max_hop)
+        subgraph, h = _grow_dict(network, a, b, k, max_hop, merge)
 
     tie_break_scores = tie_break(subgraph) if tie_break is not None else None
     order = palette_wl_order(subgraph, tie_break=tie_break_scores)
@@ -166,6 +171,7 @@ def _grow_dict(
     b: Node,
     k: int,
     max_hop: "int | None",
+    merge: bool,
 ) -> tuple[StructureSubgraph, int]:
     """Algorithm 3 lines 1–8 over the dict substrate."""
     with span("subgraph_growth"):
@@ -184,7 +190,7 @@ def _grow_dict(
                 "subgraph.frontier_size",
                 sum(1 for d in member_distances.values() if d == h),
             )
-        subgraph = combine_structures(network, node_set, a, b)
+        subgraph = combine_structures(network, node_set, a, b, merge=merge)
         enough = subgraph.number_of_structure_nodes() >= k
         exhausted = len(node_set) == reachable or h >= max_distance
         if enough or exhausted:
@@ -199,6 +205,7 @@ def _grow_csr(
     b: Node,
     k: int,
     max_hop: "int | None",
+    merge: bool,
 ) -> tuple[CSRStructureSubgraph, int]:
     """Algorithm 3 lines 1–8 over the CSR substrate (incremental array BFS).
 
@@ -252,7 +259,9 @@ def _grow_csr(
         subgraph = None
         enough = False
         if len(node_ids) >= k:
-            subgraph = combine_structures_csr(snapshot, node_ids, a_id, b_id)
+            subgraph = combine_structures_csr(
+                snapshot, node_ids, a_id, b_id, merge=merge
+            )
             enough = subgraph.number_of_structure_nodes() >= k
         if max_hop is not None and h >= max_hop:
             exhausted = True
@@ -261,7 +270,9 @@ def _grow_csr(
             exhausted = next_level.size == 0
         if enough or exhausted:
             if subgraph is None:
-                subgraph = combine_structures_csr(snapshot, node_ids, a_id, b_id)
+                subgraph = combine_structures_csr(
+                    snapshot, node_ids, a_id, b_id, merge=merge
+                )
             break
     assert subgraph is not None
     observe("subgraph.growth_h", h)

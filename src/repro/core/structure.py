@@ -35,6 +35,9 @@ Implementation notes:
   to the parent substrate plus the node set ``V_h`` and resolve
   member-level timestamps lazily.  This is what makes per-link SSF
   extraction affordable on dense networks.
+* ``merge=False`` turns Algorithm 1 off: every node becomes its own
+  structure node, in the same order.  That is the plain-node enclosing
+  subgraph of the WLF baseline (Table I), which runs this pipeline.
 """
 
 from __future__ import annotations
@@ -102,10 +105,6 @@ class _StructureTopology:
 
     def sort_key(self, index: int) -> tuple[str, ...]:  # pragma: no cover - abstract
         raise NotImplementedError
-
-    @property
-    def endpoint_indices(self) -> tuple[int, int]:
-        return (0, 1)
 
     def number_of_structure_links(self) -> int:
         return sum(len(adj) for adj in self._adjacency) // 2
@@ -507,6 +506,8 @@ def combine_structures(
     node_set: Iterable[Node],
     a: Node,
     b: Node,
+    *,
+    merge: bool = True,
 ) -> StructureSubgraph:
     """Algorithm 1: collapse an h-hop subgraph into its structure subgraph.
 
@@ -515,6 +516,8 @@ def combine_structures(
         node_set: the h-hop node set ``V_h`` (must contain ``a`` and ``b``).
         a: first end node of the target link.
         b: second end node of the target link.
+        merge: ``False`` turns Algorithm 1 off: every node becomes its own
+            structure node (WLF's plain-node subgraph, Table I).
 
     Returns:
         The fixed point of repeated same-neighbourhood merging, with the
@@ -527,7 +530,7 @@ def combine_structures(
         raise ValueError("target link end nodes must be distinct")
 
     with span("structure_combination"):
-        result = _combine_structures(network, nodes, a, b)
+        result = _combine_structures(network, nodes, a, b, merge)
     if obs_enabled():
         structure_nodes = result.number_of_structure_nodes()
         observe("structure.nodes_in", len(nodes))
@@ -541,6 +544,7 @@ def _combine_structures(
     nodes: frozenset[Node],
     a: Node,
     b: Node,
+    merge: bool,
 ) -> StructureSubgraph:
     # Member-level neighbourhoods restricted to V_h.  Nodes are visited in
     # repr order: labels are arbitrary hashables (possibly mixed types), so
@@ -556,6 +560,7 @@ def _combine_structures(
             restricted[n] = frozenset(m for m in nodes if m in row)
 
     # Round 0: group non-end nodes by exact neighbourhood; end nodes pinned.
+    # Without merging every node opens its own group.
     group_of: dict[Node, int] = {a: 0, b: 1}
     groups: list[list[Node]] = [[a], [b]]
     by_key: dict[frozenset[Node], int] = {}
@@ -563,7 +568,7 @@ def _combine_structures(
         if n == a or n == b:
             continue
         key = restricted[n]
-        idx = by_key.get(key)
+        idx = by_key.get(key) if merge else None
         if idx is None:
             idx = len(groups)
             by_key[key] = idx
@@ -579,7 +584,7 @@ def _combine_structures(
     # neighbourhoods would have equal node-level ones — one group.  The
     # loop stays as the literal Algorithm 1 this reference is checked by.
     rounds = 0
-    while True:
+    while merge:
         rounds += 1
         adjacency = _group_adjacency(groups, group_of, restricted)
         merged_groups, merged_of, changed = _merge_once(groups, adjacency)
@@ -608,6 +613,8 @@ def combine_structures_csr(
     node_ids: np.ndarray,
     a_id: int,
     b_id: int,
+    *,
+    merge: bool = True,
 ) -> CSRStructureSubgraph:
     """Algorithm 1 over a CSR snapshot — array form of
     :func:`combine_structures`, producing the identical partition.
@@ -617,6 +624,8 @@ def combine_structures_csr(
         node_ids: sorted int ids of the h-hop node set ``V_h``.
         a_id: int id of the first end node (must be in ``node_ids``).
         b_id: int id of the second end node.
+        merge: ``False`` turns Algorithm 1 off, as in
+            :func:`combine_structures`.
     """
     node_ids = np.asarray(node_ids, dtype=np.int64)
     if a_id == b_id:
@@ -625,7 +634,7 @@ def combine_structures_csr(
         raise ValueError("node_set must contain both end nodes of the target link")
 
     with span("structure_combination"):
-        result = _combine_structures_csr(snapshot, node_ids, a_id, b_id)
+        result = _combine_structures_csr(snapshot, node_ids, a_id, b_id, merge)
     if obs_enabled():
         structure_nodes = result.number_of_structure_nodes()
         observe("structure.nodes_in", len(node_ids))
@@ -644,6 +653,7 @@ def _combine_structures_csr(
     node_ids: np.ndarray,
     a_id: int,
     b_id: int,
+    merge: bool,
 ) -> CSRStructureSubgraph:
     n = snapshot.number_of_nodes()
     in_set = np.zeros(n, dtype=bool)
@@ -678,7 +688,7 @@ def _combine_structures_csr(
         if u == a_id or u == b_id:
             continue
         key = restricted[u].tobytes()
-        idx = by_key.get(key)
+        idx = by_key.get(key) if merge else None
         if idx is None:
             idx = len(groups)
             by_key[key] = idx
@@ -692,10 +702,10 @@ def _combine_structures_csr(
     # ``owners`` pairs each kept neighbour entry with its source node so
     # the per-round adjacency is two gathers over the edge list.
     owners = np.repeat(node_ids, kept_bounds[1:] - kept_bounds[:-1])
+    adjacency = _group_adjacency_csr(len(groups), grp, owners, kept_flat)
     rounds = 0
-    while True:
+    while merge:
         rounds += 1
-        adjacency = _group_adjacency_csr(len(groups), grp, owners, kept_flat)
         merged_groups, merged_of, changed = _merge_once(groups, adjacency)
         if not changed:
             break
@@ -704,11 +714,10 @@ def _combine_structures_csr(
             remap[old_idx] = new_idx
         grp[node_ids] = remap[grp[node_ids]]
         groups = merged_groups
+        adjacency = _group_adjacency_csr(len(groups), grp, owners, kept_flat)
 
     observe("structure.merge_rounds", rounds)
     member_ids = [np.array(sorted(g), dtype=np.int64) for g in groups]
-    # The loop exits when _merge_once changed nothing, so the adjacency
-    # computed at the top of the last round is still valid for `groups`.
     return CSRStructureSubgraph(
         snapshot=snapshot,
         node_ids=node_ids,

@@ -29,16 +29,17 @@ class ExperimentConfig:
         rw_steps: local-random-walk steps.
         n_jobs: worker processes for SSF feature extraction (1 = in
             process; extraction is deterministic either way).  Needs the
-            csr backend when above 1.
+            csr backend when above 1.  WLF runs in process whatever
+            its value.
         max_retries: pool rounds re-dispatching failed extraction chunks
             before the in-parent sequential fallback (see
             docs/ROBUSTNESS.md; results stay bit-identical either way).
         chunk_timeout: seconds a pool may stay silent before its missing
             chunks count as hung/lost and are retried; ``None`` waits
             forever (disables dead-worker detection).
-        backend: SSF extraction substrate — ``"csr"`` (frozen array
-            snapshot, the default) or ``"dict"`` (the faithful reference,
-            in process only); the features are bit-identical.
+        backend: SSF and WLF extraction substrate — ``"csr"`` (frozen
+            array snapshot, the default) or ``"dict"`` (the faithful
+            reference, in process only); the features are bit-identical.
         seed: master seed (split, negatives, model init).
     """
 

@@ -6,7 +6,9 @@ runs, and the two SSF variants ("ssf" temporal entries, "ssf_w" count
 entries) share one subgraph pass per pair batch:
 :func:`~repro.core.parallel.parallel_extract_batch` with ``modes=``
 runs :meth:`~repro.core.feature.SSFExtractor.extract_multi_batch` in
-each chunk.
+each chunk.  The "wlf" kind runs
+:class:`~repro.baselines.wlf.WLFExtractor` in process; on csr it reads
+the snapshot the SSF pass reads.
 
 Module-level helpers :func:`run_dataset` and :func:`run_table3` regenerate
 entire table columns / the full table.
@@ -37,6 +39,7 @@ from repro.experiments.methods import (
     MethodResult,
     validate_method_name,
 )
+from repro.graph.csr import CSRSnapshot
 from repro.graph.temporal import DynamicNetwork
 from repro.metrics.classification import f1_score, roc_auc_score
 from repro.models.linear import LinearRegressionModel
@@ -98,6 +101,7 @@ class LinkPredictionExperiment:
             seed=self.config.seed,
         )
         self._feature_cache: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._snapshot: "CSRSnapshot | None" = None
 
     # ------------------------------------------------------------------
     # feature extraction (cached)
@@ -120,7 +124,13 @@ class LinkPredictionExperiment:
         if kind == "wlf":
             with span("runner.extract_features", kind="wlf"):
                 with tracemalloc_stage("extract_wlf"):
-                    extractor = WLFExtractor(self.task.history, k=self.config.k)
+                    # in process whatever n_jobs says; the extractor and
+                    # its engine die with this call
+                    extractor = WLFExtractor(
+                        self._observed_history(),
+                        k=self.config.k,
+                        backend=self.config.backend,
+                    )
                     self._feature_cache["wlf"] = (
                         extractor.extract_batch(self.task.train_pairs),
                         extractor.extract_batch(self.task.test_pairs),
@@ -170,24 +180,27 @@ class LinkPredictionExperiment:
             train, test = self._feature_cache[kind]
             self.checkpoint.save_features(self.dataset_name, kind, train, test)
 
+    def _observed_history(self) -> "DynamicNetwork | CSRSnapshot":
+        """The observed window the extractors read.  On the csr backend
+        it is ONE snapshot, frozen on first use and shared by the SSF and
+        WLF passes, their train and test batches and every pool worker,
+        so the freeze cost is paid once per history."""
+        if self.config.backend != "csr":
+            return self.task.history
+        if self._snapshot is None:
+            self._snapshot = CSRSnapshot.from_dynamic(self.task.history)
+        return self._snapshot
+
     def _extract_ssf_features(self) -> None:
         """Fill the cache for both SSF variants with shared extraction."""
         from repro.core.parallel import parallel_extract_batch
-        from repro.graph.csr import CSRSnapshot
 
         config = SSFConfig(k=self.config.k, theta=self.config.theta)
         # "temporal" entries are the SSF default (see repro.core.feature);
         # "count" entries are the static SSF-W variant's 0/k encoding.
         modes = ("temporal", "count")
-        # On the csr backend, freeze ONE snapshot for the whole observed
-        # window and reuse it across the train and test batches (and every
-        # pool worker) so the freeze cost is paid once per history.
         backend = self.config.backend
-        history = (
-            CSRSnapshot.from_dynamic(self.task.history)
-            if backend == "csr"
-            else self.task.history
-        )
+        history = self._observed_history()
 
         retry = RetryPolicy(
             max_retries=self.config.max_retries,

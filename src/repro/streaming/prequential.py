@@ -300,11 +300,14 @@ class PrequentialResult:
     def mean_auc(self) -> float:
         return float(np.mean(self.aucs)) if self.aucs else float("nan")
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"prequential AUC={self.mean_auc:.3f} over {len(self.aucs)} "
-            f"timestamps ({len(self.skipped)} skipped)"
-        )
+    def summary(self) -> str:
+        """How many windows were scored and skipped, then the mean AUC
+        when at least one was scored (never ``nan``)."""
+        counts = f"windows: {len(self.aucs)} scored, {len(self.skipped)} skipped"
+        return f"{counts}, mean AUC={self.mean_auc:.3f}" if self.aucs else counts
+
+    def __str__(self) -> str:
+        return f"prequential {self.summary()}"
 
 
 def prequential_evaluate(
@@ -435,12 +438,7 @@ def prequential_evaluate(
                 result.skipped.append(stamp)
         predictor.observe(edges)
     heartbeat_tick("stream", done=len(stamps), total=len(stamps), force=True)
-    _LOG.info(
-        "prequential run complete: %d windows scored, %d skipped, mean AUC=%.3f",
-        len(result.aucs),
-        len(result.skipped),
-        result.mean_auc,
-    )
+    _LOG.info("prequential run complete: %s", result.summary())
     return result
 
 

@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.baselines.wlf import WLFExtractor, wlf_feature_dim
+from repro.baselines.wlf import WLFExtractor
+from repro.core.feature import ssf_feature_dim
 from repro.graph.temporal import DynamicNetwork
 
 
 class TestFeatureDim:
-    def test_matches_ssf_convention(self):
-        assert wlf_feature_dim(10) == 44
+    def test_matches_ssf_convention(self, fig3_network):
+        assert WLFExtractor(fig3_network, k=10).feature_dim == ssf_feature_dim(10) == 44
 
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
-            wlf_feature_dim(1)
+            ssf_feature_dim(1)
         with pytest.raises(ValueError):
             WLFExtractor(DynamicNetwork(), k=2)
 
@@ -21,7 +22,7 @@ class TestFeatureDim:
 class TestExtraction:
     def test_length(self, fig3_network):
         ext = WLFExtractor(fig3_network, k=6)
-        assert ext.extract("A", "B").shape == (wlf_feature_dim(6),)
+        assert ext.extract("A", "B").shape == (ssf_feature_dim(6),)
 
     def test_binary_entries(self, fig3_network):
         vec = WLFExtractor(fig3_network, k=6).extract("A", "B")
@@ -58,12 +59,14 @@ class TestExtraction:
     def test_batch(self, fig3_network):
         ext = WLFExtractor(fig3_network, k=6)
         batch = ext.extract_batch([("A", "B"), ("A", "C")])
-        assert batch.shape == (2, wlf_feature_dim(6))
+        assert batch.shape == (2, ssf_feature_dim(6))
 
     def test_no_structure_merging(self, fig3_network):
         """WLF keeps plain nodes: with K=8 on Fig. 3 all 8 one-hop nodes
         appear as distinct enclosing-subgraph nodes (unlike SSF's 5
         structure nodes)."""
-        selected, sub = WLFExtractor(fig3_network, k=8)._enclosing_subgraph("A", "B")
-        assert len(selected) == 8
-        assert all(len(sub.nodes[i].members) == 1 for i in selected)
+        for backend in ("dict", "csr"):
+            extractor = WLFExtractor(fig3_network, k=8, backend=backend)
+            ks = extractor.k_structure_subgraph("A", "B")
+            assert ks.number_selected() == 8, backend
+            assert all(len(ks.node(order)) == 1 for order in range(1, 9)), backend

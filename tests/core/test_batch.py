@@ -140,6 +140,45 @@ class TestBatchedDifferential:
         single = np.stack([extractor.extract(a, b) for a, b in pairs])
         assert np.array_equal(single, extractor.extract_batch(pairs))
 
+    @pytest.mark.parametrize("budget", [None, 256])
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_wlf_matches_dict_reference(self, cpus, budget, monkeypatch):
+        """WLF, the pipeline with Alg. 1 off: csr rows, per pair and
+        batched (cut into slabs and parts when the budget is small),
+        equal the dict reference's for K = 3..11."""
+        from repro.baselines.wlf import WLFExtractor
+        from repro.core import batch
+
+        monkeypatch.setattr(batch, "_usable_cpus", lambda: cpus)
+        if budget is not None:
+            monkeypatch.setattr(batch, "SLAB_ENTRIES", budget)
+        split_calls = 0
+        run_parts = batch.BatchExtractionEngine._run_parts
+
+        def counting(engine, run, n_parts):
+            nonlocal split_calls
+            split_calls += 1
+            return run_parts(engine, run, n_parts)
+
+        monkeypatch.setattr(batch.BatchExtractionEngine, "_run_parts", counting)
+        rng = random.Random(31)
+        for k in range(3, 12):
+            n = rng.randint(12, 50)
+            network = _random_network(rng, n, rng.randint(n, n * 3))
+            network.add_node("isolated")
+            # a component smaller than K once K > 3
+            network.add_edges_from([("t0", "t1", 1.0), ("t1", "t2", 2.0)])
+            pairs = _random_pairs(rng, n, rng.randint(8, 20))
+            pairs.insert(rng.randrange(len(pairs) + 1), ("missing", "n0"))
+            pairs += [pairs[0], pairs[1][::-1]]
+            pairs += [("isolated", "n1"), ("t0", "t2"), ("t2", "n0")]
+            expected = WLFExtractor(network, k=k, backend="dict").extract_batch(pairs)
+            got = WLFExtractor(network, k=k)
+            assert got.extract_batch(pairs).tobytes() == expected.tobytes(), k
+            single = np.stack([got.extract(a, b) for a, b in pairs])
+            assert single.tobytes() == expected.tobytes(), k
+        assert (split_calls > 0) == (cpus == 2 and budget is not None)
+
 
 class TestJoinedStructureLinks:
     """Structure links whose member-level links the engine enumerates as

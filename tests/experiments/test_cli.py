@@ -108,6 +108,15 @@ class TestStreamCommand:
         )
         assert "prequential" in out and "AUC" in out
 
+    @pytest.mark.parametrize(
+        "argv, skipped",
+        [(["--scale", "0.2", "--warmup", "0.99"], 0), (["--scale", "0.001"], 9)],
+    )
+    def test_no_scored_window_prints_counts_not_nan(self, capsys, argv, skipped):
+        out = _run(capsys, "stream", "--dataset", "co-author", *argv)
+        assert "nan" not in out
+        assert f"windows: 0 scored, {skipped} skipped" in out
+
 
 class TestReportCommand:
     def test_report_to_stdout(self, capsys):

@@ -1,5 +1,7 @@
 """Tests for the experiment runner (feature cache, method evaluation)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,31 @@ class TestFeatureCache:
     def test_unknown_kind(self, experiment):
         with pytest.raises(ValueError):
             experiment.feature_matrices("bogus")
+
+    def test_wlf_backends_agree_on_one_shared_snapshot(self, experiment, monkeypatch):
+        """WLF honours ``backend``: dict and csr matrices are bit-identical,
+        and on csr the SSF and WLF passes share one frozen snapshot."""
+        from repro.graph.csr import CSRSnapshot
+
+        freezes = []
+        freeze = CSRSnapshot.from_dynamic
+
+        def counting(network):
+            freezes.append(network)
+            return freeze(network)
+
+        monkeypatch.setattr(CSRSnapshot, "from_dynamic", staticmethod(counting))
+        matrices = {}
+        for backend in ("dict", "csr"):
+            config = dataclasses.replace(ExperimentConfig().fast(), backend=backend)
+            fresh = LinkPredictionExperiment(
+                experiment.network, config, task=experiment.task
+            )
+            fresh.feature_matrices("ssf")
+            matrices[backend] = fresh.feature_matrices("wlf")
+        assert freezes == [experiment.task.history]
+        for dict_rows, csr_rows in zip(matrices["dict"], matrices["csr"]):
+            assert dict_rows.tobytes() == csr_rows.tobytes()
 
 
 class TestRunMethod:

@@ -124,6 +124,13 @@ class TestPrequentialEvaluate:
     def test_empty_result_nan_mean(self):
         assert np.isnan(PrequentialResult().mean_auc)
 
+    def test_summary_counts_windows_and_never_prints_nan(self):
+        assert str(PrequentialResult(skipped=[3.0, 4.0])) == (
+            "prequential windows: 0 scored, 2 skipped"
+        )
+        scored = PrequentialResult(timestamps=[5.0], aucs=[0.75], skipped=[4.0])
+        assert scored.summary() == "windows: 1 scored, 1 skipped, mean AUC=0.750"
+
 
 class _ScriptedPredictor:
     """Duck-typed streaming predictor whose per-window quality is scripted.
