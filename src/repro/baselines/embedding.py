@@ -16,8 +16,6 @@ from __future__ import annotations
 from typing import Hashable
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.baselines.base import LinkScorer
 from repro.baselines.nmf import nmf_factorize
@@ -55,6 +53,8 @@ class TemporalNMF(LinkScorer):
         self._h: "np.ndarray | None" = None
 
     def _prepare(self, network: DynamicNetwork) -> None:
+        import scipy.sparse as sp
+
         self._index = self.graph.node_index()
         n = len(self._index)
         present = (
@@ -104,6 +104,9 @@ class SpectralEmbedding(LinkScorer):
         self._eigenvalues: "np.ndarray | None" = None
 
     def _prepare(self, network: DynamicNetwork) -> None:
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         graph = self.graph
         self._index = graph.node_index()
         n = len(self._index)

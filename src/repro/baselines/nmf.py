@@ -16,14 +16,16 @@ touches the data matrix.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.baselines.base import LinkScorer
 from repro.graph.temporal import DynamicNetwork
 from repro.utils.rng import RngLike, ensure_rng
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 Node = Hashable
 
@@ -53,6 +55,8 @@ def nmf_factorize(
     Returns:
         ``(W, H)`` with shapes (n, r) and (m, r).
     """
+    import scipy.sparse as sp
+
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     if method not in ("pg", "mu"):
@@ -169,6 +173,8 @@ class NMFLinkPredictor(LinkScorer):
         self._h: "np.ndarray | None" = None
 
     def _prepare(self, network: DynamicNetwork) -> None:
+        import scipy.sparse as sp
+
         graph = self.graph
         self._index = graph.node_index()
         n = len(self._index)

@@ -17,13 +17,15 @@ benchmarking it.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.baselines.base import LinkScorer
 from repro.graph.temporal import DynamicNetwork
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 Node = Hashable
 
@@ -42,6 +44,8 @@ class _SparseWalkScorer(LinkScorer):
         self._walk_cache: dict[Node, list[np.ndarray]] = {}
 
     def _prepare(self, network: DynamicNetwork) -> None:
+        import scipy.sparse as sp
+
         self._index = self.graph.node_index()
         n = len(self._index)
         rows, cols = [], []

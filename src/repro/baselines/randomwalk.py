@@ -13,13 +13,15 @@ informative; walk distributions are cached per source node.
 
 from __future__ import annotations
 
-from typing import Hashable
+from typing import TYPE_CHECKING, Hashable
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.baselines.base import LinkScorer
 from repro.graph.temporal import DynamicNetwork
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 Node = Hashable
 
@@ -40,6 +42,8 @@ class LocalRandomWalk(LinkScorer):
         self._walk_cache: dict[Node, np.ndarray] = {}
 
     def _prepare(self, network: DynamicNetwork) -> None:
+        import scipy.sparse as sp
+
         graph = self.graph
         self._index = graph.node_index()
         n = len(self._index)

@@ -192,43 +192,49 @@ class DynamicNetwork:
         """Sorted timestamps of all links between ``u`` and ``v``."""
         return tuple(self._adj.get(u, {}).get(v, ()))
 
-    def edges(self) -> Iterator[TemporalEdge]:
-        """Iterate all links once (each undirected link reported once)."""
-        seen: set[tuple[Node, Node]] = set()
+    def pair_stamps(self) -> Iterator[tuple[Node, Node, list[Timestamp]]]:
+        """Iterate ``(u, v, stamps)`` once per distinct connected pair.
+
+        ``stamps`` is the pair's sorted timestamp list itself (read-only:
+        do not mutate).  A pair is reported from the row of whichever
+        endpoint comes first in node insertion order; :meth:`edges`,
+        :meth:`pair_iter`, :meth:`slice` and :meth:`copy` all follow this
+        order.
+        """
+        scanned: set[Node] = set()
         for u, row in self._adj.items():
             for v, stamps in row.items():
-                if (v, u) in seen:
-                    continue
-                seen.add((u, v))
-                for ts in stamps:
-                    yield TemporalEdge(u, v, ts)
+                if v not in scanned:
+                    yield u, v, stamps
+            scanned.add(u)
+
+    def edges(self) -> Iterator[TemporalEdge]:
+        """Iterate all links once (each undirected link reported once)."""
+        for u, v, stamps in self.pair_stamps():
+            for ts in stamps:
+                yield TemporalEdge(u, v, ts)
 
     def pair_iter(self) -> Iterator[tuple[Node, Node]]:
         """Iterate distinct connected node pairs once."""
-        seen: set[tuple[Node, Node]] = set()
-        for u, row in self._adj.items():
-            for v in row:
-                if (v, u) in seen:
-                    continue
-                seen.add((u, v))
-                yield (u, v)
+        for u, v, _ in self.pair_stamps():
+            yield (u, v)
 
     # ------------------------------------------------------------------
     # temporal queries
     # ------------------------------------------------------------------
     def first_timestamp(self) -> Timestamp:
         """Smallest timestamp in the network (``l_1``)."""
-        return min(e.timestamp for e in self.edges())
+        return min(stamps[0] for _, _, stamps in self.pair_stamps())
 
     def last_timestamp(self) -> Timestamp:
         """Largest timestamp in the network (``l_s``)."""
-        return max(e.timestamp for e in self.edges())
+        return max(stamps[-1] for _, _, stamps in self.pair_stamps())
 
     def timestamp_set(self) -> set[Timestamp]:
         """The set ``L`` of distinct timestamps (Def. 1)."""
         out: set[Timestamp] = set()
-        for _, _, ts in self.edges():
-            out.add(ts)
+        for _, _, stamps in self.pair_stamps():
+            out.update(stamps)
         return out
 
     def slice(self, t_start: Timestamp, t_end: Timestamp) -> "DynamicNetwork":
@@ -246,16 +252,11 @@ class DynamicNetwork:
         t_lo = float(t_start)
         t_hi = float(t_end)
         out = DynamicNetwork()
-        seen: set[tuple[Node, Node]] = set()
-        for u, row in self._adj.items():
-            for v, stamps in row.items():
-                if (v, u) in seen:
-                    continue
-                seen.add((u, v))
-                lo = bisect_left(stamps, t_lo)
-                hi = bisect_left(stamps, t_hi)
-                if lo < hi:
-                    out._install_pair(u, v, stamps[lo:hi])
+        for u, v, stamps in self.pair_stamps():
+            lo = bisect_left(stamps, t_lo)
+            hi = bisect_left(stamps, t_hi)
+            if lo < hi:
+                out._install_pair(u, v, stamps[lo:hi])
         return out
 
     # ------------------------------------------------------------------
@@ -302,13 +303,8 @@ class DynamicNetwork:
         out = DynamicNetwork()
         for node in self._adj:
             out.add_node(node)
-        seen: set[tuple[Node, Node]] = set()
-        for u, row in self._adj.items():
-            for v, stamps in row.items():
-                if (v, u) in seen:
-                    continue
-                seen.add((u, v))
-                out._install_pair(u, v, stamps.copy())
+        for u, v, stamps in self.pair_stamps():
+            out._install_pair(u, v, stamps.copy())
         return out
 
     # ------------------------------------------------------------------

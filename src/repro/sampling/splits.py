@@ -187,18 +187,13 @@ def build_link_prediction_task(
 
 
 def _positive_pairs(network: DynamicNetwork, present_time: float) -> list[Pair]:
-    """Distinct node pairs with at least one link at the last timestamp."""
-    seen: set[tuple] = set()
-    out: list[Pair] = []
-    for u, v, ts in network.edges():
-        if ts == present_time:
-            key = _key(u, v)
-            if key not in seen:
-                seen.add(key)
-                out.append((u, v))
-    return out
+    """Distinct node pairs with at least one link at the last timestamp.
 
-
-def _key(u: Node, v: Node) -> tuple:
-    """Canonical unordered pair key."""
-    return (u, v) if repr(u) <= repr(v) else (v, u)
+    ``present_time`` is the network's largest stamp, so a pair has a link
+    at it exactly when its sorted stamp list ends there.
+    """
+    return [
+        (u, v)
+        for u, v, stamps in network.pair_stamps()
+        if stamps[-1] == present_time
+    ]

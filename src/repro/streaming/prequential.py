@@ -337,6 +337,11 @@ def prequential_evaluate(
     ``drift_threshold=None`` disables alerting; any other value must be
     positive and finite (a NaN or an infinity would never fire).  The
     gauges cost nothing unless observability is enabled.
+
+    Raises:
+        NetworkTooSmallError: if the network has fewer than two distinct
+            timestamps, or if the warm-up ends at the last one, so that no
+            timestamp is left to score.
     """
     if not 0.0 <= warmup_fraction < 1.0:
         raise ValueError("warmup_fraction must be in [0, 1)")
@@ -351,11 +356,16 @@ def prequential_evaluate(
         raise NetworkTooSmallError(
             f"{len(stamps)} distinct timestamp(s); need at least two to stream"
         )
+    warmup_end = stamps[int(len(stamps) * warmup_fraction)]
+    if warmup_end == stamps[-1]:
+        raise NetworkTooSmallError(
+            f"a warm-up of {warmup_fraction:g} ends at the last of "
+            f"{len(stamps)} distinct timestamps; no timestamp is left to score"
+        )
     by_stamp: dict[float, list[tuple]] = {s: [] for s in stamps}
     for u, v, ts in network.edges():
         by_stamp[ts].append((u, v, ts))
 
-    warmup_end = stamps[int(len(stamps) * warmup_fraction)]
     result = PrequentialResult()
     window_mean_scores: list[float] = []
     for stamp_index, stamp in enumerate(stamps):

@@ -2,9 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph.temporal import DynamicNetwork
-from repro.sampling.splits import NetworkTooSmallError, build_link_prediction_task
+from repro.sampling.splits import (
+    NetworkTooSmallError,
+    _positive_pairs,
+    build_link_prediction_task,
+)
 
 
 class TestTaskConstruction:
@@ -113,3 +119,60 @@ class TestValidation:
                 g.add_edge(u, v, 2)
         with pytest.raises((ValueError, RuntimeError)):
             build_link_prediction_task(g)
+
+
+# --------------------------------------------------------------------------
+# The split's stamp queries against their per-link definitions
+# --------------------------------------------------------------------------
+
+
+@st.composite
+def edited_networks(draw):
+    """Networks with repeated links, several links at the last stamp, and
+    some links taken out again by ``remove_edge``."""
+    network = DynamicNetwork()
+    n_links = draw(st.integers(1, 30))
+    for _ in range(n_links):
+        u, v = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+        if u == v:
+            v = (v + 1) % 8
+        network.add_edge(u, v, draw(st.integers(1, 6)))
+        if draw(st.booleans()):  # repeat the link, same or later stamp
+            network.add_edge(v, u, draw(st.integers(1, 6)))
+    for _ in range(draw(st.integers(0, 6))):
+        links = list(network.edges())
+        if len(links) < 2:
+            break
+        u, v, ts = links[draw(st.integers(0, len(links) - 1))]
+        network.remove_edge(u, v, ts if draw(st.booleans()) else None)
+    return network
+
+
+def _per_link_edges(network):
+    """Every link once, in the order the split has always read them."""
+    seen = set()
+    for u in network.nodes:
+        for v, stamps in network.neighbor_view(u).items():
+            if (v, u) in seen:
+                continue
+            seen.add((u, v))
+            for ts in stamps:
+                yield u, v, ts
+
+
+@settings(max_examples=200, deadline=None)
+@given(edited_networks())
+def test_stamp_queries_match_per_link_scan(network):
+    links = list(_per_link_edges(network))
+    assert list(network.edges()) == links
+    assert network.first_timestamp() == min(ts for _, _, ts in links)
+    present = max(ts for _, _, ts in links)
+    assert network.last_timestamp() == present
+    assert network.timestamp_set() == {ts for _, _, ts in links}
+    expected, keys = [], set()
+    for u, v, ts in links:
+        if ts == present and frozenset((u, v)) not in keys:
+            keys.add(frozenset((u, v)))
+            expected.append((u, v))
+    assert _positive_pairs(network, present) == expected
+    assert list(network.copy().edges()) == links
